@@ -3,8 +3,7 @@ exponent estimates, spectrum scans, twist trajectories, and the geometric
 lemma verification suite.
 
 Exit codes: 0 success, 1 runtime or I/O error, 2 usage error, 3 lemma-suite
-failure.  The environment variable RVCOCYCLE_THREADS caps the worker threads
-used by the scan commands (default 1).
+failure.
 """
 
 from __future__ import annotations
@@ -12,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,14 +24,14 @@ from .cocycle import (
     k_membership,
     trace_coords,
 )
-from .iet import Rotation2IET
+from .iet import BudgetExceededError, Rotation2IET
 from .lyapunov import (
     DecisionBudget,
     RenormTrace,
     direct_exponent,
     renorm_decision,
 )
-from .mat2 import Matrix2, classify, diagonal, mul, rotation
+from .mat2 import Matrix2, NonUnimodularError, classify, diagonal, mul, rotation
 from .spectrum import (
     BoundedWitness,
     ChartBoundaryError,
@@ -42,10 +39,10 @@ from .spectrum import (
     Representation,
     ScanPoint,
     ScanResult,
-    evaluate_slope,
     mcg_trajectory,
     refine_spectrum,
     scan_grid,
+    verdict_code,
 )
 
 DET_TOL_CLI = 1e-6
@@ -186,17 +183,12 @@ def emit_scan_csv(result: ScanResult, sink) -> None:
                    f"{fmt12(p.chi)},{p.steps},{fmt12(p.mu_lower)}\n")
 
 
-def _json_verdict(trace: RenormTrace) -> str:
-    k = trace.verdict.kind
-    return {"UniformlyHyperbolic": "hyperbolic",
-            "CertifiedBounded": "bounded",
-            "FiniteOrder": "finite",
-            "Undecided": "undecided"}[k]
-
-
 def renorm_json_doc(trace: RenormTrace) -> dict:
+    # finite_in and finite_out both print as "finite"; the certificate
+    # carries the membership.
+    code = verdict_code(trace)
     doc = {
-        "verdict": _json_verdict(trace),
+        "verdict": "finite" if code.startswith("finite") else code,
         "steps": [
             {
                 "n": s.index,
@@ -298,13 +290,6 @@ def cmd_lyapunov(args, cfg) -> int:
     return 0
 
 
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RVCOCYCLE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_scan(args, cfg) -> int:
     a, b = get_pair(args, cfg)
     rep = Representation(a, b)
@@ -314,17 +299,7 @@ def cmd_scan(args, cfg) -> int:
         raise UsageError("--grid must be >= 2")
     budget = get_budget(args, cfg)
     chi_iters = resolve(args, cfg, "chi_iters", 2000, int)
-    threads = _n_threads()
-    if threads > 1:
-        h = (hi - lo) / (n - 1)
-        thetas = [lo + i * h for i in range(n)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            points = tuple(ex.map(
-                lambda th: evaluate_slope(rep, th, budget, chi_iters), thetas))
-        cands = tuple(p for p in points if p.verdict in ("bounded", "finite_in"))
-        result = ScanResult(points=points, candidate_spectrum_points=cands)
-    else:
-        result = scan_grid(rep, lo, hi, n, budget, chi_iters)
+    result = scan_grid(rep, lo, hi, n, budget, chi_iters)
     return _write_scan(args, cfg, result)
 
 
@@ -570,7 +545,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ChartBoundaryError, DegeneratePairError) as exc:
+    except (BudgetExceededError, ChartBoundaryError, DegeneratePairError,
+            NonUnimodularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -26,6 +26,7 @@ from .mat2 import (
     classify,
     mul,
     spectral_radius,
+    times_exp,
 )
 
 MARKOV_TOL = 1e-8
@@ -172,24 +173,14 @@ class TraceCoords:
 
 
 def trace_coords(p: CocyclePair) -> TraceCoords:
-    a1, b1, c1, d1 = p.A.entries()
-    a2, b2, c2, d2 = p.B.entries()
-    x = a1 + d1
-    y = a2 + d2
-    # AB entries inline (avoids constructing intermediate objects; this is
-    # the hot path of the bulk identity check).
-    pa = a1 * a2 + b1 * c2
-    pb = a1 * b2 + b1 * d2
-    pc = c1 * a2 + d1 * c2
-    pd = c1 * b2 + d1 * d2
-    z = pa + pd
-    # [A, B] = (AB)(BA)^{-1}; tr((AB) M^{-1}) for M = BA in SL2 is
-    # pa*md + pd*ma - pb*mc - pc*mb with adj(M) = [[md, -mb], [-mc, ma]].
-    ma = a2 * a1 + b2 * c1
-    mb = a2 * b1 + b2 * d1
-    mc = c2 * a1 + d2 * c1
-    md = c2 * b1 + d2 * d1
-    c = pa * md + pd * ma - pb * mc - pc * mb
+    ab = mul(p.A, p.B)
+    ba = mul(p.B, p.A)
+    x, y, z = p.A.trace, p.B.trace, ab.trace
+    # tr [A, B] = tr(AB adj(BA)), written out: the product itself would go
+    # through the Matrix2 check, and cancellation can leave its float
+    # determinant <= 0.
+    c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
+                  ab.log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))
     return TraceCoords(x=x, y=y, z=z, c=c, residual=residual)
 
@@ -319,8 +310,9 @@ def cone_certificate(p: CocyclePair,
         return None
     # Words of length L have entries up to roughly (2 * max entry)^L; cap L
     # so the enumeration stays finite for very strongly hyperbolic pairs.
-    size = max(abs(e) for m in (p.A, p.B) for e in m.entries())
-    per_letter = math.log(2.0 * max(size, 1.0) + 1.0)
+    per_letter = max(
+        m.log_scale + math.log(2.0 * max(*map(abs, m.entries()), 1.0) + 1.0)
+        for m in (p.A, p.B))
     safe_len = max(1, min(word_length, int(600.0 / per_letter)))
     ratio = min(spectral_radius(w) / mu ** n
                 for n, w in short_words(p, safe_len))

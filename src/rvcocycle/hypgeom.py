@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .cocycle import DegeneratePairError
 from .mat2 import (
     BoundaryPoint,
     IsometryClass,
@@ -34,10 +35,6 @@ class NoTransitionError(RuntimeError):
 
 class EmptyIntervalError(RuntimeError):
     """No parameter value makes the product elliptic."""
-
-
-class DegeneratePairError(ValueError):
-    """A matrix classified as indeterminate/identity where a type was needed."""
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .cocycle import (
     TraceCoords,
     classify_pair,
     cone_certificate,
-    k_membership,
     tau_power,
     trace_bound,
     trace_coords,
@@ -37,9 +36,7 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
-from .mat2 import Matrix2, NonUnimodularError, mul, spectral_radius
 
-LOG_OVERFLOW = 600.0
 RENORM_CADENCE = 32
 DEFAULT_SAMPLES = 8
 
@@ -156,39 +153,16 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
 # Renormalization dichotomy
 
 
-def _tau_preimages(p: CocyclePair):
-    yield CocyclePair(p.A, mul(p.B, p.A.inv()))
-    yield CocyclePair(mul(p.B.inv(), p.A), p.B)
-
-
-def _k_escort(p: CocyclePair) -> bool:
-    if k_membership(p).in_k:
-        return True
-    return any(k_membership(q).in_k for q in _tau_preimages(p))
-
-
-def _log_size(m: Matrix2) -> float:
-    return math.log(max(abs(m.a), abs(m.b), abs(m.c), abs(m.d), 1.0))
-
-
-def _move_overflows(p: CocyclePair, move: int, n: int) -> bool:
-    base = p.A if move == 1 else p.B
-    r = spectral_radius(base)
-    grow = n * math.log(r) if r > 1.0 else 0.0
-    return grow + _log_size(p.A) + _log_size(p.B) > LOG_OVERFLOW
-
-
-def _ladder_probe(p: CocyclePair, move: int, n: int):
-    """For a move whose full power would overflow, probe powers 1, 2, 4, ...
-    looking for the absorbing HH+ type; return (k, pair) at the first HH+
-    hit, or None if every safe power stays non-absorbing."""
-    k = 1
-    while k <= n and not _move_overflows(p, move, k):
-        q = tau_power(p, move, k)
-        if classify_pair(q).code == "HH+":
-            return k, q
-        k *= 2
-    return None
+def _k_escort(tc: TraceCoords) -> bool:
+    """Whether the pair or a one-step tau-preimage lies in K (k_membership's
+    test: two of A, B, AB with |trace| < 2 - 1e-9).  The preimages
+    (A, B A^-1) and (B^-1 A, B) have the traces (x, xy - z, y) and
+    (xy - z, y, x); forming them instead can cancel a product's float
+    determinant to <= 0."""
+    x, y, z = tc.x, tc.y, tc.z
+    w = x * y - z
+    return any(sum(abs(t) < 2.0 - 1e-9 for t in traces) >= 2
+               for traces in ((x, y, z), (x, w, y), (w, y, x)))
 
 
 def renorm_decision(p: CocyclePair, alpha: float,
@@ -198,9 +172,10 @@ def renorm_decision(p: CocyclePair, alpha: float,
     Returns UniformlyHyperbolic at the first HH+ pair (with its cone
     certificate), FiniteOrder on rational termination (spectrum membership
     decided by whether the moved matrix of the final step fails to be
-    hyperbolic: the first matrix for tau1, the second for tau2),
-    CertifiedBounded when the step budget exhausts with every recorded
-    trace below the bound, Undecided otherwise.
+    hyperbolic: the first matrix for tau1, the second for tau2, and AB when
+    alpha = 1/2 terminates before the first step), CertifiedBounded when
+    the step budget exhausts with every recorded trace below the bound,
+    Undecided when a budget (steps, max_digit or trace bound) stops it.
     """
     if budget is None:
         budget = DecisionBudget()
@@ -214,8 +189,9 @@ def renorm_decision(p: CocyclePair, alpha: float,
     steps: list[StepRecord] = []
     if t0.code == "HH+":
         cert = cone_certificate(p)
+        coords = trace_coords(p)
         rec0 = StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
-                          coords=trace_coords(p), in_k_escort=_k_escort(p))
+                          coords=coords, in_k_escort=_k_escort(coords))
         return RenormTrace(steps=(rec0,), verdict=Verdict(
             kind="UniformlyHyperbolic", at_step=0, certificate=cert))
 
@@ -229,20 +205,12 @@ def renorm_decision(p: CocyclePair, alpha: float,
     try:
         for winner, run_len, _state in gen:
             move = winner_move(winner)
-            if _move_overflows(cur, move, run_len):
-                hit = _ladder_probe(cur, move, run_len)
-                if hit is None:
-                    return RenormTrace(tuple(steps), Verdict(
-                        kind="Undecided",
-                        budget_note="matrix power overflow before a decision"))
-                _k, cur = hit
-            else:
-                cur = tau_power(cur, move, run_len)
+            cur = tau_power(cur, move, run_len)
             last_move = move
             index += 1
             ptype = classify_pair(cur)
             coords = trace_coords(cur)
-            escort = _k_escort(cur)
+            escort = _k_escort(coords)
             steps.append(StepRecord(index=index, digit=run_len, winner=winner,
                                     pair_type=ptype.code, coords=coords,
                                     in_k_escort=escort))
@@ -264,17 +232,13 @@ def renorm_decision(p: CocyclePair, alpha: float,
     except BudgetExceededError:
         return RenormTrace(tuple(steps), Verdict(
             kind="Undecided", budget_note="run length exceeded max_digit"))
-    except DegeneratePairError:
-        raise
-    except (NonUnimodularError, ValueError) as exc:
-        return RenormTrace(tuple(steps), Verdict(
-            kind="Undecided",
-            budget_note=f"numerical breakdown during renormalization: {exc}"))
 
     if terminated:
         if last_move is None:
-            raise DegeneratePairError("no induction step before termination")
-        checked = cur.A if last_move == 1 else cur.B
+            # alpha = 1/2: period 2, whose return product BA has the trace of AB.
+            checked = cur.product()
+        else:
+            checked = cur.A if last_move == 1 else cur.B
         member = abs(checked.trace) <= 2.0
         return RenormTrace(tuple(steps), Verdict(
             kind="FiniteOrder", at_step=index, last_pair=cur,

@@ -10,32 +10,51 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 DET_TOL = 1e-9
 EPS_TRACE = 1e-9
 TWO_PI = 2.0 * math.pi
+# mul keeps a product unscaled while its entries stay at most 2^500 (tested
+# as a squared Frobenius norm of at most 2^1000, else with the largest
+# entry): then neither the product of two unscaled matrices nor the square
+# of a trace overflows.  Past that, mul moves the excess into the log scale.
+NORM2_LIMIT = 2.0 ** 1000
+LOG_SCALE_LIMIT = 500.0 * math.log(2.0)
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class NonUnimodularError(ValueError):
     """Raised when a matrix has determinant <= 0 or too far from 1."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class Matrix2:
-    """Real 2x2 matrix with determinant 1, row-major entries.
+    """Real 2x2 matrix with determinant 1: e^log_scale * [[a, b], [c, d]].
+
+    log_scale is 0 unless the matrix is a product whose entries would pass
+    2^500; mul then divides the entries by the largest one and adds its log
+    to log_scale, so products of any length stay finite.  The entries of a
+    scaled matrix have determinant e^(-2 log_scale), and everything that
+    reads them (trace, classification, fixed points) is projective.
 
     The constructor rescales by 1/sqrt(det) when det > 0 (this keeps long
     products from drifting off the unimodular surface) and rejects det <= 0.
+    Matrices are values that nothing mutates after construction.  The class
+    is not frozen: a frozen constructor sets each field through
+    object.__setattr__, a large share of the cost of a product.
     """
 
     a: float
     b: float
     c: float
     d: float
+    log_scale: float = 0.0
 
     def __post_init__(self):
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        a, b, c, d = self.a, self.b, self.c, self.d
+        scale = max(abs(a), abs(b), abs(c), abs(d))
         if not math.isfinite(scale):
             raise NonUnimodularError("matrix entries are not finite")
         # For entries of magnitude s the float determinant of a truly
@@ -43,35 +62,40 @@ class Matrix2:
         # (and its computation overflows near s ~ 1e154): validate and
         # renormalize only when the computed value is trustworthy.
         noise = 16.0 * scale * scale * 2.220446049250313e-16
-        if noise >= 0.5:
+        if noise >= 0.5 or self.log_scale:
             return
-        det = self.a * self.d - self.b * self.c
+        det = a * d - b * c
         if det <= 0.0:
             raise NonUnimodularError(f"determinant {det} is not positive")
         if abs(det - 1.0) > DET_TOL and abs(det - 1.0) > noise:
             s = 1.0 / math.sqrt(det)
-            object.__setattr__(self, "a", self.a * s)
-            object.__setattr__(self, "b", self.b * s)
-            object.__setattr__(self, "c", self.c * s)
-            object.__setattr__(self, "d", self.d * s)
+            self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
 
     @property
     def det(self) -> float:
+        """Determinant of the entries (e^(-2 log_scale) up to rounding)."""
         return self.a * self.d - self.b * self.c
 
     @property
     def trace(self) -> float:
-        return self.a + self.d
+        """The trace; +-inf past the float range."""
+        t = self.a + self.d
+        return times_exp(t, self.log_scale) if self.log_scale else t
+
+    def log_abs_trace(self) -> float:
+        """log |trace|, finite for every scale (-inf for trace 0)."""
+        t = abs(self.a + self.d)
+        return math.log(t) + self.log_scale if t else -math.inf
 
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         return mul(self, other)
 
     def inv(self) -> "Matrix2":
-        return Matrix2(self.d, -self.b, -self.c, self.a)
+        return Matrix2(self.d, -self.b, -self.c, self.a, self.log_scale)
 
     def neg(self) -> "Matrix2":
         # -M is the same element of PSL(2,R); det stays +1.
-        return Matrix2(-self.a, -self.b, -self.c, -self.d)
+        return Matrix2(-self.a, -self.b, -self.c, -self.d, self.log_scale)
 
     def power(self, n: int) -> "Matrix2":
         """n-th power by repeated squaring, n >= 0."""
@@ -87,10 +111,8 @@ class Matrix2:
         return result
 
     def entries(self) -> tuple[float, float, float, float]:
+        """The entries, without the factor e^log_scale."""
         return (self.a, self.b, self.c, self.d)
-
-    def apply_vec(self, v: tuple[float, float]) -> tuple[float, float]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
     def mobius(self, z: complex) -> complex:
         """Action on a point of the upper half-plane."""
@@ -102,12 +124,37 @@ def identity() -> Matrix2:
 
 
 def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
-    return Matrix2(
-        m1.a * m2.a + m1.b * m2.c,
-        m1.a * m2.b + m1.b * m2.d,
-        m1.c * m2.a + m1.d * m2.c,
-        m1.c * m2.b + m1.d * m2.d,
-    )
+    a1, b1, c1, d1 = m1.a, m1.b, m1.c, m1.d
+    a2, b2, c2, d2 = m2.a, m2.b, m2.c, m2.d
+    a = a1 * a2 + b1 * c2
+    b = a1 * b2 + b1 * d2
+    c = c1 * a2 + d1 * c2
+    d = c1 * b2 + d1 * d2
+    log_scale = m1.log_scale + m2.log_scale
+    if log_scale or not a * a + b * b + c * c + d * d <= NORM2_LIMIT:
+        return _scaled(a, b, c, d, log_scale)
+    return Matrix2(a, b, c, d)
+
+
+def _scaled(a: float, b: float, c: float, d: float, log_scale: float) -> Matrix2:
+    """e^log_scale * [[a, b], [c, d]], scaled to a largest entry of 1 when
+    that entry passes 2^500 and unscaled otherwise."""
+    size = max(abs(a), abs(b), abs(c), abs(d))
+    if size == 0.0 or not math.isfinite(a + b + c + d):
+        raise NonUnimodularError("product entries are not finite or all zero")
+    total = log_scale + math.log(size)
+    if total <= LOG_SCALE_LIMIT:
+        f = math.exp(log_scale)
+        return Matrix2(a * f, b * f, c * f, d * f)
+    return Matrix2(a / size, b / size, c / size, d / size, total)
+
+
+def times_exp(x: float, log_scale: float) -> float:
+    """x * e^log_scale; +-inf past the float range."""
+    if not x or not log_scale:
+        return x
+    lg = math.log(abs(x)) + log_scale
+    return math.copysign(math.exp(lg) if lg < LOG_FLOAT_MAX else math.inf, x)
 
 
 def rotation(t: float) -> Matrix2:
@@ -235,11 +282,12 @@ class IsometryClass:
 def fixed_points_hyperbolic(m: Matrix2) -> tuple[BoundaryPoint, BoundaryPoint]:
     """(repelling, attracting) boundary fixed points of a hyperbolic matrix.
 
-    Fixed directions are eigenvectors; the attracting one carries the
-    eigenvalue of modulus > 1.
+    Fixed directions are eigenvectors of the entries, whose determinant is
+    e^(-2 log_scale); the attracting one carries the eigenvalue of larger
+    modulus.
     """
-    tr = m.trace
-    disc = tr * tr - 4.0
+    tr = m.a + m.d
+    disc = tr * tr - 4.0 * math.exp(-2.0 * m.log_scale)
     if disc <= 0.0:
         raise ValueError("matrix is not hyperbolic")
     s = math.sqrt(disc)
@@ -302,11 +350,14 @@ def classify(m: Matrix2, eps: float = EPS_TRACE) -> IsometryClass:
 
 
 def spectral_radius(m: Matrix2) -> float:
-    """max |eigenvalue|; (|tr| + sqrt(tr^2 - 4)) / 2 when |tr| >= 2, else 1."""
-    tr = abs(m.trace)
-    if tr < 2.0:
+    """max |eigenvalue|; (|tr| + sqrt(tr^2 - 4)) / 2 when |tr| >= 2, else 1.
+
+    Computed on the entries, whose determinant is e^(-2 log_scale); inf
+    past the float range.
+    """
+    tr = abs(m.a + m.d)
+    disc = tr * tr - 4.0 * math.exp(-2.0 * m.log_scale)
+    if disc < 0.0:
         return 1.0
-    if tr > 1e100:
-        # tr*tr would overflow; the -4 is negligible at this scale.
-        return tr
-    return (tr + math.sqrt(tr * tr - 4.0)) / 2.0
+    r = (tr + math.sqrt(disc)) / 2.0
+    return times_exp(r, m.log_scale) if m.log_scale else r

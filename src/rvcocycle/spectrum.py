@@ -221,54 +221,6 @@ def refine_spectrum(rep: Representation, theta_lo: float, theta_hi: float,
 
 
 # ---------------------------------------------------------------------------
-# Log-scaled 2x2 matrices (for trace growth of order e^{C q_n})
-
-
-@dataclass(frozen=True)
-class LogMatrix:
-    """A 2x2 matrix stored as e^log_scale * m with max |entry of m| = 1."""
-
-    m: tuple[float, float, float, float]
-    log_scale: float
-
-    @classmethod
-    def from_matrix2(cls, mat: Matrix2) -> "LogMatrix":
-        return cls._normalize(mat.entries(), 0.0)
-
-    @classmethod
-    def _normalize(cls, e, s: float) -> "LogMatrix":
-        mx = max(abs(x) for x in e)
-        if mx == 0.0:
-            return cls((0.0, 0.0, 0.0, 0.0), -math.inf)
-        return cls(tuple(x / mx for x in e), s + math.log(mx))
-
-    def matmul(self, other: "LogMatrix") -> "LogMatrix":
-        a1, b1, c1, d1 = self.m
-        a2, b2, c2, d2 = other.m
-        e = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-             c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-        return LogMatrix._normalize(e, self.log_scale + other.log_scale)
-
-    def power(self, n: int) -> "LogMatrix":
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        result = LogMatrix((1.0, 0.0, 0.0, 1.0), 0.0)
-        base = self
-        while n:
-            if n & 1:
-                result = result.matmul(base)
-            base = base.matmul(base)
-            n >>= 1
-        return result
-
-    def log_abs_trace(self) -> float:
-        tr = abs(self.m[0] + self.m[3])
-        if tr == 0.0:
-            return -math.inf
-        return self.log_scale + math.log(tr)
-
-
-# ---------------------------------------------------------------------------
 # Mapping-class-group trajectories
 
 
@@ -331,37 +283,31 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     if t0.is_degenerate:
         raise DegeneratePairError(t0.reason)
 
-    la = LogMatrix.from_matrix2(rep.A)
-    lb = LogMatrix.from_matrix2(rep.B)
+    if budget is None:
+        budget = DecisionBudget()
+    cur = pair
     phi = ((1, 0), (0, 1))
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
     growth: list[float] = []
-    runs = []
-    for winner, run_len, _ in run_steps(Rotation2IET(alpha)):
-        runs.append((winner, run_len))
-        if len(runs) >= n_steps:
-            break
-    for winner, run_len in runs:
-        if winner is Winner.BOTTOM:
-            word.append(("a", run_len))
-            phi = _int_mul(_int_twist_power(TWIST_A, run_len), phi)
-            lb = lb.matmul(la.power(run_len))
-        else:
-            word.append(("b", run_len))
-            phi = _int_mul(_int_twist_power(TWIST_B, run_len), phi)
-            la = lb.power(run_len).matmul(la)
+    for winner, run_len, _ in run_steps(Rotation2IET(alpha),
+                                        max_digit=budget.max_digit):
+        gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
+        word.append((gen, run_len))
+        phi = _int_mul(_int_twist_power(twist, run_len), phi)
+        cur = tau_power(cur, winner_move(winner), run_len)
         mats.append(phi)
         norms.append(_l1(phi))
-        lab = la.matmul(lb)
-        growth.append(max(la.log_abs_trace(), lb.log_abs_trace(),
-                          lab.log_abs_trace()))
+        growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),
+                          cur.product().log_abs_trace()))
+        if len(word) >= n_steps:
+            break
 
     # q_k aligned conservatively with the run index (the first run length is
     # a_1 - 1, so the true return denominator at run k is >= this q_k).
-    cf = continued_fraction(alpha, max_digits=len(runs) + 2)
-    qs = cf.convergent_denominators[:len(runs) + 1]
+    cf = continued_fraction(alpha, max_digits=len(word) + 2)
+    qs = cf.convergent_denominators[:len(word) + 1]
     traj = MCGTrajectory(twist_word=tuple(word), matrices=tuple(mats),
                          norms_l1=tuple(norms),
                          convergent_denominators=tuple(qs))
@@ -379,6 +325,6 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
         witness = BoundedWitness(max_trace_norm=math.nan,
                                  growth_log=tuple(growth))
     else:
-        witness = HyperbolicityWitness(step_index=len(runs), mu=math.nan,
+        witness = HyperbolicityWitness(step_index=len(word), mu=math.nan,
                                        growth_log=tuple(growth))
     return traj, witness

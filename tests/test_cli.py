@@ -154,6 +154,15 @@ class TestRenorm:
         assert doc["verdict"] == "finite"
         assert "spectrumMember" in doc["certificate"]
 
+    def test_half_terminates_before_first_step(self, capsys):
+        # alpha = 1/2 has period 2: membership is |tr AB| <= 2.
+        code, out, _ = run(capsys, "renorm", "--fixture", "generic-elliptic",
+                           "--alpha", "0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "finite"
+        assert doc["steps"] == []
+
     def test_missing_alpha(self, capsys):
         code, _, _ = run(capsys, "renorm", "--fixture", "commuting-elliptic")
         assert code == 2
@@ -216,14 +225,6 @@ class TestScan:
         for p in doc["candidateSpectrumPoints"]:
             assert p["verdict"] in ("bounded", "finite_in")
 
-    def test_threads_env_same_output(self, capsys, monkeypatch):
-        args = ("scan", "--fixture", "generic-elliptic", "--theta", "0.3:1.2",
-                "--grid", "8", "--chi-iters", "0", "--max-steps", "15")
-        _, out1, _ = run(capsys, *args)
-        monkeypatch.setenv("RVCOCYCLE_THREADS", "4")
-        _, out2, _ = run(capsys, *args)
-        assert out1 == out2
-
 
 class TestRefine:
     def test_refine_json(self, capsys):
@@ -253,6 +254,16 @@ class TestMCG:
                            "--max-steps", "30")
         assert code == 0
         assert json.loads(out)["witness"]["kind"] == "bounded"
+
+
+    def test_run_past_max_digit_is_an_error(self, capsys):
+        # 1/alpha = 200.5: the first run is 199 steps long.
+        code, out, err = run(capsys, "mcg", "--fixture", "commuting-elliptic",
+                             "--alpha", "0.004987531172069825", "--steps", "5",
+                             "--max-digit", "100")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestVerifyLemmas:

@@ -3,6 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from rvcocycle import cocycle
+
 from rvcocycle.hypgeom import (
     DegeneratePairError,
     NoTransitionError,
@@ -98,6 +100,8 @@ class TestConstructors:
             assert x == pytest.approx(y, abs=1e-8)
 
     def test_data_rejects_wrong_type(self):
+        # One class, so that callers catching the cocycle error catch these.
+        assert DegeneratePairError is cocycle.DegeneratePairError
         with pytest.raises(DegeneratePairError):
             elliptic_data(diagonal(2.0))
         with pytest.raises(DegeneratePairError):

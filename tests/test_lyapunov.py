@@ -39,6 +39,13 @@ def generic_elliptic():
     return CocyclePair(rotation(1.0), mul(mul(m, rotation(0.9)), m.inv()))
 
 
+def random_unimodular(rng):
+    while True:
+        e = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+        if e[0] * e[3] - e[1] * e[2] > 0.05:
+            return Matrix2(*e)
+
+
 class TestDirectExponent:
     def test_diagonal_gives_log_two(self):
         # Both letters are diag(2, 1/2): the exponent is exactly ln 2.
@@ -126,6 +133,27 @@ class TestRenormDecision:
         p = CocyclePair(diagonal(1e60), rotation(1.0))
         trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=80))
         assert trace.verdict.kind in ("UniformlyHyperbolic", "Undecided")
+
+    def test_overflowing_runs_decide(self):
+        # Criterion 6's draws 74, 75 and 121 (seed 42): the run that reaches
+        # HH+ (digits 739, 376 and 2046) pushes a trace to e^360 - e^532,
+        # past the float range of its intermediate powers.
+        rng = random.Random(42)
+        draws = []
+        while len(draws) < 121:
+            p = CocyclePair(random_unimodular(rng), random_unimodular(rng))
+            if trace_coords(p).c <= 2.0:
+                continue
+            alpha = rng.uniform(0.05, 0.95)
+            if abs(alpha - 0.5) >= 1e-3:
+                draws.append((p, alpha))
+        for n, step, digit in ((74, 7, 739), (75, 2, 376), (121, 4, 2046)):
+            p, alpha = draws[n - 1]
+            trace = renorm_decision(p, alpha, DecisionBudget(max_accel_steps=60))
+            v = trace.verdict
+            assert (v.kind, v.at_step) == ("UniformlyHyperbolic", step), n
+            assert trace.steps[-1].digit == digit
+            assert v.certificate is not None and v.certificate.expansion_factor > 1.0
 
     def test_transitions_respected_along_run(self):
         from rvcocycle.cocycle import TRANSITIONS

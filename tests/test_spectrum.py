@@ -1,15 +1,15 @@
 import math
+import random
 
 import pytest
 
 from rvcocycle.cocycle import classify_pair, trace_coords
 from rvcocycle.lyapunov import DecisionBudget
-from rvcocycle.mat2 import Matrix2, diagonal, mul, rotation
+from rvcocycle.mat2 import Matrix2, classify, diagonal, mul, rotation
 from rvcocycle.spectrum import (
     BoundedWitness,
     ChartBoundaryError,
     HyperbolicityWitness,
-    LogMatrix,
     Representation,
     chart_for,
     evaluate_slope,
@@ -111,6 +111,13 @@ class TestEvaluateAndScan:
         assert p.verdict == "bounded"
         assert p.bounded_steps > 0
 
+    def test_half_integer_slope(self):
+        # tan theta = 1.5 gives alpha = 1/2, where the induction stops
+        # before its first step.
+        p = evaluate_slope(generic_elliptic(), math.atan(1.5))
+        assert p.alpha == 0.5
+        assert p.verdict in ("finite_in", "finite_out")
+
     def test_chi_requested(self):
         p = evaluate_slope(diag_rep(), math.atan(GOLDEN), chi_iters=2000)
         assert p.chi == pytest.approx(math.log(2.0), abs=1e-9)
@@ -152,27 +159,41 @@ class TestRefine:
 
 
 class TestLogMatrix:
+    """Matrix2 products past the float range, which carry a log scale."""
+
     def test_roundtrip(self):
-        m = Matrix2(2.0, 1.0, 1.0, 1.0)
-        lm = LogMatrix.from_matrix2(m)
-        assert lm.log_scale == pytest.approx(math.log(2.0))
-        assert max(abs(x) for x in lm.m) == pytest.approx(1.0)
+        # The scale moves into the exponent past 2^500 and back below it.
+        big = diagonal(2.0).power(600)
+        assert big.log_scale == pytest.approx(600.0 * math.log(2.0))
+        assert max(abs(x) for x in big.entries()) == 1.0
+        back = mul(big, diagonal(2.0).inv().power(300))
+        assert back.log_scale == 0.0
+        assert back.a == pytest.approx(2.0 ** 300, rel=1e-12)
 
     def test_power_trace(self):
         # diag(2, 1/2)^50 has trace 2^50 + 2^-50.
-        lm = LogMatrix.from_matrix2(diagonal(2.0)).power(50)
-        assert lm.log_abs_trace() == pytest.approx(50.0 * math.log(2.0), abs=1e-9)
+        m = diagonal(2.0).power(50)
+        assert m.log_scale == 0.0
+        assert m.log_abs_trace() == pytest.approx(50.0 * math.log(2.0), abs=1e-9)
 
     def test_matmul_matches_float(self):
-        m1 = Matrix2(2.0, 1.0, 1.0, 1.0)
-        m2 = Matrix2(1.0, 0.5, 0.0, 1.0)
-        lm = LogMatrix.from_matrix2(m1).matmul(LogMatrix.from_matrix2(m2))
+        # [[2, 1], [1, 1]]^200 and ^250 fit in float64; their product
+        # (entries near e^433) is scaled and agrees with the float product.
+        m = Matrix2(2.0, 1.0, 1.0, 1.0)
+        m1, m2 = m.power(200), m.power(250)
         prod = mul(m1, m2)
-        assert lm.log_abs_trace() == pytest.approx(math.log(abs(prod.trace)))
+        assert (m1.log_scale, m2.log_scale) == (0.0, 0.0) and prod.log_scale > 0.0
+        flt = (m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+               m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+        for x, y in zip(prod.entries(), flt):
+            assert x * math.exp(prod.log_scale) == pytest.approx(y, rel=1e-12)
+        assert prod.log_abs_trace() == pytest.approx(math.log(flt[0] + flt[3]))
 
     def test_huge_powers_finite(self):
-        lm = LogMatrix.from_matrix2(diagonal(3.0)).power(5000)
-        assert math.isfinite(lm.log_abs_trace())
+        m = diagonal(3.0).power(5000)
+        assert m.log_abs_trace() == pytest.approx(5000.0 * math.log(3.0))
+        assert m.trace == math.inf
+        assert classify(m).is_hyperbolic
 
 
 class TestMCG:
@@ -200,11 +221,13 @@ class TestMCG:
             assert n >= qs[k - 1]
 
     def test_hyperbolic_witness_growth(self):
-        traj, witness = mcg_trajectory(diag_rep(), GOLDEN, 10)
+        traj, witness = mcg_trajectory(diag_rep(), GOLDEN, 25)
         assert isinstance(witness, HyperbolicityWitness)
         assert witness.mu == pytest.approx(2.0)
         qs = traj.convergent_denominators
-        # Trace norms blow up like e^{C q_n} along the trajectory.
+        # Trace norms blow up like e^{C q_n} along the trajectory, far past
+        # the float range (q_25 = 121393).
+        assert all(math.isfinite(g) for g in witness.growth_log)
         for k in range(3, len(witness.growth_log)):
             assert witness.growth_log[k] >= 0.5 * math.log(2.0) * qs[k]
 
@@ -216,6 +239,21 @@ class TestMCG:
         r = commuting_elliptic()
         tc = trace_coords(CocyclePair(r.A, r.B))
         assert witness.max_trace_norm <= trace_bound(tc.c) + 4.0
+
+    def test_commuting_rotations_stay_rotations(self):
+        # Near-rational angles [0; a_1, (a_2,) N + u] with N in 1000..3000:
+        # the pulled-back pair of commuting rotations stays a pair of
+        # rotations, so every trace norm stays at most 2.
+        rng = random.Random(0)
+        limit = math.log(2.0 + 1e-6)
+        for _ in range(20):
+            x = rng.randint(1000, 3000) + rng.uniform(0.1, 0.9)
+            for a in [rng.randint(1, 4) for _ in range(rng.randint(1, 2))]:
+                x = a + 1.0 / x
+            _, witness = mcg_trajectory(commuting_elliptic(), 1.0 / x, 40,
+                                        DecisionBudget(max_accel_steps=40))
+            assert len(witness.growth_log) == 40
+            assert max(witness.growth_log) <= limit, f"alpha={1.0 / x!r}"
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
