@@ -31,7 +31,15 @@ from .lyapunov import (
     direct_exponent,
     renorm_decision,
 )
-from .mat2 import Matrix2, NonUnimodularError, classify, diagonal, mul, rotation
+from .mat2 import (
+    ENTRY_LIMIT,
+    Matrix2,
+    NonUnimodularError,
+    classify,
+    diagonal,
+    mul,
+    rotation,
+)
 from .spectrum import (
     BoundedWitness,
     ChartBoundaryError,
@@ -72,6 +80,9 @@ def parse_rep(spec: str) -> tuple[Matrix2, Matrix2]:
         vals = [float(x) for x in parts]
     except ValueError as exc:
         raise UsageError(f"bad --rep entry: {exc}")
+    for v in vals:
+        if not abs(v) <= ENTRY_LIMIT:
+            raise UsageError(f"--rep entry {v} is not a finite real of size at most 2^500")
     mats = []
     for i in (0, 4):
         a, b, c, d = vals[i:i + 4]
@@ -183,6 +194,11 @@ def emit_scan_csv(result: ScanResult, sink) -> None:
                    f"{fmt12(p.chi)},{p.steps},{fmt12(p.mu_lower)}\n")
 
 
+def _finite_or_null(x: float) -> float | None:
+    # Strict JSON has no Infinity or NaN.
+    return x if math.isfinite(x) else None
+
+
 def renorm_json_doc(trace: RenormTrace) -> dict:
     # finite_in and finite_out both print as "finite"; the certificate
     # carries the membership.
@@ -195,9 +211,9 @@ def renorm_json_doc(trace: RenormTrace) -> dict:
                 "digit": s.digit,
                 "winner": s.winner.value if s.winner is not None else "-",
                 "type": s.pair_type,
-                "x": s.coords.x,
-                "y": s.coords.y,
-                "z": s.coords.z,
+                "x": _finite_or_null(s.coords.x),
+                "y": _finite_or_null(s.coords.y),
+                "z": _finite_or_null(s.coords.z),
                 "inK": s.in_k_escort,
             }
             for s in trace.steps

@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .mat2 import (
-    BoundaryPoint,
+    LOG_FLOAT_MAX,
     Matrix2,
     NonUnimodularError,
     TWO_PI,
     arcs_link,
-    boundary_action,
     classify,
     mul,
     spectral_radius,
@@ -31,8 +30,8 @@ from .mat2 import (
 
 MARKOV_TOL = 1e-8
 CONE_MARGIN_FRACTION = 0.25
-CONE_WORD_LENGTH = 12
-CONE_SAFETY = 2.0
+# Block lengths L at which cone_certificate tries to prove its rate.
+CONE_BLOCK_LENGTHS = (1, 2, 4, 8, 12)
 
 
 class DegeneratePairError(ValueError):
@@ -221,31 +220,32 @@ def k_membership(p: CocyclePair, eps: float = 1e-9) -> KMembership:
 class ConeCertificate:
     """A closed boundary arc [lo, hi] (angle chart on RP^1, counterclockwise)
     containing both attracting fixed points and neither repelling one, mapped
-    strictly inside itself by A and by B; every word w in the semigroup then
-    has spectral radius >= constant * expansion_factor^len(w)."""
+    strictly inside itself by A and by B, with a proved rate: every word w in
+    the semigroup, of every length, has spectral radius
+    >= constant * expansion_factor^len(w).  The proof needs no constant, so
+    constant is always 1."""
 
     arc_lo: float
     arc_hi: float
     expansion_factor: float
-    constant: float
+    constant: float = 1.0
 
     def contains_angle(self, angle: float) -> bool:
         width = (self.arc_hi - self.arc_lo) % TWO_PI
         return (angle - self.arc_lo) % TWO_PI <= width + 1e-12
 
 
-def short_words(p: CocyclePair, max_len: int = CONE_WORD_LENGTH):
-    """Yield (length, matrix) for every nonempty word in {A, B} of length
-    up to max_len, built level by level (one product per word).  Words whose
-    float product degenerates (cancellation between near-inverse factors)
-    are dropped together with their extensions.
+def word_levels(p: CocyclePair, max_len: int):
+    """Yield, for n = 1 .. max_len, the list of words in {A, B} of length n
+    (w g for each word w of length n - 1 and g in (A, B)).  Each level is
+    built, one product per word, only when the previous one has been taken.
+    Words whose float product degenerates (cancellation between
+    near-inverse factors) are dropped together with their extensions.
     """
     level = [p.A, p.B]
-    length = 1
-    while level:
-        for m in level:
-            yield length, m
-        if length == max_len:
+    for n in range(1, max_len + 1):
+        yield level
+        if n == max_len:
             return
         nxt = []
         for w in level:
@@ -255,18 +255,74 @@ def short_words(p: CocyclePair, max_len: int = CONE_WORD_LENGTH):
                 except NonUnimodularError:
                     pass
         level = nxt
-        length += 1
 
 
-def cone_certificate(p: CocyclePair,
-                     word_length: int = CONE_WORD_LENGTH) -> ConeCertificate | None:
-    """Build the common strictly invariant arc for an HH+ pair, or None.
+def short_words(p: CocyclePair, max_len: int):
+    """Yield (length, matrix) for every word of word_levels(p, max_len)."""
+    for n, level in enumerate(word_levels(p, max_len), 1):
+        for m in level:
+            yield n, m
+
+
+def _quadrant_pair(p: CocyclePair, lo: float, width: float) -> CocyclePair | None:
+    """The pair conjugated to the positive quadrant, (P^-1 A P, P^-1 B P) for
+    P = [e(lo), e(lo + width)] with e(t) = (cos t/2, sin t/2), each with the
+    sign that makes it positive; None if rounding leaves an entry <= 0.
+
+    The second column is built from lo + width, not from the arc's hi end,
+    whose half angle jumps by pi when the arc wraps past angle 0.
+    """
+    u0, v0 = math.cos(lo / 2.0), math.sin(lo / 2.0)
+    u1, v1 = math.cos((lo + width) / 2.0), math.sin((lo + width) / 2.0)
+    det = u0 * v1 - u1 * v0
+    out = []
+    for m in (p.A, p.B):
+        # Coordinates of M e(lo) and M e(lo + width) in that basis.
+        x0, y0 = m.a * u0 + m.b * v0, m.c * u0 + m.d * v0
+        x1, y1 = m.a * u1 + m.b * v1, m.c * u1 + m.d * v1
+        e = [(x0 * v1 - y0 * u1) / det, (x1 * v1 - y1 * u1) / det,
+             (u0 * y0 - v0 * x0) / det, (u0 * y1 - v0 * x1) / det]
+        if all(t < 0.0 for t in e):
+            e = [-t for t in e]
+        if not all(t > 0.0 for t in e):
+            return None
+        try:
+            out.append(Matrix2(*e, m.log_scale))
+        except NonUnimodularError:
+            return None
+    return CocyclePair(*out)
+
+
+def _block_log_rate(words: list[Matrix2]) -> float:
+    """log min over the words of r_l(w) = min_j (l w)_j / l_j, for positive
+    matrices and l the left Perron vector of the word of smallest spectral
+    radius.  For v >= 0, l(w v) >= r_l(w) l(v)."""
+    u = min(words, key=spectral_radius)
+    p, q, r, s = u.entries()
+    d = s - p
+    disc = math.sqrt(d * d + 4.0 * q * r)
+    # l = (r, lambda - p) for the Perron root lambda, written without
+    # cancellation; any positive l gives a valid rate.
+    x = (d + disc) / 2.0 if d >= 0.0 else 2.0 * q * r / (disc - d)
+    k = x / r
+    return min(w.log_scale + math.log(min(w.a + k * w.c, w.b / k + w.d))
+               for w in words)
+
+
+def cone_certificate(p: CocyclePair) -> ConeCertificate | None:
+    """Build the common strictly invariant arc for an HH+ pair with a proved
+    expansion rate, or None.
 
     The arc spans both attracting fixed points with a margin of one quarter
-    of the smallest gap to a repelling point.  expansion_factor is
-    min(spectral radius of A, of B); the constant is fitted as the minimum
-    of spectral_radius(w) / mu^len(w) over all words of length <= word_length,
-    divided by a safety factor of 2.
+    of the smallest gap to a repelling point.  Conjugated to the positive
+    quadrant of that arc's cone, A and B are positive matrices.  For a
+    positive functional l on the cone, l(M v) >= r_l(M) l(v) (see
+    _block_log_rate); the Perron vector of every word lies in the cone, and
+    w^L splits into len(w) blocks of length L, so
+    mu = (min over words of length L of r_l)^(1/L) gives
+    rho(w) >= mu^len(w) for every word of every length, with constant 1.
+    L runs through CONE_BLOCK_LENGTHS (L = 1 needs no products) until mu > 1;
+    None if no L proves a rate above 1.
     """
     if classify_pair(p).code != "HH+":
         return None
@@ -293,28 +349,18 @@ def cone_certificate(p: CocyclePair,
         return None
     lo = (r_lo + att_min - margin) % TWO_PI
     hi = (r_lo + att_max + margin) % TWO_PI
-    width = (hi - lo) % TWO_PI
-
-    def strictly_inside(q: BoundaryPoint) -> bool:
-        t = (q.angle() - lo) % TWO_PI
-        return 0.0 < t < width
-
-    endpoints = [BoundaryPoint(math.cos(a / 2.0), math.sin(a / 2.0))
-                 for a in (lo, hi)]
-    for m in (p.A, p.B):
-        if not all(strictly_inside(boundary_action(m, e)) for e in endpoints):
-            return None
-
-    mu = min(spectral_radius(p.A), spectral_radius(p.B))
-    if mu <= 1.0:
+    cone = _quadrant_pair(p, lo, (hi - lo) % TWO_PI)
+    if cone is None:
         return None
-    # Words of length L have entries up to roughly (2 * max entry)^L; cap L
-    # so the enumeration stays finite for very strongly hyperbolic pairs.
-    per_letter = max(
-        m.log_scale + math.log(2.0 * max(*map(abs, m.entries()), 1.0) + 1.0)
-        for m in (p.A, p.B))
-    safe_len = max(1, min(word_length, int(600.0 / per_letter)))
-    ratio = min(spectral_radius(w) / mu ** n
-                for n, w in short_words(p, safe_len))
-    return ConeCertificate(arc_lo=lo, arc_hi=hi, expansion_factor=mu,
-                           constant=ratio / CONE_SAFETY)
+    # No valid rate exceeds the spectral radius of a letter; the cap only
+    # takes off rounding above it.
+    cap = min(spectral_radius(p.A), spectral_radius(p.B))
+    for n, words in enumerate(word_levels(cone, CONE_BLOCK_LENGTHS[-1]), 1):
+        if n not in CONE_BLOCK_LENGTHS:
+            continue
+        if len(words) < 2 ** n:
+            return None
+        mu = min(math.exp(min(_block_log_rate(words) / n, LOG_FLOAT_MAX)), cap)
+        if mu > 1.0:
+            return ConeCertificate(arc_lo=lo, arc_hi=hi, expansion_factor=mu)
+    return None

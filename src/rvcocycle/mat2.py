@@ -20,7 +20,9 @@ TWO_PI = 2.0 * math.pi
 # as a squared Frobenius norm of at most 2^1000, else with the largest
 # entry): then neither the product of two unscaled matrices nor the square
 # of a trace overflows.  Past that, mul moves the excess into the log scale.
-NORM2_LIMIT = 2.0 ** 1000
+# The CLI rejects input entries past ENTRY_LIMIT for the same reason.
+ENTRY_LIMIT = 2.0 ** 500
+NORM2_LIMIT = ENTRY_LIMIT * ENTRY_LIMIT
 LOG_SCALE_LIMIT = 500.0 * math.log(2.0)
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 

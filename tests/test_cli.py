@@ -40,6 +40,12 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_rep("1,0,0,1,1,0,x,1")
 
+    def test_parse_rep_entry_past_unscaled_size(self):
+        with pytest.raises(UsageError, match="2\\^500"):
+            parse_rep("1e160,0,0,1e-160,2,0,0,0.5")
+        with pytest.raises(UsageError):
+            parse_rep("nan,0,0,1,2,0,0,0.5")
+
     def test_parse_theta_range(self):
         assert parse_theta_range("0.1:1.5") == (0.1, 1.5)
         with pytest.raises(UsageError):
@@ -108,6 +114,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "classify", "--fixture", "generic-elliptic")
         assert code == 0
 
+    def test_usage_error_huge_entry(self, capsys):
+        code, out, err = run(capsys, "classify", "--rep",
+                             "1e160,0,0,1e-160,2,0,0,0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestClassify:
     def test_generic_elliptic(self, capsys):
@@ -162,6 +175,20 @@ class TestRenorm:
         doc = json.loads(out)
         assert doc["verdict"] == "finite"
         assert doc["steps"] == []
+
+    def test_trace_past_float_range_is_null(self, capsys):
+        # Step 2 (run 922) has tr B and tr AB past the float range.
+        code, out, _ = run(capsys, "renorm", "--fixture", "generic-elliptic",
+                           "--alpha", "0.6667870446192837")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        doc = json.loads(out, parse_constant=reject)
+        step2 = next(s for s in doc["steps"] if s["n"] == 2)
+        assert step2["y"] is None
+        assert math.isfinite(step2["x"])
 
     def test_missing_alpha(self, capsys):
         code, _, _ = run(capsys, "renorm", "--fixture", "commuting-elliptic")

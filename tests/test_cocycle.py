@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from rvcocycle.cocycle import (
     trace_coords,
 )
 from rvcocycle.hypgeom import hh_minus_canonical_pair, rotation_about
+from rvcocycle.lyapunov import exponent_lower_bound, renorm_decision
 from rvcocycle.mat2 import (
     Matrix2,
     boundary_action,
@@ -36,6 +38,31 @@ def random_pair(rng, scale=2.0):
             if e[0] * e[3] - e[1] * e[2] > 0.05:
                 return Matrix2(*e)
     return CocyclePair(m(), m())
+
+
+def log_word_radii(p, max_len):
+    """Yield (n, min log spectral radius over the words in {A, B} of length
+    n) for n = 1 .. max_len, computed apart from the program: numpy
+    products kept at largest entry 1 with a separate log scale, and each
+    word split into a prefix of length n // 2 and the rest."""
+    gens = np.array([p.A.entries(), p.B.entries()]).reshape(2, 2, 2)
+    gen_logs = np.array([p.A.log_scale, p.B.log_scale])
+    levels = [(np.eye(2)[None], np.zeros(1))]
+    for _ in range((max_len + 1) // 2):
+        m, s = levels[-1]
+        m = np.concatenate([m @ gens[0], m @ gens[1]])
+        s = np.concatenate([s + gen_logs[0], s + gen_logs[1]])
+        top = np.abs(m).max(axis=(1, 2))
+        levels.append((m / top[:, None, None], s + np.log(top)))
+    for n in range(1, max_len + 1):
+        (x, sx), (y, sy) = levels[n // 2], levels[n - n // 2]
+        with np.errstate(divide="ignore"):
+            log_tr = (np.log(np.abs(np.einsum("aij,bji->ab", x, y)))
+                      + sx[:, None] + sy[None, :])
+        t = np.exp(np.minimum(log_tr, 30.0))
+        small = np.log((t + np.sqrt(np.maximum(t * t - 4.0, 0.0))) / 2.0)
+        log_rho = np.where(log_tr > 30.0, log_tr, np.maximum(small, 0.0))
+        yield n, float(log_rho.min())
 
 
 def angles():
@@ -225,8 +252,8 @@ class TestCone:
         p = CocyclePair(diagonal(2.0), diagonal(2.0))
         cert = cone_certificate(p)
         assert cert is not None
-        assert cert.expansion_factor == pytest.approx(2.0)
-        assert cert.constant > 0.0
+        assert cert.expansion_factor == 2.0
+        assert cert.constant == 1.0
 
     def test_certificate_soundness(self):
         rng = random.Random(31)
@@ -251,6 +278,46 @@ class TestCone:
             for n, w in short_words(p, 6):
                 lower = cert.constant * cert.expansion_factor ** n
                 assert spectral_radius(w) >= lower * (1.0 - 1e-9)
+
+    def test_proved_bound_every_length(self):
+        # Criterion 4's draw: rho(w) >= C mu^len(w) holds past the lengths
+        # cone_certificate looks at (17 for all 50 pairs, 20 for the first 4).
+        rng = random.Random(31)
+        found = 0
+        while found < 50:
+            p = random_pair(rng, scale=2.5)
+            try:
+                if classify_pair(p).code != "HH+":
+                    continue
+                cert = cone_certificate(p)
+            except ValueError:
+                continue
+            if cert is None:
+                continue
+            found += 1
+            max_len = 20 if found <= 4 else 17
+            for n, log_rho in log_word_radii(p, max_len):
+                lower = math.log(cert.constant) + n * math.log(cert.expansion_factor)
+                assert log_rho >= lower + math.log1p(-1e-9), \
+                    f"pair {found}, word of length {n}: log radius {log_rho} " \
+                    f"< log bound {lower}"
+
+    def test_weak_pair_has_no_certificate(self):
+        # An HH+ pair of criterion 4's draw (seed 31, scale 2.5) on which no
+        # block length up to 12 proves a rate above 1: a length-8 word grows
+        # only about 1.048 per letter.  The verdict needs only the arc.
+        p = CocyclePair(
+            Matrix2(-1.0979387479033134, 0.4875026217567887,
+                    0.2537453433510055, -1.0234646716750608),
+            Matrix2(-1.2556963476309757, -0.9590704883837048,
+                    -0.33513549825046857, -1.0523392605822341))
+        assert classify_pair(p).code == "HH+"
+        assert cone_certificate(p) is None
+        alpha = (math.sqrt(5.0) - 1.0) / 2.0
+        trace = renorm_decision(p, alpha)
+        assert trace.verdict.kind == "UniformlyHyperbolic"
+        assert trace.verdict.at_step == 0
+        assert exponent_lower_bound(trace, alpha) == 0.0
 
     def test_arc_invariance(self):
         p = CocyclePair(Matrix2(3.0, 1.0, 1.0, 0.667), Matrix2(2.5, 0.3, 0.4, 0.448))
