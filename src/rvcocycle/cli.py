@@ -294,12 +294,15 @@ def cmd_lyapunov(args, cfg) -> int:
     alpha = resolve(args, cfg, "alpha", None, float)
     if alpha is None or not 0.0 < alpha < 1.0:
         raise UsageError("--alpha in (0,1) is required")
-    est = direct_exponent(
-        CocyclePair(a, b), Rotation2IET(alpha),
-        n_iters=resolve(args, cfg, "iters", 100000, int),
-        n_samples=resolve(args, cfg, "samples", 8, int),
-        seed=resolve(args, cfg, "seed", 0, int),
-    )
+    n_iters = resolve(args, cfg, "iters", 100000, int)
+    if n_iters < 1:
+        raise UsageError("--iters must be >= 1")
+    n_samples = resolve(args, cfg, "samples", 8, int)
+    if n_samples < 1:
+        raise UsageError("--samples must be >= 1")
+    est = direct_exponent(CocyclePair(a, b), Rotation2IET(alpha),
+                          n_iters=n_iters, n_samples=n_samples,
+                          seed=resolve(args, cfg, "seed", 0, int))
     print(json.dumps({"chi": est.chi, "nIters": est.n_iters,
                       "samplePoints": est.sample_points,
                       "stderr": est.stderr}, indent=2))
@@ -315,6 +318,8 @@ def cmd_scan(args, cfg) -> int:
         raise UsageError("--grid must be >= 2")
     budget = get_budget(args, cfg)
     chi_iters = resolve(args, cfg, "chi_iters", 2000, int)
+    if chi_iters < 0:
+        raise UsageError("--chi-iters must be >= 0")
     result = scan_grid(rep, lo, hi, n, budget, chi_iters)
     return _write_scan(args, cfg, result)
 

@@ -36,8 +36,9 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
+from .mat2 import Matrix2, identity, mul
 
-RENORM_CADENCE = 32
+ORBIT_CHUNK = 1024
 DEFAULT_SAMPLES = 8
 
 
@@ -107,41 +108,85 @@ def winner_move(w: Winner) -> int:
 # Direct exponent
 
 
+def _letter_entries(m: Matrix2) -> tuple[tuple[float, ...], float]:
+    """The entries of m divided by the largest one, and the log of the
+    factor taken out (including m's own log scale)."""
+    top = max(abs(e) for e in m.entries())
+    return tuple(e / top for e in m.entries()), m.log_scale + math.log(top)
+
+
+def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
+    """Yield the orbit products of the cocycle over n steps from the starts
+    x, one chunk of at most ORBIT_CHUNK steps at a time, in orbit order.
+
+    Each yield is (m, log): m is the four entry arrays (a, b, c, d), one
+    value per start, with largest |entry| 1, and the product
+    rho(T^(k-1) y) ... rho(y) over the chunk's k steps from its first orbit
+    point y is e^log * m.  A chunk is reduced by a
+    pairwise tree: its letters become normalized leaf matrices, padded with
+    identities to a power of two, and each level multiplies neighbouring
+    pairs (later @ earlier) entrywise on whole arrays, then divides each
+    product by its largest |entry| and adds the log.  So no product leaves
+    the float range, whatever the chunk length or the letters' size.
+    """
+    ea, la = _letter_entries(p.A)
+    eb, lb = _letter_entries(p.B)
+    # Rows: entries; columns: letter A, letter B, identity padding.
+    table = np.array([ea, eb, (1.0, 0.0, 0.0, 1.0)]).T
+    split = 1.0 - alpha
+    for start in range(0, n, ORBIT_CHUNK):
+        k = min(ORBIT_CHUNK, n - start)
+        in_b = (x + np.arange(k)[:, None] * alpha) % 1.0 > split
+        x = (x + k * alpha) % 1.0
+        letters = np.full((1 << (k - 1).bit_length(), len(x)), 2)
+        letters[:k] = in_b
+        n_b = in_b.sum(axis=0)
+        log = (k - n_b) * la + n_b * lb
+        m0, m1, m2, m3 = table[:, letters]
+        while len(m0) > 1:
+            e0, e1, e2, e3 = m0[0::2], m1[0::2], m2[0::2], m3[0::2]
+            l0, l1, l2, l3 = m0[1::2], m1[1::2], m2[1::2], m3[1::2]
+            m0 = l0 * e0 + l1 * e2
+            m1 = l0 * e1 + l1 * e3
+            m2 = l2 * e0 + l3 * e2
+            m3 = l2 * e1 + l3 * e3
+            top = np.maximum(np.maximum(np.abs(m0), np.abs(m1)),
+                             np.maximum(np.abs(m2), np.abs(m3)))
+            m0 /= top
+            m1 /= top
+            m2 /= top
+            m3 /= top
+            log += np.log(top).sum(axis=0)
+        yield (m0[0], m1[0], m2[0], m3[0]), log
+
+
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
                     n_samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> LyapunovEstimate:
-    """Estimate chi by iterating v -> rho(x) v along orbits of the rotation
-    from n_samples random starting points, renormalizing the vectors every
-    32 steps.  Negative round-off estimates are clipped at 0 (exponents of
-    determinant-1 cocycles are nonnegative).
+    """Estimate chi as log|rho_n(x) e_1| / n along orbits of the rotation
+    from n_samples random starting points.  The orbit is taken in chunks of
+    ORBIT_CHUNK steps; each chunk's product comes from a pairwise tree of
+    normalized matrices (see _orbit_chunks) and is applied to the orbit
+    vectors once, which are then renormalized.  Negative round-off
+    estimates are clipped at 0 (exponents of determinant-1 cocycles are
+    nonnegative).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    alpha = float(t.alpha)
-    split = 1.0 - alpha
     x = rng.random(n_samples)
-    at = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]]).T
-    bt = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]]).T
-    v = np.zeros((n_samples, 2))
-    v[:, 0] = 1.0
+    v0 = np.ones(n_samples)
+    v1 = np.zeros(n_samples)
     logsum = np.zeros(n_samples)
-    done = 0
-    while done < n_iters:
-        block = min(RENORM_CADENCE, n_iters - done)
-        # Letters for the whole block at once.
-        ks = np.arange(block)[:, None]
-        xs = (x[None, :] + ks * alpha) % 1.0
-        in_a = xs <= split
-        for j in range(block):
-            va = v @ at
-            vb = v @ bt
-            v = np.where(in_a[j][:, None], va, vb)
-        x = (x + block * alpha) % 1.0
-        norms = np.sqrt(np.sum(v * v, axis=1))
-        logsum += np.log(norms)
-        v /= norms[:, None]
-        done += block
+    for (a, b, c, d), log in _orbit_chunks(p, float(t.alpha), x, n_iters):
+        w0 = a * v0 + b * v1
+        w1 = c * v0 + d * v1
+        norm = np.hypot(w0, w1)
+        v0 = w0 / norm
+        v1 = w1 / norm
+        logsum += log + np.log(norm)
     per = logsum / n_iters
     chi = max(float(per.mean()), 0.0)
     stderr = float(per.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -297,28 +342,23 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
         raise ValueError("requires a CertifiedBounded renormalization trace")
     if n_check < 1:
         raise ValueError("n_check must be >= 1")
-    checkpoints = set()
+    checkpoints = []
     n = n_check
     while n >= min(1000, n_check):
-        checkpoints.add(n)
+        checkpoints.append(n)
         n //= 2
     alpha = float(t.alpha)
-    split = 1.0 - alpha
-    a = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]])
-    b = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]])
-    prod = np.eye(2)
-    log_scale = 0.0
-    x = x0 % 1.0
+    x = np.array([x0 % 1.0])
+    prod = identity()
+    done = 0
     worst = -math.inf
-    for k in range(1, n_check + 1):
-        m = a if x <= split else b
-        prod = m @ prod
-        x = (x + alpha) % 1.0
-        nrm = np.linalg.norm(prod, 2)
-        if nrm > 1e100 or nrm < 1e-100:
-            log_scale += math.log(nrm)
-            prod /= nrm
-            nrm = 1.0
-        if k in checkpoints:
-            worst = max(worst, (log_scale + math.log(nrm)) / k)
+    for k in reversed(checkpoints):
+        for (a, b, c, d), log in _orbit_chunks(p, alpha, x, k - done):
+            chunk = Matrix2(float(a[0]), float(b[0]), float(c[0]), float(d[0]),
+                            float(log[0]))
+            prod = mul(chunk, prod)
+        x = (x + (k - done) * alpha) % 1.0
+        done = k
+        nrm = np.linalg.norm(np.reshape(prod.entries(), (2, 2)), 2)
+        worst = max(worst, (prod.log_scale + math.log(nrm)) / k)
     return worst

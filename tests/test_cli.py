@@ -122,6 +122,22 @@ class TestExitCodes:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("lyapunov", "--iters", "0"), "--iters"),
+        (("lyapunov", "--samples", "0"), "--samples"),
+        (("lyapunov", "--samples", "-1"), "--samples"),
+        (("scan", "--chi-iters", "-1", "--grid", "2"), "--chi-iters"),
+    ])
+    def test_usage_error_bad_count(self, capsys, argv, flag):
+        alpha = () if argv[0] == "scan" else ("--alpha", str(GOLDEN))
+        code, out, err = run(capsys, *argv, "--fixture", "commuting-hyperbolic",
+                             *alpha)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and flag in err
+        assert err.count("\n") == 1
+
+
 class TestClassify:
     def test_generic_elliptic(self, capsys):
         code, out, _ = run(capsys, "classify", "--fixture", "generic-elliptic")
@@ -212,6 +228,18 @@ class TestLyapunov:
                            "--iters", "2000")
         assert code == 0
         assert json.loads(out)["chi"] == pytest.approx(math.log(2.0), abs=1e-9)
+
+    def test_large_entries_strict_json(self, capsys):
+        # Entries of 1e5 overflowed the orbit vectors' v.v to NaN.
+        code, out, _ = run(capsys, "lyapunov", "--rep",
+                           "1e5,0,0,1e-5,1e5,0,0,1e-5", "--alpha", "0.3",
+                           "--iters", "1000")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["chi"] == pytest.approx(math.log(1e5), abs=1e-9)
 
 
 class TestScan:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from rvcocycle.cocycle import (
@@ -12,6 +13,7 @@ from rvcocycle.cocycle import (
 from rvcocycle.hypgeom import hh_minus_canonical_pair
 from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
+    ORBIT_CHUNK,
     DecisionBudget,
     StepRecord,
     bounded_prefix,
@@ -46,6 +48,76 @@ def random_unimodular(rng):
             return Matrix2(*e)
 
 
+def criterion6_draws(n):
+    """The first n (pair, alpha) draws of criterion 6 (seed 42)."""
+    rng = random.Random(42)
+    draws = []
+    while len(draws) < n:
+        p = CocyclePair(random_unimodular(rng), random_unimodular(rng))
+        if trace_coords(p).c <= 2.0:
+            continue
+        alpha = rng.uniform(0.05, 0.95)
+        if abs(alpha - 0.5) >= 1e-3:
+            draws.append((p, alpha))
+    return draws
+
+
+def reference_exponent(p, alpha, n_iters, n_samples, seed):
+    """The per-step estimate: v -> rho(x) v along each orbit, renormalized
+    every 32 steps.  Returns (chi, stderr) as direct_exponent does."""
+    rng = np.random.default_rng(seed)
+    split = 1.0 - alpha
+    x = rng.random(n_samples)
+    at = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]]).T
+    bt = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]]).T
+    v = np.zeros((n_samples, 2))
+    v[:, 0] = 1.0
+    logsum = np.zeros(n_samples)
+    done = 0
+    while done < n_iters:
+        block = min(32, n_iters - done)
+        xs = (x[None, :] + np.arange(block)[:, None] * alpha) % 1.0
+        in_a = xs <= split
+        for j in range(block):
+            v = np.where(in_a[j][:, None], v @ at, v @ bt)
+        x = (x + block * alpha) % 1.0
+        norms = np.sqrt(np.sum(v * v, axis=1))
+        logsum += np.log(norms)
+        v /= norms[:, None]
+        done += block
+    per = logsum / n_iters
+    stderr = per.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
+    return max(float(per.mean()), 0.0), float(stderr)
+
+
+def reference_audit(p, alpha, n_check, x0=0.2137):
+    """The per-step boundedness audit: the full orbit product from x0, the
+    largest log||product_n|| / n over the checkpoints."""
+    checkpoints = set()
+    n = n_check
+    while n >= min(1000, n_check):
+        checkpoints.add(n)
+        n //= 2
+    split = 1.0 - alpha
+    a = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]])
+    b = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]])
+    prod = np.eye(2)
+    log_scale = 0.0
+    x = x0 % 1.0
+    worst = -math.inf
+    for k in range(1, n_check + 1):
+        prod = (a if x <= split else b) @ prod
+        x = (x + alpha) % 1.0
+        nrm = np.linalg.norm(prod, 2)
+        if nrm > 1e100 or nrm < 1e-100:
+            log_scale += math.log(nrm)
+            prod /= nrm
+            nrm = 1.0
+        if k in checkpoints:
+            worst = max(worst, (log_scale + math.log(nrm)) / k)
+    return worst
+
+
 class TestDirectExponent:
     def test_diagonal_gives_log_two(self):
         # Both letters are diag(2, 1/2): the exponent is exactly ln 2.
@@ -65,6 +137,62 @@ class TestDirectExponent:
     def test_rejects_bad_iters(self):
         with pytest.raises(ValueError):
             direct_exponent(commuting_hyperbolic(), Rotation2IET(GOLDEN), 0)
+
+    def test_rejects_bad_samples(self):
+        for n_samples in (0, -1):
+            with pytest.raises(ValueError, match="n_samples"):
+                direct_exponent(commuting_hyperbolic(), Rotation2IET(GOLDEN),
+                                100, n_samples=n_samples)
+
+    def test_matches_per_step_reference(self):
+        # Chunk boundaries and tails: 1 step, below and at a 32-step block,
+        # either side of one chunk, and a one-step tail after four chunks.
+        assert ORBIT_CHUNK == 1024
+        for p, alpha in criterion6_draws(20):
+            t = Rotation2IET(alpha)
+            for n_iters in (1, 31, 32, 1023, 1025, 4097):
+                for n_samples in (1, 8):
+                    for seed in (0, 5):
+                        est = direct_exponent(p, t, n_iters, n_samples, seed)
+                        chi, stderr = reference_exponent(p, alpha, n_iters,
+                                                         n_samples, seed)
+                        where = (alpha, n_iters, n_samples, seed)
+                        assert abs(est.chi - chi) <= 1e-9, where
+                        assert abs(est.stderr - stderr) <= 1e-9, where
+
+    def test_products_stay_in_range(self):
+        # A rotation divided by its largest entry has norm up to sqrt 2, so
+        # about 2048 such factors pass the float range unless every tree
+        # level is rescaled; [[N, N], [N, N + 1/N]] divided by N has norm 2,
+        # and a chunk of 1024 of them passes it.  The lengths leave tails of
+        # 672, 1, 952, 476 and 777 steps after the last full chunk.
+        t = Rotation2IET(GOLDEN)
+        for n_iters in (100_000, 4097, 3000):
+            est = direct_exponent(commuting_elliptic(), t, n_iters)
+            assert math.isfinite(est.chi) and est.chi <= 1e-9, n_iters
+            assert math.isfinite(est.stderr)
+        for n_iters in (4097, 1500, 777):
+            est = direct_exponent(commuting_hyperbolic(), t, n_iters)
+            assert est.chi == pytest.approx(math.log(2.0), abs=1e-12), n_iters
+        big = 1e100
+        m = Matrix2(big, big, big, big + 1.0 / big)
+        for n_iters in (4097, 1500):
+            # The entries are [[1, 1], [1, 1]] to float precision, so
+            # |m^n e_1| = sqrt(2) (2 big)^n / 2.
+            est = direct_exponent(CocyclePair(m, m), t, n_iters)
+            want = math.log(2.0 * big) - math.log(2.0) / (2 * n_iters)
+            assert est.chi == pytest.approx(want, abs=1e-9), n_iters
+
+    def test_large_entries_stay_finite(self):
+        # |v| passed 1e154 within a 32-step block and v.v overflowed to NaN.
+        big = CocyclePair(diagonal(1e5), diagonal(1e5))
+        est = direct_exponent(big, Rotation2IET(0.3), 1000)
+        assert est.chi == pytest.approx(math.log(1e5), abs=1e-9)
+        assert est.stderr == pytest.approx(0.0, abs=1e-9)
+        # Unnormalized letters of 1e200 would overflow the first tree level.
+        huge = CocyclePair(diagonal(1e200), diagonal(1e200))
+        est = direct_exponent(huge, Rotation2IET(0.3), 1000)
+        assert est.chi == pytest.approx(math.log(1e200), abs=1e-9)
 
 
 class TestBudget:
@@ -210,6 +338,23 @@ class TestDerivedQuantities:
         trace = renorm_decision(p, GOLDEN)
         rate = boundedness_implies_zero(p, t, trace, 20000)
         assert rate < 5e-3
+
+    def test_boundedness_audit_matches_per_step_reference(self):
+        p = commuting_elliptic()
+        trace = renorm_decision(p, GOLDEN)
+        for alpha in (GOLDEN, math.pi - 3.0):
+            for n_check in (999, 1000, 20000):
+                got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,
+                                               n_check)
+                want = reference_audit(p, alpha, n_check)
+                assert abs(got - want) <= 1e-9, (alpha, n_check)
+        # The audit reads only the verdict kind, so a growing product can
+        # be compared too.
+        g = generic_elliptic()
+        for n_check in (999, 1000, 20000):
+            got = boundedness_implies_zero(g, Rotation2IET(GOLDEN), trace,
+                                           n_check)
+            assert abs(got - reference_audit(g, GOLDEN, n_check)) <= 1e-9
 
     def test_boundedness_audit_requires_bounded(self):
         trace = renorm_decision(commuting_hyperbolic(), GOLDEN)
