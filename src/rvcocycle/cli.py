@@ -300,9 +300,11 @@ def cmd_lyapunov(args, cfg) -> int:
     n_samples = resolve(args, cfg, "samples", 8, int)
     if n_samples < 1:
         raise UsageError("--samples must be >= 1")
+    seed = resolve(args, cfg, "seed", 0, int)
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
     est = direct_exponent(CocyclePair(a, b), Rotation2IET(alpha),
-                          n_iters=n_iters, n_samples=n_samples,
-                          seed=resolve(args, cfg, "seed", 0, int))
+                          n_iters=n_iters, n_samples=n_samples, seed=seed)
     print(json.dumps({"chi": est.chi, "nIters": est.n_iters,
                       "samplePoints": est.sample_points,
                       "stderr": est.stderr}, indent=2))

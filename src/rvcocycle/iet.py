@@ -12,18 +12,25 @@ Bottom), consuming that differing step as well.  With this bookkeeping the
 digit sequence equals the continued fraction expansion of alpha, and the
 induced interval after n accelerated steps has first-return times
 {q_n, q_n + q_{n-1}}.  Winners of successive accelerated steps alternate.
+
+Exact runs.  The decision path never takes an elementary step: run_steps
+and continued_fraction read the digits of the exact value Fraction(alpha)
+by integer Euclid, O(1) per digit.  A float alpha means its binary value,
+which is rational, so its expansion ends.  rauzy_step, accelerated_step,
+accelerated_digits and first_return_oracle walk the elementary induction
+one step at a time (in float arithmetic for a float alpha, within
+RATIONAL_TOL); they are kept as independent oracles for the digits and the
+return times.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 RATIONAL_TOL = 1e-13
 MAX_DIGIT = 10**6
-SQRT2 = math.sqrt(2.0)
 
 
 class FiniteOrderError(RuntimeError):
@@ -152,34 +159,44 @@ def accelerated_digits(alpha: float | Fraction, n: int,
     return digits
 
 
-def run_steps(t: Rotation2IET, tol: float = RATIONAL_TOL,
-              max_digit: int = MAX_DIGIT):
-    """Generator of maximal same-winner runs: yields (winner, run_length, state).
+def _euclid(alpha: float | Fraction):
+    """Yield (a_n, last) for the continued-fraction digits a_1, a_2, ... of
+    the exact value of alpha, by integer Euclid on its numerator and
+    denominator; last is True for the final digit."""
+    x = Fraction(alpha)
+    p, q = x.numerator, x.denominator
+    while p:
+        a, r = divmod(q, p)
+        p, q = r, p
+        yield a, p == 0
+
+
+def run_steps(t: Rotation2IET, max_digit: int = MAX_DIGIT):
+    """Generator of the maximal same-winner runs of the elementary
+    induction: yields (winner, run_length).
 
     This is the natural grouping for renormalizing a cocycle: a run of length
     N with winner w corresponds to the move tau_w^N on the pair of matrices.
-    Stops silently on rational termination.
+    With alpha = [0; a_1, ..., a_n] the exact value of t.alpha, the lengths
+    are (a_1 - 1, a_2, ..., a_{n-1}, a_n - 1), with winners alternating from
+    Bottom.  Each accelerated digit closes with one step of the other
+    letter, so the first run is one short; the last is one short because
+    the step that would close a_n reaches the boundary of [0, 1] and ends
+    the induction.
+    Empty runs are dropped (a_1 = 1, and alpha = 1/2).  The generator stops
+    where the expansion ends and raises BudgetExceededError for a run longer
+    than max_digit.
     """
-    cur = t
-    try:
-        w, nxt = rauzy_step(cur, tol)
-    except FiniteOrderError:
-        return
-    run_winner, run_len, cur = w, 1, nxt
-    while True:
-        try:
-            w, nxt = rauzy_step(cur, tol)
-        except FiniteOrderError:
-            yield run_winner, run_len, cur
-            return
-        if w is run_winner:
-            run_len += 1
-            if run_len > max_digit:
-                raise BudgetExceededError("run length exceeds the digit cap")
-        else:
-            yield run_winner, run_len, cur
-            run_winner, run_len = w, 1
-        cur = nxt
+    winner = Winner.BOTTOM
+    first = True
+    for a, last in _euclid(t.alpha):
+        n = a - first - last
+        if n > max_digit:
+            raise BudgetExceededError("run length exceeds the digit cap")
+        if n > 0:
+            yield winner, n
+        winner = winner.other
+        first = False
 
 
 @dataclass(frozen=True)
@@ -189,33 +206,21 @@ class CFExpansion:
     terminated: bool
 
 
-def continued_fraction(alpha: float | Fraction, max_digits: int = 30,
-                       tol: float = RATIONAL_TOL) -> CFExpansion:
-    """Continued fraction digits of alpha in (0, 1), with convergent
-    denominators q_n.  Fraction input is expanded exactly.
+def continued_fraction(alpha: float | Fraction,
+                       max_digits: int = 30) -> CFExpansion:
+    """The first max_digits continued fraction digits of the exact value of
+    alpha in (0, 1) (a float means its binary value), with convergent
+    denominators q_n; terminated when the expansion ends within them.
     """
-    exact = isinstance(alpha, Fraction)
-    x = alpha if exact else float(alpha)
-    if not 0 < x < 1:
+    if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     digits: list[int] = []
     terminated = False
-    for _ in range(max_digits):
-        inv = 1 / x if exact else 1.0 / x
-        a = int(inv)
-        rem = inv - a
-        if exact:
-            if rem == 0:
-                digits.append(a)
-                terminated = True
-                break
-        else:
-            if rem <= tol * inv or a > MAX_DIGIT:
-                digits.append(a)
-                terminated = True
-                break
+    for a, last in _euclid(alpha):
+        if len(digits) == max_digits:
+            break
         digits.append(a)
-        x = rem
+        terminated = last
     qs = [1]
     q_prev = 0
     for a in digits:

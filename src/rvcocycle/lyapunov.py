@@ -8,13 +8,19 @@ Move bookkeeping.  Elementary induction steps are grouped into maximal
 same-winner runs; a run of length N with Bottom winner applies tau1^N, with
 Top winner tau2^N.  Because the accelerated digit chart closes each digit
 with one step of the opposite letter, the run lengths are (a_1 - 1, a_2,
-a_3, ...) where a_n are the continued-fraction digits of alpha.
+a_3, ..., a_n - 1) where a_n are the continued-fraction digits of alpha.
+They come exactly from iet.run_steps: a float alpha means its binary value,
+which is rational, so every float angle ends in FiniteOrder once the step
+budget outlasts its expansion (53 digits for the golden float).
+renorm_runs walks the moves once for both renorm_decision and
+spectrum.mcg_trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -97,11 +103,23 @@ class Verdict:
 class RenormTrace:
     steps: tuple[StepRecord, ...] = field(default_factory=tuple)
     verdict: Verdict = None
+    trace_bound: float | None = None  # the bound the decision applied
 
 
 def winner_move(w: Winner) -> int:
     """Bottom winner applies tau1, Top winner tau2."""
     return 1 if w is Winner.BOTTOM else 2
+
+
+def renorm_runs(p: CocyclePair, alpha: float | Fraction, max_digit: int):
+    """The accelerated renormalization of (alpha, p): yield (winner,
+    run_len, pair) for each run of iet.run_steps, where pair is p moved by
+    every run so far, one tau_power per run.  Stops where the expansion of
+    alpha ends; BudgetExceededError (a run past max_digit) propagates.
+    """
+    for winner, run_len in run_steps(Rotation2IET(alpha), max_digit):
+        p = tau_power(p, winner_move(winner), run_len)
+        yield winner, run_len, p
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +228,18 @@ def _k_escort(tc: TraceCoords) -> bool:
                for traces in ((x, y, z), (x, w, y), (w, y, x)))
 
 
-def renorm_decision(p: CocyclePair, alpha: float,
+def renorm_decision(p: CocyclePair, alpha: float | Fraction,
                     budget: DecisionBudget | None = None) -> RenormTrace:
     """Run the accelerated renormalization of (alpha, p) and decide.
 
     Returns UniformlyHyperbolic at the first HH+ pair (with its cone
-    certificate), FiniteOrder on rational termination (spectrum membership
-    decided by whether the moved matrix of the final step fails to be
-    hyperbolic: the first matrix for tau1, the second for tau2, and AB when
-    alpha = 1/2 terminates before the first step), CertifiedBounded when
-    the step budget exhausts with every recorded trace below the bound,
-    Undecided when a budget (steps, max_digit or trace bound) stops it.
+    certificate), FiniteOrder where the expansion of alpha ends (spectrum
+    membership decided by whether the moved matrix of the final step fails
+    to be hyperbolic: the first matrix for tau1, the second for tau2, and AB
+    when alpha = 1/2 terminates before the first step), CertifiedBounded
+    when the step budget exhausts with every recorded trace below the bound,
+    Undecided when a budget (steps, max_digit or trace bound) stops it.  The
+    trace carries the bound it applied.
     """
     if budget is None:
         budget = DecisionBudget()
@@ -230,28 +249,27 @@ def renorm_decision(p: CocyclePair, alpha: float,
     bound = budget.trace_bound
     if bound is None:
         bound = trace_bound(trace_coords(p).c) + 4.0
-
     steps: list[StepRecord] = []
+
+    def done(verdict: Verdict) -> RenormTrace:
+        return RenormTrace(tuple(steps), verdict, bound)
+
     if t0.code == "HH+":
-        cert = cone_certificate(p)
         coords = trace_coords(p)
-        rec0 = StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
-                          coords=coords, in_k_escort=_k_escort(coords))
-        return RenormTrace(steps=(rec0,), verdict=Verdict(
-            kind="UniformlyHyperbolic", at_step=0, certificate=cert))
+        steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
+                                coords=coords, in_k_escort=_k_escort(coords)))
+        return done(Verdict(kind="UniformlyHyperbolic", at_step=0,
+                            certificate=cone_certificate(p)))
 
     cur = p
     all_bounded = True
     max_norm = 0.0
-    last_move = None
+    last_winner = None
     terminated = False
     index = 0
-    gen = run_steps(Rotation2IET(alpha), max_digit=budget.max_digit)
     try:
-        for winner, run_len, _state in gen:
-            move = winner_move(winner)
-            cur = tau_power(cur, move, run_len)
-            last_move = move
+        for winner, run_len, cur in renorm_runs(p, alpha, budget.max_digit):
+            last_winner = winner
             index += 1
             ptype = classify_pair(cur)
             coords = trace_coords(cur)
@@ -262,10 +280,8 @@ def renorm_decision(p: CocyclePair, alpha: float,
             if ptype.is_degenerate:
                 raise DegeneratePairError(ptype.reason)
             if ptype.code == "HH+":
-                cert = cone_certificate(cur)
-                return RenormTrace(tuple(steps), Verdict(
-                    kind="UniformlyHyperbolic", at_step=index,
-                    certificate=cert))
+                return done(Verdict(kind="UniformlyHyperbolic", at_step=index,
+                                    certificate=cone_certificate(cur)))
             norm = max(abs(coords.x), abs(coords.y), abs(coords.z))
             max_norm = max(max_norm, norm)
             if norm > bound:
@@ -275,25 +291,23 @@ def renorm_decision(p: CocyclePair, alpha: float,
         else:
             terminated = True
     except BudgetExceededError:
-        return RenormTrace(tuple(steps), Verdict(
-            kind="Undecided", budget_note="run length exceeded max_digit"))
+        return done(Verdict(kind="Undecided",
+                            budget_note="run length exceeded max_digit"))
 
     if terminated:
-        if last_move is None:
+        if last_winner is None:
             # alpha = 1/2: period 2, whose return product BA has the trace of AB.
             checked = cur.product()
         else:
-            checked = cur.A if last_move == 1 else cur.B
+            checked = cur.A if last_winner is Winner.BOTTOM else cur.B
         member = abs(checked.trace) <= 2.0
-        return RenormTrace(tuple(steps), Verdict(
-            kind="FiniteOrder", at_step=index, last_pair=cur,
-            spectrum_member=member))
+        return done(Verdict(kind="FiniteOrder", at_step=index, last_pair=cur,
+                            spectrum_member=member))
     if all_bounded:
-        return RenormTrace(tuple(steps), Verdict(
-            kind="CertifiedBounded", at_step=index, max_trace_norm=max_norm))
-    return RenormTrace(tuple(steps), Verdict(
-        kind="Undecided",
-        budget_note="trace bound exceeded without reaching HH+"))
+        return done(Verdict(kind="CertifiedBounded", at_step=index,
+                            max_trace_norm=max_norm))
+    return done(Verdict(kind="Undecided",
+                        budget_note="trace bound exceeded without reaching HH+"))
 
 
 def bounded_prefix(trace: RenormTrace, bound: float) -> int:

@@ -22,18 +22,16 @@ from .cocycle import (
     DegeneratePairError,
     classify_pair,
     mul,
-    tau_power,
-    trace_bound,
     trace_coords,
 )
-from .iet import Rotation2IET, Winner, continued_fraction, run_steps
+from .iet import Rotation2IET, Winner, continued_fraction
 from .lyapunov import (
     DecisionBudget,
     RenormTrace,
     bounded_prefix,
     direct_exponent,
     renorm_decision,
-    winner_move,
+    renorm_runs,
 )
 from .mat2 import Matrix2
 
@@ -152,10 +150,9 @@ def evaluate_slope(rep: Representation, theta: float,
         mu = trace.verdict.certificate.expansion_factor
     steps = trace.verdict.at_step if trace.verdict.at_step is not None \
         else len(trace.steps)
-    bound = trace_bound(trace_coords(pair).c) + 4.0
     return ScanPoint(theta=theta, alpha=alpha, verdict=code, chi=chi,
                      steps=steps, mu_lower=mu,
-                     bounded_steps=bounded_prefix(trace, bound))
+                     bounded_steps=bounded_prefix(trace, trace.trace_bound))
 
 
 def scan_grid(rep: Representation, theta_lo: float, theta_hi: float,
@@ -274,7 +271,8 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
 
     A Bottom run of length N applies tau1^N to the pair and multiplies
     phi by the N-th power of the twist along a; Top runs use tau2 and the
-    twist along b.
+    twist along b.  The trajectory has min(n_steps, number of runs of
+    alpha) steps.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -285,18 +283,15 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
 
     if budget is None:
         budget = DecisionBudget()
-    cur = pair
     phi = ((1, 0), (0, 1))
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
     growth: list[float] = []
-    for winner, run_len, _ in run_steps(Rotation2IET(alpha),
-                                        max_digit=budget.max_digit):
+    for winner, run_len, cur in renorm_runs(pair, alpha, budget.max_digit):
         gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
         word.append((gen, run_len))
         phi = _int_mul(_int_twist_power(twist, run_len), phi)
-        cur = tau_power(cur, winner_move(winner), run_len)
         mats.append(phi)
         norms.append(_l1(phi))
         growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),

@@ -137,6 +137,18 @@ class TestExitCodes:
         assert err.startswith("error:") and flag in err
         assert err.count("\n") == 1
 
+    def test_usage_error_negative_seed(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("seed = -1\n")
+        for extra in (("--seed", "-1"), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "lyapunov", "--fixture",
+                                 "commuting-hyperbolic", "--alpha", "0.3",
+                                 "--iters", "10", *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "--seed" in err
+            assert err.count("\n") == 1
+
 
 class TestClassify:
     def test_generic_elliptic(self, capsys):

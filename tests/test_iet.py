@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rvcocycle.iet import (
     FiniteOrderError,
@@ -141,7 +141,7 @@ class TestRunGrouping:
         gen = run_steps(Rotation2IET(GOLDEN))
         prev = None
         for _ in range(8):
-            w, n, _ = next(gen)
+            w, n = next(gen)
             if prev is not None:
                 assert w is not prev
             prev = w
@@ -149,6 +149,32 @@ class TestRunGrouping:
     def test_rational_run_stream_finite(self):
         out = list(run_steps(Rotation2IET(Fraction(5, 13))))
         assert 1 <= len(out) <= 10
+
+    @given(st.one_of(
+        st.floats(min_value=1e-3, max_value=1.0 - 1e-3),
+        st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                     max_denominator=10**6)))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_accelerated_digits(self, alpha):
+        # The exact runs against the elementary induction on the exact
+        # value.  accelerated_digits walks every elementary step, so the
+        # digits are kept small enough for it.
+        fr = Fraction(alpha)
+        assume(max(cf_digits_fraction(fr, 1000)) <= 10**4)
+        runs = [(w.value, n) for w, n in run_steps(Rotation2IET(alpha))]
+        digits = accelerated_digits(fr, 1000)
+        # The induction stops one step before it would close the last
+        # digit a_n, so one digit 1/x remains after the accelerated ones.
+        x = fr
+        for d in digits:
+            x = 1 / x - d
+        assert x.numerator == 1
+        lengths = digits + [x.denominator]
+        lengths[0] -= 1
+        lengths[-1] -= 1
+        want = [("b" if i % 2 == 0 else "t", n)
+                for i, n in enumerate(lengths) if n > 0]
+        assert runs == want
 
 
 class TestContinuedFraction:
@@ -161,6 +187,17 @@ class TestContinuedFraction:
         cf = continued_fraction(Fraction(13, 30))
         # q_0 = 1, then q_n = a_n q_{n-1} + q_{n-2}.
         assert cf.convergent_denominators == (1, 2, 7, 30)
+
+    def test_float_expands_its_exact_value(self):
+        # A float means its binary value: the golden float has 53 digits,
+        # 37 ones and then a tail that rounding left.
+        cf = continued_fraction(GOLDEN, max_digits=100)
+        assert cf.terminated and len(cf.digits) == 53
+        assert list(cf.digits) == cf_digits_fraction(Fraction(GOLDEN), 100)
+        assert cf.digits[:37] == (1,) * 37 and cf.digits[37] == 2
+        short = continued_fraction(GOLDEN, max_digits=53)
+        assert short.terminated and short.digits == cf.digits
+        assert not continued_fraction(GOLDEN, max_digits=52).terminated
 
     def test_golden_denominators_fibonacci(self):
         cf = continued_fraction(GOLDEN, max_digits=10)

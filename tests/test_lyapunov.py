@@ -1,6 +1,9 @@
 import math
 import random
+import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -60,6 +63,52 @@ def criterion6_draws(n):
         if abs(alpha - 0.5) >= 1e-3:
             draws.append((p, alpha))
     return draws
+
+
+def exact_runs(alpha):
+    """Runs (a_1 - 1, a_2, ..., a_n - 1) of the exact value of alpha, as
+    (winner value, length) with winners alternating from bottom; empty
+    runs dropped.  Digits from the Gauss map on a Fraction."""
+    x = Fraction(alpha)
+    lengths = []
+    while x:
+        inv = 1 / x
+        lengths.append(int(inv))
+        x = inv - int(inv)
+    lengths[0] -= 1
+    lengths[-1] -= 1
+    return [("b" if i % 2 == 0 else "t", n)
+            for i, n in enumerate(lengths) if n > 0]
+
+
+def mp_pairs(p, runs, dps):
+    """The pair moved by each prefix of runs, in dps-digit mpmath: a bottom
+    run of length n is (A, B A^n), a top run (B^n A, B)."""
+    with mpmath.workdps(dps):
+        a = mpmath.matrix([[p.A.a, p.A.b], [p.A.c, p.A.d]])
+        b = mpmath.matrix([[p.B.a, p.B.b], [p.B.c, p.B.d]])
+        out = []
+        for winner, n in runs:
+            if winner == "b":
+                b = b * a ** n
+            else:
+                a = b ** n * a
+            out.append((a, b))
+    return out
+
+
+def mp_maps_arc_inside(m, lo, hi, dps):
+    """Whether m sends the counterclockwise arc [lo, hi] (chart t -> (cos
+    t/2, sin t/2)) strictly inside itself: the images of lo, the midpoint
+    and hi lie strictly inside, in that order."""
+    with mpmath.workdps(dps):
+        two_pi = 2 * mpmath.pi
+        width = (mpmath.mpf(hi) - lo) % two_pi
+        pos = []
+        for t in (lo, lo + width / 2, lo + width):
+            v = m * mpmath.matrix([mpmath.cos(t / 2), mpmath.sin(t / 2)])
+            pos.append((2 * mpmath.atan2(v[1], v[0]) - lo) % two_pi)
+        return all(0 < x < width for x in pos) and pos[0] < pos[1] < pos[2]
 
 
 def reference_exponent(p, alpha, n_iters, n_samples, seed):
@@ -308,6 +357,57 @@ class TestRenormDecision:
                 prev_code = s.pair_type
 
 
+class TestExactDigits:
+    @pytest.mark.parametrize("draw, kind, at_step", [
+        (10, "FiniteOrder", 29),
+        (100, "FiniteOrder", 30),
+        (165, "UniformlyHyperbolic", 16),
+    ])
+    def test_deep_verdicts_match_mpmath(self, draw, kind, at_step):
+        # Criterion 6's draws whose float runs once left the expansion of
+        # alpha: they were certified at steps 33, 41 and 49 on pairs that a
+        # 60-digit product over the true digits put elsewhere.  Now every
+        # run is exact, and the verdict agrees with a 60-digit mpmath
+        # product over the exact runs (which agrees with a 120-digit one):
+        # the moved matrix that FiniteOrder tests has the same membership,
+        # and both matrices of the absorbing pair are hyperbolic and map
+        # the certified arc strictly inside.
+        p, alpha = criterion6_draws(draw)[-1]
+        trace = renorm_decision(p, alpha, DecisionBudget(max_accel_steps=60))
+        v = trace.verdict
+        assert (v.kind, v.at_step) == (kind, at_step)
+        runs = exact_runs(alpha)
+        assert [(s.winner.value, s.digit) for s in trace.steps] == runs[:at_step]
+        a, b = mp_pairs(p, runs[:at_step], 60)[-1]
+        a2, b2 = mp_pairs(p, runs[:at_step], 120)[-1]
+        with mpmath.workdps(60):
+            for m, m2 in ((a, a2), (b, b2)):
+                err = mpmath.mnorm(m - m2, 1)
+                assert err <= mpmath.mpf(10) ** -40 * mpmath.mnorm(m2, 1)
+            tr_a, tr_b = a[0, 0] + a[1, 1], b[0, 0] + b[1, 1]
+            if kind == "FiniteOrder":
+                assert len(runs) == at_step
+                last = trace.steps[-1].winner
+                tr = tr_a if last is Winner.BOTTOM else tr_b
+                assert v.spectrum_member == (abs(tr) <= 2)
+            else:
+                assert abs(tr_a) > 2 and abs(tr_b) > 2
+                c = v.certificate
+                assert mp_maps_arc_inside(a, c.arc_lo, c.arc_hi, 60)
+                assert mp_maps_arc_inside(b, c.arc_lo, c.arc_hi, 60)
+
+    def test_long_first_run_is_undecided_at_once(self):
+        # The first run is a_1 - 1 = 10^6 + 1, past max_digit: integer
+        # Euclid finds it without taking the 10^6 elementary steps.
+        start = time.perf_counter()
+        trace = renorm_decision(commuting_elliptic(), 1.0 / (1e6 + 2.5))
+        elapsed = time.perf_counter() - start
+        assert trace.verdict.kind == "Undecided"
+        assert trace.verdict.budget_note == "run length exceeded max_digit"
+        assert trace.steps == ()
+        assert elapsed < 0.1
+
+
 class TestDerivedQuantities:
     def test_winner_move(self):
         assert winner_move(Winner.BOTTOM) == 1
@@ -335,13 +435,19 @@ class TestDerivedQuantities:
     def test_boundedness_audit(self):
         p = commuting_elliptic()
         t = Rotation2IET(GOLDEN)
-        trace = renorm_decision(p, GOLDEN)
+        # The golden float has 53 exact digits (52 runs), so the default
+        # 60-step budget reaches the end of its expansion.
+        v = renorm_decision(p, GOLDEN).verdict
+        assert (v.kind, v.at_step, v.spectrum_member) == ("FiniteOrder", 52, True)
+        trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
+        assert trace.verdict.kind == "CertifiedBounded"
         rate = boundedness_implies_zero(p, t, trace, 20000)
         assert rate < 5e-3
 
     def test_boundedness_audit_matches_per_step_reference(self):
         p = commuting_elliptic()
-        trace = renorm_decision(p, GOLDEN)
+        trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
+        assert trace.verdict.kind == "CertifiedBounded"
         for alpha in (GOLDEN, math.pi - 3.0):
             for n_check in (999, 1000, 20000):
                 got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,

@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from rvcocycle.cocycle import classify_pair, trace_coords
-from rvcocycle.lyapunov import DecisionBudget
+from rvcocycle.cocycle import classify_pair, trace_bound, trace_coords
+from rvcocycle.lyapunov import DecisionBudget, renorm_decision
 from rvcocycle.mat2 import Matrix2, classify, diagonal, mul, rotation
 from rvcocycle.spectrum import (
     BoundedWitness,
@@ -32,6 +33,20 @@ def commuting_elliptic():
 
 def diag_rep():
     return Representation(diagonal(2.0), diagonal(2.0))
+
+
+def exact_run_count(alpha: float) -> int:
+    """Number of runs (a_1 - 1, a_2, ..., a_n - 1) of the exact value of
+    alpha that are not empty, from the Gauss map on a Fraction."""
+    x = Fraction(alpha)
+    lengths = []
+    while x:
+        inv = 1 / x
+        lengths.append(int(inv))
+        x = inv - int(inv)
+    lengths[0] -= 1
+    lengths[-1] -= 1
+    return sum(n > 0 for n in lengths)
 
 
 class TestRepresentation:
@@ -107,9 +122,30 @@ class TestEvaluateAndScan:
         assert p.mu_lower == pytest.approx(2.0)
 
     def test_bounded_point(self):
+        # The default 60-step budget outlasts the 52 runs of the chart's
+        # float alpha, so the expansion ends in a member of the spectrum.
         p = evaluate_slope(commuting_elliptic(), math.atan(GOLDEN))
-        assert p.verdict == "bounded"
-        assert p.bounded_steps > 0
+        assert (p.verdict, p.steps, p.bounded_steps) == ("finite_in", 52, 52)
+        p = evaluate_slope(commuting_elliptic(), math.atan(GOLDEN),
+                           DecisionBudget(max_accel_steps=40))
+        assert (p.verdict, p.steps, p.bounded_steps) == ("bounded", 40, 40)
+
+    def test_bounded_steps_use_the_decision_bound(self):
+        # bounded_steps counts the leading steps within the bound the
+        # decision applied: the budget's when it sets one.  At the golden
+        # slope the first two steps have trace norms 1.547 and 1.998.
+        r = commuting_elliptic()
+        theta = math.atan(GOLDEN)
+        budget = DecisionBudget(max_accel_steps=40, trace_bound=1.6)
+        alpha, pair = chart_for(r, theta)
+        trace = renorm_decision(pair, alpha, budget)
+        assert trace.trace_bound == 1.6
+        p = evaluate_slope(r, theta, budget)
+        assert (p.verdict, p.bounded_steps) == ("undecided", 1)
+        default = DecisionBudget(max_accel_steps=40)
+        assert renorm_decision(pair, alpha, default).trace_bound == \
+            trace_bound(trace_coords(pair).c) + 4.0
+        assert evaluate_slope(r, theta, default).bounded_steps == 40
 
     def test_half_integer_slope(self):
         # tan theta = 1.5 gives alpha = 1/2, where the induction stops
@@ -252,7 +288,7 @@ class TestMCG:
                 x = a + 1.0 / x
             _, witness = mcg_trajectory(commuting_elliptic(), 1.0 / x, 40,
                                         DecisionBudget(max_accel_steps=40))
-            assert len(witness.growth_log) == 40
+            assert len(witness.growth_log) == min(40, exact_run_count(1.0 / x))
             assert max(witness.growth_log) <= limit, f"alpha={1.0 / x!r}"
 
     def test_rejects_bad_steps(self):
