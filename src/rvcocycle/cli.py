@@ -152,11 +152,14 @@ def get_pair(args, cfg) -> tuple[Matrix2, Matrix2]:
 
 
 def get_budget(args, cfg) -> DecisionBudget:
-    return DecisionBudget(
-        max_accel_steps=resolve(args, cfg, "max_steps", 60, int),
-        max_digit=resolve(args, cfg, "max_digit", 10**6, int),
-        trace_bound=resolve(args, cfg, "trace_bound", None, float),
-    )
+    try:
+        return DecisionBudget(
+            max_accel_steps=resolve(args, cfg, "max_steps", 60, int),
+            max_digit=resolve(args, cfg, "max_digit", 10**6, int),
+            trace_bound=resolve(args, cfg, "trace_bound", None, float),
+        )
+    except ValueError as exc:
+        raise UsageError(f"bad --max-steps, --max-digit or --trace-bound: {exc}")
 
 
 def _sink(path: str | None):

@@ -28,7 +28,6 @@ from .mat2 import (
     times_exp,
 )
 
-MARKOV_TOL = 1e-8
 CONE_MARGIN_FRACTION = 0.25
 # Block lengths L at which cone_certificate tries to prove its rate.
 CONE_BLOCK_LENGTHS = (1, 2, 4, 8, 12)
@@ -91,10 +90,6 @@ class PairType:
     @property
     def is_degenerate(self) -> bool:
         return self.code == "DEG"
-
-    @property
-    def is_absorbing(self) -> bool:
-        return self.code == "HH+"
 
 
 EE = PairType("EE")

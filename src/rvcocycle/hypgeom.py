@@ -1,7 +1,8 @@
-"""Upper half-plane geometry and the product-type threshold finders.
+"""Upper half-plane geometry and the product-type threshold formulas.
 
-The three threshold routines locate, by bisection on the trace of a product,
-the parameter values at which a product of two isometries changes type
+The three threshold routines give, in closed form from the trace of a
+product (Beardon, The Geometry of Discrete Groups, 1983), the parameter
+values at which a product of two isometries changes type
 (elliptic <-> parabolic <-> hyperbolic).  All of them work in a canonical
 position: elliptic centers on the imaginary axis, hyperbolic axis equal to
 the imaginary axis.  Angles of rotations are *geometric* angles in
@@ -12,6 +13,7 @@ trace is 2 cos(t/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .cocycle import DegeneratePairError
@@ -25,16 +27,8 @@ from .mat2 import (
     rotation,
 )
 
-BISECT_TOL = 1e-10
-BISECT_MAX_ITER = 200
-
-
 class NoTransitionError(RuntimeError):
-    """The product never changes type over the scanned parameter range."""
-
-
-class EmptyIntervalError(RuntimeError):
-    """No parameter value makes the product elliptic."""
+    """The product does not change type over the parameter range in question."""
 
 
 @dataclass(frozen=True)
@@ -190,28 +184,7 @@ def pair_geometry(a: Matrix2, b: Matrix2, eps: float = 1e-9) -> PairGeometry:
 
 
 # ---------------------------------------------------------------------------
-# Threshold finders
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] (f(lo), f(hi) of opposite signs)."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("root is not bracketed")
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= BISECT_TOL or hi - lo <= 1e-15:
-            return mid
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    raise RuntimeError("bisection failed to converge")
+# Threshold formulas
 
 
 def elliptic_product_threshold(d: float, theta_a: float) -> float:
@@ -219,60 +192,47 @@ def elliptic_product_threshold(d: float, theta_a: float) -> float:
     and B a rotation of angle theta_b about the point at distance d up the
     imaginary axis, the product AB is elliptic for theta_b in (-alpha, alpha)
     and hyperbolic for theta_b in (alpha, 2*pi - alpha).
+
+    With a = theta_a/2 and b = theta_b/2, tr(AB)/2 = cos a cos b
+    - sin a sin b cosh d = R cos(b + psi), where R = hypot(cos a, sin a cosh d)
+    and psi = atan2(sin a cosh d, cos a).  Rising from b = 0, |tr AB| first
+    reaches 2 at b + psi = pi - arccos(1/R).  Raises NoTransitionError when
+    A itself is not elliptic in floating point or when alpha >= pi.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    a = rotation_about(1j, theta_a)
-    c2 = math.exp(d) * 1j
-
-    def f(theta_b: float) -> float:
-        return abs(mul(a, rotation_about(c2, theta_b)).trace) - 2.0
-
-    # Elliptic near theta_b = 0 (B -> identity, AB -> A).
-    lo = 1e-9
-    if f(lo) >= 0.0:
+    # A and -A are one isometry, so a may be taken mod pi: then sin a >= 0.
+    a = 0.5 * (theta_a % (2.0 * math.pi))
+    c, s = math.cos(a), math.sin(a)
+    if abs(c) >= 1.0 - sys.float_info.epsilon:
         raise NoTransitionError("product is not elliptic near theta_b = 0")
-    # Walk up until the product turns hyperbolic.
-    hi = None
-    n_grid = 720
-    for k in range(1, n_grid + 1):
-        t = k * math.pi / n_grid
-        if f(t) > 0.0:
-            hi = t
-            break
-        lo = t
-    if hi is None:
-        raise NoTransitionError("product stays elliptic for all theta_b")
-    return _bisect(f, lo, hi)
+    # pi - psi = atan2(s cosh d, -c), and R^2 - 1 = (s sinh d)^2 gives
+    # arccos(1/R) = atan2(s sinh d, 1): no arccos near 1.
+    alpha = 2.0 * (math.atan2(s * math.cosh(d), -c)
+                   - math.atan2(s * math.sinh(d), 1.0))
+    if alpha >= math.pi:
+        raise NoTransitionError("product stays elliptic for theta_b up to pi")
+    return alpha
 
 
 def mixed_product_interval(t: float, d: float) -> tuple[float, float]:
     """Open interval of rotation angles theta for which the product of a
     translation of length t (axis = imaginary axis) and a rotation of angle
     theta about a point at distance d from that axis is elliptic.
+
+    tr(AB)/2 = cos(theta/2) cosh(t/2) + sinh d sin(theta/2) sinh(t/2)
+    = cosh(t/2) cos(theta/2 - phi) / cos phi with phi = atan(sinh d tanh(t/2)),
+    so AB is elliptic where |cos(theta/2 - phi)| < cos beta, with
+    beta = arccos(cos phi / cosh(t/2)).  Since beta > phi, the interval
+    (2(beta + phi), 2(pi + phi - beta)) is never empty.
     """
     if t <= 0 or d <= 0:
         raise ValueError("t and d must be positive")
-    a = Matrix2(math.exp(t / 2.0), 0.0, 0.0, math.exp(-t / 2.0))
-    p = math.sinh(d) + 1j
-
-    def f(theta: float) -> float:
-        return abs(mul(a, rotation_about(p, theta)).trace) - 2.0
-
-    two_pi = 2.0 * math.pi
-    n_grid = 1440
-    samples = [(k * two_pi / n_grid, f(k * two_pi / n_grid))
-               for k in range(1, n_grid)]
-    inside = [s for s in samples if s[1] < 0.0]
-    if not inside:
-        raise EmptyIntervalError("product is hyperbolic for every angle")
-    lo_idx = samples.index(inside[0])
-    hi_idx = samples.index(inside[-1])
-    theta_min = _bisect(f, samples[lo_idx - 1][0], samples[lo_idx][0]) \
-        if lo_idx > 0 else samples[0][0]
-    theta_max = _bisect(f, samples[hi_idx][0], samples[hi_idx + 1][0]) \
-        if hi_idx + 1 < len(samples) else samples[-1][0]
-    return theta_min, theta_max
+    phi = math.atan(math.sinh(d) * math.tanh(t / 2.0))
+    # cosh^2(t/2) - cos^2 phi = sinh^2(t/2) + sin^2 phi: no arccos near 1.
+    beta = math.atan2(math.hypot(math.sinh(t / 2.0), math.sin(phi)),
+                      math.cos(phi))
+    return 2.0 * (beta + phi), 2.0 * (math.pi + phi - beta)
 
 
 def hh_minus_canonical_pair(t_a: float, t_b: float, d: float) -> tuple[Matrix2, Matrix2]:
@@ -301,22 +261,15 @@ def hh_minus_thresholds(t_b: float, d: float) -> tuple[float, float]:
     (H,H)- configuration: AB stays hyperbolic with (A, AB) of type (H,H)- for
     t_a < t1, is elliptic for t_a in (t1, t2), and is hyperbolic with (A, AB)
     of type (H,H)+ for t_a > t2.
+
+    With lam = e^{t_a/2}, tr(AB) = lam b11 + b22 / lam.  It equals tr B > 2 at
+    lam = 1 and falls through -2 only when b11 < 0, which holds when B is
+    strong relative to the axis distance (e^{t_b/2} > coth(d/2)); otherwise
+    NoTransitionError.  With r = sqrt(1 - b11 b22), tr(AB) = 2 at
+    lam = b22 / (1 + r) and tr(AB) = -2 at lam = (1 + r) / (-b11).
     """
-
-    def tr_ab(t_a: float) -> float:
-        a, b = hh_minus_canonical_pair(t_a, t_b, d)
-        return mul(a, b).trace
-
-    # tr(AB) = e^{t_a/2} b11 + e^{-t_a/2} b22 starts above 2 (tends to tr B)
-    # and is eventually dominated by the b11 term, which is negative in the
-    # alternating configuration, so it decreases through the elliptic band.
-    # Regimes exist only when B is strong relative to the axis distance
-    # (e^{t_b/2} > coth(d/2)); otherwise the trace never drops below -2.
-    hi = 1.0
-    while tr_ab(hi) >= -2.0:
-        hi *= 1.5
-        if hi > 1000.0:
-            raise NoTransitionError("trace never drops below -2")
-    t1 = _bisect(lambda t: tr_ab(t) - 2.0, 1e-9, hi)
-    t2 = _bisect(lambda t: tr_ab(t) + 2.0, t1, hi)
-    return t1, t2
+    _, b = hh_minus_canonical_pair(1.0, t_b, d)  # B does not depend on t_a
+    if b.a >= 0.0:
+        raise NoTransitionError("trace never drops below -2")
+    r = math.sqrt(1.0 - b.a * b.d)
+    return 2.0 * math.log(b.d / (1.0 + r)), 2.0 * math.log((1.0 + r) / -b.a)

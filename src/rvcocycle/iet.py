@@ -112,7 +112,6 @@ def rauzy_step(t: Rotation2IET, tol: float = RATIONAL_TOL) -> tuple[Winner, Rota
 class AccelStep:
     digit: int            # continued-fraction digit a_n
     winner: Winner        # letter of the run this digit counts
-    nsteps: int           # elementary steps consumed (equals digit)
     state: Rotation2IET   # induced exchange after the step
     scale: float          # |I_n| relative to the interval before the step
 
@@ -139,7 +138,7 @@ def accelerated_step(t: Rotation2IET, prev: Winner = Winner.BOTTOM,
         cur = nxt
         if w is not prev:
             break
-    return AccelStep(digit=digit, winner=prev, nsteps=digit, state=cur, scale=scale)
+    return AccelStep(digit=digit, winner=prev, state=cur, scale=scale)
 
 
 def accelerated_digits(alpha: float | Fraction, n: int,

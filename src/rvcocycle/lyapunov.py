@@ -65,8 +65,9 @@ class DecisionBudget:
     def __post_init__(self):
         if self.max_accel_steps < 1 or self.max_digit < 1:
             raise ValueError("budget fields must be positive")
-        if self.trace_bound is not None and self.trace_bound <= 0:
-            raise ValueError("trace_bound must be positive")
+        # NaN and inf would certify every run that reaches the step budget.
+        if self.trace_bound is not None and not 0.0 < self.trace_bound < math.inf:
+            raise ValueError("trace_bound must be positive and finite")
 
 
 @dataclass(frozen=True)

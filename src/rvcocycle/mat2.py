@@ -95,10 +95,6 @@ class Matrix2:
     def inv(self) -> "Matrix2":
         return Matrix2(self.d, -self.b, -self.c, self.a, self.log_scale)
 
-    def neg(self) -> "Matrix2":
-        # -M is the same element of PSL(2,R); det stays +1.
-        return Matrix2(-self.a, -self.b, -self.c, -self.d, self.log_scale)
-
     def power(self, n: int) -> "Matrix2":
         """n-th power by repeated squaring, n >= 0."""
         if n < 0:

@@ -6,10 +6,10 @@ Chart convention.  A slope angle theta (mod pi) with theta in (0, pi/2)
 gives the rotation by alpha = frac(tan theta); the integer part k of the
 slope is absorbed into the pair as the twist normalization (A, B A^k).
 Angles in (pi/2, pi) use t = -tan theta and the pair (A^-1, B A^-k).
-Vertical and horizontal slopes are chart boundaries.  The "cot" chart
-variant presents the same foliation with the generator roles exchanged
-(reflection of the angle), so spectrum-membership verdicts must agree
-between variants even though the matrices differ.
+Vertical and horizontal slopes are chart boundaries.  The chart of the
+reflected representation (B, A) at pi/2 - theta presents the same
+foliation with the generator roles exchanged, so spectrum-membership
+verdicts must agree between the two even though the matrices differ.
 """
 
 from __future__ import annotations
@@ -56,16 +56,8 @@ class Representation:
         return self.c <= 2.0
 
 
-def chart_for(rep: Representation, theta: float,
-              variant: str = "tan") -> tuple[float, CocyclePair]:
-    """Map a slope angle to (alpha, pair).  variant "tan" is the standard
-    chart; "cot" exchanges the generator roles (same foliation, reflected
-    angle), useful for coherence checks."""
-    if variant == "cot":
-        flipped = Representation(rep.B, rep.A)
-        return chart_for(flipped, math.pi / 2.0 - theta, "tan")
-    if variant != "tan":
-        raise ValueError("variant must be 'tan' or 'cot'")
+def chart_for(rep: Representation, theta: float) -> tuple[float, CocyclePair]:
+    """Map a slope angle to (alpha, pair)."""
     th = theta % math.pi
     if min(th, math.pi - th) <= CHART_TOL or abs(th - math.pi / 2.0) <= CHART_TOL:
         raise ChartBoundaryError(f"slope angle {theta} is on a chart boundary")
@@ -129,12 +121,12 @@ def verdict_code(trace: RenormTrace) -> str:
 
 def evaluate_slope(rep: Representation, theta: float,
                    budget: DecisionBudget | None = None,
-                   chi_iters: int = 0, variant: str = "tan") -> ScanPoint:
+                   chi_iters: int = 0) -> ScanPoint:
     """One scan point: chart, renormalization verdict, optional direct
     exponent estimate.  Chart boundaries and degenerate pairs yield a
     'degenerate' point instead of raising."""
     try:
-        alpha, pair = chart_for(rep, theta, variant)
+        alpha, pair = chart_for(rep, theta)
     except ChartBoundaryError:
         return ScanPoint(theta, math.nan, "degenerate", math.nan, 0, math.nan)
     try:

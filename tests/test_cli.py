@@ -149,6 +149,24 @@ class TestExitCodes:
             assert err.startswith("error:") and "--seed" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-steps", "0"),
+        ("--max-digit", "0"),
+        ("--trace-bound", "-1"),
+        ("--trace-bound", "nan"),
+    ])
+    def test_usage_error_bad_budget(self, capsys, tmp_path, flag, value):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"{flag[2:]} = {value}\n")
+        for extra in ((flag, value), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "renorm", "--fixture",
+                                 "commuting-elliptic", "--alpha", "0.3",
+                                 *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and flag in err
+            assert err.count("\n") == 1
+
 
 class TestClassify:
     def test_generic_elliptic(self, capsys):

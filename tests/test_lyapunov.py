@@ -254,6 +254,10 @@ class TestBudget:
             DecisionBudget(max_accel_steps=0)
         with pytest.raises(ValueError):
             DecisionBudget(trace_bound=-1.0)
+        # NaN compares false with everything, so it would never be exceeded.
+        for bound in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                DecisionBudget(trace_bound=bound)
 
 
 class TestRenormDecision:

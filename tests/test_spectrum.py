@@ -93,13 +93,15 @@ class TestChart:
             chart_for(r, math.atan(2.0))  # integer slope
 
     def test_variants_agree_on_verdict(self):
-        # The two charts present the same foliation; membership verdicts
-        # must match even though the matrices differ.
+        # The chart of (B, A) at pi/2 - theta presents the same foliation
+        # with the generator roles exchanged; membership verdicts must
+        # match even though the matrices differ.
         r = generic_elliptic()
+        reflected = Representation(r.B, r.A)
         budget = DecisionBudget(max_accel_steps=30)
         for theta in (0.35, 0.8, 1.1, 1.35):
-            p_tan = evaluate_slope(r, theta, budget, variant="tan")
-            p_cot = evaluate_slope(r, theta, budget, variant="cot")
+            p_tan = evaluate_slope(r, theta, budget)
+            p_cot = evaluate_slope(reflected, math.pi / 2.0 - theta, budget)
             in_tan = p_tan.verdict in ("bounded", "finite_in")
             in_cot = p_cot.verdict in ("bounded", "finite_in")
             if "undecided" in (p_tan.verdict, p_cot.verdict):
@@ -110,6 +112,17 @@ class TestChart:
 
 
 class TestEvaluateAndScan:
+    def test_nan_trace_bound_cannot_certify(self):
+        # With the bound 2 this slope is undecided after 3 steps; a NaN
+        # bound used to be accepted and certified it bounded.
+        r = generic_elliptic()
+        p = evaluate_slope(r, 0.9, DecisionBudget(max_accel_steps=3,
+                                                  trace_bound=2.0))
+        assert p.verdict == "undecided"
+        with pytest.raises(ValueError):
+            evaluate_slope(r, 0.9, DecisionBudget(max_accel_steps=3,
+                                                  trace_bound=math.nan))
+
     def test_boundary_point_degenerate(self):
         p = evaluate_slope(generic_elliptic(), math.pi / 2.0)
         assert p.verdict == "degenerate"
