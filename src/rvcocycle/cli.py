@@ -474,6 +474,8 @@ LEMMA_SUITES = (
 
 def cmd_verify_lemmas(args, cfg) -> int:
     draws = resolve(args, cfg, "draws", 100, int)
+    if draws < 1:
+        raise UsageError("--draws must be >= 1")
     seed = resolve(args, cfg, "seed", 0, int)
     all_ok = True
     for name, check in LEMMA_SUITES:

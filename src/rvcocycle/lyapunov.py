@@ -12,8 +12,16 @@ a_3, ..., a_n - 1) where a_n are the continued-fraction digits of alpha.
 They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
 budget outlasts its expansion (53 digits for the golden float).
-renorm_runs walks the moves once for both renorm_decision and
-spectrum.mcg_trajectory.
+renorm_runs walks the moves once for renorm_decision,
+spectrum.mcg_trajectory and the orbit products.
+
+Orbit products.  After the first k runs, the first return of the rotation
+to the induced interval I_k is again a rotation, and its two letters are
+the return words that renorm_runs moves the pair to (Rauzy 1979).  So
+direct_exponent and boundedness_implies_zero walk an n-step orbit as base
+steps into I_k, whole returns of the induced rotation, and base steps for
+the rest, at the level k that minimizes that count: about sqrt(n) letters
+instead of n.  Level 0 is the per-step walk.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .iet import (
 from .mat2 import Matrix2, identity, mul
 
 ORBIT_CHUNK = 1024
+IDENTITY = 4  # index of the identity among _orbit_chunks' letters
 DEFAULT_SAMPLES = 8
 
 
@@ -134,61 +143,185 @@ def _letter_entries(m: Matrix2) -> tuple[tuple[float, ...], float]:
     return tuple(e / top for e in m.entries()), m.log_scale + math.log(top)
 
 
+def _induced_level(p: CocyclePair, alpha: float, n: int):
+    """The level of the Rauzy induction of alpha at which n-step orbit
+    products cost least, and the first-return rotation there.
+
+    After the first k runs of renorm_runs the first return of the rotation
+    by alpha to I_k = [0, beta_k] is, in the coordinate y = x / beta_k, the
+    rotation by alpha_k, and its two letters are the return words A_k, B_k
+    of the pair moved by those runs, |A_k| and |B_k| base steps long.  An
+    orbit takes fewer than max(|A_k|, |B_k|) base steps into I_k, about
+    n / min(|A_k|, |B_k|) returns, and fewer than max(...) base steps after
+    its last whole return, so the level minimizes
+    2 max(|A_k|, |B_k|) + n / min(|A_k|, |B_k|).  Level 0 (alpha_0 = alpha,
+    beta_0 = 1, both lengths 1) is the per-step walk.
+
+    alpha_k and beta_k are exact: in units of 1/denominator(alpha) the
+    lengths of I_k's two pieces are integers, the remainders of the Euclid
+    that run_steps takes.  Returns (k, pair_k, alpha_k, beta_k, lengths).
+    """
+    exact = Fraction(alpha)
+    pieces = (exact.denominator - exact.numerator, exact.numerator)
+    lengths = (1, 1)
+    best_cost, best = n + 2, (0, p, pieces, lengths)
+    try:
+        for k, (winner, run, pair) in enumerate(renorm_runs(p, alpha, n), 1):
+            (piece_a, piece_b), (len_a, len_b) = pieces, lengths
+            if winner is Winner.BOTTOM:
+                pieces = (piece_a - run * piece_b, piece_b)
+                lengths = (len_a, len_b + run * len_a)
+            else:
+                pieces = (piece_a, piece_b - run * piece_a)
+                lengths = (len_a + run * len_b, len_b)
+            if 2 * max(lengths) >= best_cost:
+                break
+            cost = 2 * max(lengths) + n / min(lengths)
+            if cost < best_cost:
+                best_cost, best = cost, (k, pair, pieces, lengths)
+    except BudgetExceededError:
+        pass  # a run longer than n: its level costs more than level 0
+    k, pair, (piece_a, piece_b), lengths = best
+    total = piece_a + piece_b
+    return (k, pair, Fraction(piece_b, total),
+            Fraction(total, exact.denominator), lengths)
+
+
+def _rotation_letters(first: int, angle: float | Fraction, start: np.ndarray,
+                      room: np.ndarray, lengths: tuple[int, int]):
+    """Yield the letters of the rotation by angle along the orbits from
+    start, at most ORBIT_CHUNK steps at a time, as index arrays (steps x
+    starts): first for A, first + 1 for B (where the orbit point lies past
+    1 - angle), IDENTITY where the start's letters have ended.  Letters are
+    taken while their lengths (A, B) fit in room.  Returns the lengths used
+    and the orbit points reached.
+    """
+    split, angle = float(1 - angle), float(angle)
+    len_a, len_b = lengths
+    used = np.zeros(len(start), dtype=np.int64)
+    taken = np.zeros(len(start), dtype=np.int64)
+
+    def next_fits():
+        at = (start + taken * angle) % 1.0
+        return used + np.where(at > split, len_b, len_a) <= room, at
+
+    live, at = next_fits()
+    while live.any():
+        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths))
+        in_b = (start + (taken + np.arange(span)[:, None]) * angle) % 1.0 > split
+        steps = np.where(in_b, len_b, len_a)
+        fits = (used + np.cumsum(steps, axis=0) <= room) & live
+        used += np.where(fits, steps, 0).sum(axis=0)
+        taken += fits.sum(axis=0)
+        live, at = next_fits()
+        yield np.where(fits, first + in_b, IDENTITY)
+    return used, at
+
+
+def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
+                 span: int) -> np.ndarray:
+    """The steps the orbits of the rotation by alpha from x take to enter
+    [0, beta), at most n; scanned span steps at a time."""
+    steps = np.full(len(x), n, dtype=np.int64)
+    for start in range(0, n, span):
+        j = np.arange(start, min(start + span, n))[:, None]
+        inside = (x + j * alpha) % 1.0 < beta
+        new = inside.any(axis=0) & (steps == n)
+        steps[new] = start + inside.argmax(axis=0)[new]
+        if (steps < n).all():
+            break
+    return steps
+
+
+def _tree_product(table: np.ndarray, logs: np.ndarray, index: np.ndarray):
+    """The product (later @ earlier) over the rows of index of the letters
+    it picks from table, as (m, log) per column.  The leaves are padded with
+    identities to a power of two, and each level of a pairwise tree
+    multiplies neighbouring pairs entrywise on whole arrays, then divides
+    each product by its largest |entry| and adds the log.  So no product
+    leaves the float range, whatever the length or the letters' size."""
+    size = 1 << (len(index) - 1).bit_length()
+    pad = np.full((size - len(index), index.shape[1]), IDENTITY)
+    index = np.concatenate([index, pad])
+    log = logs[index].sum(axis=0)
+    m0, m1, m2, m3 = table[:, index]
+    while len(m0) > 1:
+        e0, e1, e2, e3 = m0[0::2], m1[0::2], m2[0::2], m3[0::2]
+        l0, l1, l2, l3 = m0[1::2], m1[1::2], m2[1::2], m3[1::2]
+        m0 = l0 * e0 + l1 * e2
+        m1 = l0 * e1 + l1 * e3
+        m2 = l2 * e0 + l3 * e2
+        m3 = l2 * e1 + l3 * e3
+        top = np.maximum(np.maximum(np.abs(m0), np.abs(m1)),
+                         np.maximum(np.abs(m2), np.abs(m3)))
+        m0 /= top
+        m1 /= top
+        m2 /= top
+        m3 /= top
+        log += np.log(top).sum(axis=0)
+    return (m0[0], m1[0], m2[0], m3[0]), log
+
+
 def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
     """Yield the orbit products of the cocycle over n steps from the starts
-    x, one chunk of at most ORBIT_CHUNK steps at a time, in orbit order.
+    x, in orbit order, through the rotation induced at the cheapest level
+    of the Rauzy induction (see _induced_level).
 
     Each yield is (m, log): m is the four entry arrays (a, b, c, d), one
-    value per start, with largest |entry| 1, and the product
-    rho(T^(k-1) y) ... rho(y) over the chunk's k steps from its first orbit
-    point y is e^log * m.  A chunk is reduced by a
-    pairwise tree: its letters become normalized leaf matrices, padded with
-    identities to a power of two, and each level multiplies neighbouring
-    pairs (later @ earlier) entrywise on whole arrays, then divides each
-    product by its largest |entry| and adds the log.  So no product leaves
-    the float range, whatever the chunk length or the letters' size.
+    value per start, with largest |entry| 1, and e^log * m is the product
+    rho(T^(k-1) y) ... rho(y) over the k steps the chunk covers from its
+    first orbit point y (k may differ between starts).  An orbit walks
+    three segments: base letters until it enters I_k (fewer than
+    max(|A_k|, |B_k|) steps), the letters A_k, B_k of the rotation by
+    alpha_k on I_k while the next whole return fits in n, and base letters
+    for the rest.  Their letters are packed into blocks of at most
+    ORBIT_CHUNK, each reduced by _tree_product.  The level pair is moved
+    from A and B divided by their largest entries (the factors kept in
+    log_scale), so tau_power stays in range for letters of any size.  At
+    level 0 the first and last segments are empty and the middle one is
+    the per-step walk.
     """
     ea, la = _letter_entries(p.A)
     eb, lb = _letter_entries(p.B)
-    # Rows: entries; columns: letter A, letter B, identity padding.
-    table = np.array([ea, eb, (1.0, 0.0, 0.0, 1.0)]).T
-    split = 1.0 - alpha
-    for start in range(0, n, ORBIT_CHUNK):
-        k = min(ORBIT_CHUNK, n - start)
-        in_b = (x + np.arange(k)[:, None] * alpha) % 1.0 > split
-        x = (x + k * alpha) % 1.0
-        letters = np.full((1 << (k - 1).bit_length(), len(x)), 2)
-        letters[:k] = in_b
-        n_b = in_b.sum(axis=0)
-        log = (k - n_b) * la + n_b * lb
-        m0, m1, m2, m3 = table[:, letters]
-        while len(m0) > 1:
-            e0, e1, e2, e3 = m0[0::2], m1[0::2], m2[0::2], m3[0::2]
-            l0, l1, l2, l3 = m0[1::2], m1[1::2], m2[1::2], m3[1::2]
-            m0 = l0 * e0 + l1 * e2
-            m1 = l0 * e1 + l1 * e3
-            m2 = l2 * e0 + l3 * e2
-            m3 = l2 * e1 + l3 * e3
-            top = np.maximum(np.maximum(np.abs(m0), np.abs(m1)),
-                             np.maximum(np.abs(m2), np.abs(m3)))
-            m0 /= top
-            m1 /= top
-            m2 /= top
-            m3 /= top
-            log += np.log(top).sum(axis=0)
-        yield (m0[0], m1[0], m2[0], m3[0]), log
+    base = CocyclePair(Matrix2(*ea, la), Matrix2(*eb, lb))
+    _, pair, alpha_k, beta, lengths = _induced_level(base, alpha, n)
+    (eak, lak), (ebk, lbk) = _letter_entries(pair.A), _letter_entries(pair.B)
+    # Columns: A, B, A_k, B_k, identity (IDENTITY).
+    table = np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T
+    logs = np.array([la, lb, lak, lbk, 0.0])
+    beta = float(beta)
+    into = _entry_steps(x, alpha, beta, n, min(ORBIT_CHUNK, max(lengths)))
+
+    def letters():
+        one = (1, 1)
+        _, y = yield from _rotation_letters(0, alpha, x, into, one)
+        used, y = yield from _rotation_letters(2, alpha_k, y / beta,
+                                               n - into, lengths)
+        yield from _rotation_letters(0, alpha, y * beta, n - into - used, one)
+
+    block: list[np.ndarray] = []
+    rows = 0
+    for index in letters():
+        if rows + len(index) > ORBIT_CHUNK:
+            yield _tree_product(table, logs, np.concatenate(block))
+            block, rows = [], 0
+        block.append(index)
+        rows += len(index)
+    if block:
+        yield _tree_product(table, logs, np.concatenate(block))
 
 
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
                     n_samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> LyapunovEstimate:
     """Estimate chi as log|rho_n(x) e_1| / n along orbits of the rotation
-    from n_samples random starting points.  The orbit is taken in chunks of
-    ORBIT_CHUNK steps; each chunk's product comes from a pairwise tree of
-    normalized matrices (see _orbit_chunks) and is applied to the orbit
-    vectors once, which are then renormalized.  Negative round-off
-    estimates are clipped at 0 (exponents of determinant-1 cocycles are
-    nonnegative).
+    from n_samples random starting points.  The orbit products come from
+    _orbit_chunks, which walks each orbit through the rotation induced at a
+    level of the Rauzy induction with return times near sqrt(n), so a call
+    multiplies O(sqrt(n)) letters rather than n; each chunk's product is
+    applied to the orbit vectors once, which are then renormalized.
+    Negative round-off estimates are clipped at 0 (exponents of
+    determinant-1 cocycles are nonnegative).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")

@@ -359,3 +359,15 @@ class TestVerifyLemmas:
         assert len(lines) == 3
         for line in lines:
             assert ": pass (" in line
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_usage_error_no_draws(self, capsys, tmp_path, value):
+        # Zero or negative draws check nothing, so they cannot pass.
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"draws = {value}\n")
+        for extra in (("--draws", value), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "verify-lemmas", *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "--draws" in err
+            assert err.count("\n") == 1

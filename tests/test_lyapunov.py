@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rvcocycle.cocycle import (
     CocyclePair,
@@ -18,6 +19,8 @@ from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
     ORBIT_CHUNK,
     DecisionBudget,
+    _induced_level,
+    _orbit_chunks,
     StepRecord,
     bounded_prefix,
     boundedness_implies_zero,
@@ -242,6 +245,84 @@ class TestDirectExponent:
         huge = CocyclePair(diagonal(1e200), diagonal(1e200))
         est = direct_exponent(huge, Rotation2IET(0.3), 1000)
         assert est.chi == pytest.approx(math.log(1e200), abs=1e-9)
+
+
+class TestInducedWalk:
+    def test_matches_per_step_reference(self):
+        # Orbit lengths at which each of these draws walks level k >= 2 of
+        # the induction, so the walk into I_k, the induced returns and the
+        # base steps after them all run.
+        for p, alpha in criterion6_draws(6):
+            t = Rotation2IET(alpha)
+            for n_iters in (5000, 20000, 65537):
+                assert _induced_level(p, alpha, n_iters)[0] >= 2
+                est = direct_exponent(p, t, n_iters, seed=1)
+                chi, stderr = reference_exponent(p, alpha, n_iters, 8, 1)
+                assert abs(est.chi - chi) <= 1e-9, (alpha, n_iters)
+                assert abs(est.stderr - stderr) <= 1e-9, (alpha, n_iters)
+
+    def test_audit_matches_per_step_reference(self):
+        # The audit reads only the verdict kind, so criterion 6's growing
+        # pairs can be audited under a bounded trace.
+        trace = renorm_decision(commuting_elliptic(), GOLDEN,
+                                DecisionBudget(max_accel_steps=40))
+        assert trace.verdict.kind == "CertifiedBounded"
+        p, alpha = criterion6_draws(1)[0]
+        for n_check in (5000, 20000, 65537):
+            assert _induced_level(p, alpha, n_check // 2)[0] >= 2
+            got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,
+                                           n_check)
+            assert abs(got - reference_audit(p, alpha, n_check)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.375, 0.3125, 0.5004, 0.4996])
+    def test_short_expansions_and_near_half(self, alpha):
+        # 3/8 and 5/16 end their expansions (at levels 3 and 2) before the
+        # cost-optimal level; near 1/2 the return times jump past 1000 in
+        # one run, so a few induced returns sit between long base segments.
+        pairs = [generic_elliptic()] + [p for p, _ in criterion6_draws(3)]
+        for n_iters in (5000, 20000):
+            assert _induced_level(pairs[0], alpha, n_iters)[0] >= 2
+            for p in pairs:
+                for n_samples in (1, 8):
+                    est = direct_exponent(p, Rotation2IET(alpha), n_iters,
+                                          n_samples, seed=2)
+                    chi, stderr = reference_exponent(p, alpha, n_iters,
+                                                     n_samples, 2)
+                    where = (n_iters, n_samples)
+                    assert abs(est.chi - chi) <= 1e-9, where
+                    assert abs(est.stderr - stderr) <= 1e-9, where
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(1e-6, 1.0 - 1e-6),
+           n=st.integers(1, 300_000),
+           x=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                      min_size=1, max_size=4))
+    def test_segments_cover_n_steps(self, alpha, n, x):
+        # With A = B = [[1, 1], [0, 1]] a product of k letters is
+        # [[1, k], [0, 1]] whatever the letters, so the (0, 1) entry of
+        # every orbit's product counts its base steps: the walk into I_k,
+        # the return times of the induced letters and the steps after them
+        # add up to n.
+        u = Matrix2(1.0, 1.0, 0.0, 1.0)
+        prod = np.tile(np.eye(2), (len(x), 1, 1))
+        log = np.zeros(len(x))
+        for (a, b, c, d), chunk_log in _orbit_chunks(CocyclePair(u, u), alpha,
+                                                     np.array(x), n):
+            m = np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
+            prod = m @ prod
+            top = np.abs(prod).max(axis=(1, 2))
+            prod /= top[:, None, None]
+            log += chunk_log + np.log(top)
+        steps = prod[:, 0, 1] * np.exp(log)
+        assert np.all(np.abs(steps - n) <= 1e-6 * n), (steps, n)
+
+    def test_hundred_million_steps(self):
+        # Criterion 7's pairs at 1e8 steps: at most about 4e4 letters per
+        # orbit at the induced level, where the per-step walk takes 1e8.
+        t = Rotation2IET(GOLDEN)
+        est = direct_exponent(commuting_hyperbolic(), t, 10**8)
+        assert abs(est.chi - math.log(2.0)) <= 1e-6
+        assert direct_exponent(commuting_elliptic(), t, 10**8).chi <= 1e-6
 
 
 class TestBudget:
