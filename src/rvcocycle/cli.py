@@ -363,6 +363,8 @@ def cmd_mcg(args, cfg) -> int:
     if alpha is None or not 0.0 < alpha < 1.0:
         raise UsageError("--alpha in (0,1) is required")
     n_steps = resolve(args, cfg, "steps", 20, int)
+    if n_steps < 1:
+        raise UsageError("--steps must be >= 1")
     traj, witness = mcg_trajectory(Representation(a, b), alpha, n_steps,
                                    get_budget(args, cfg))
     if isinstance(witness, HyperbolicityWitness):

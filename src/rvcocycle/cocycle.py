@@ -103,34 +103,53 @@ def degenerate(reason: str) -> PairType:
     return PairType("DEG", reason)
 
 
-def classify_pair(p: CocyclePair, eps: float = 1e-9) -> PairType:
-    ca = classify(p.A, eps)
-    cb = classify(p.B, eps)
-    for name, c in (("A", ca), ("B", cb)):
-        if c.is_indeterminate or c.is_identity:
-            return degenerate(f"{name} is within eps of the parabolic locus")
-    if ca.is_elliptic and cb.is_elliptic:
-        return EE
-    if ca.is_elliptic:
-        return EH
-    if cb.is_elliptic:
-        return HE
-    # Both hyperbolic: inspect the four boundary fixed points.  HH+ iff the
-    # attracting pair is not separated by the repelling pair (this is the
-    # combinatorial cone-existence predicate); otherwise the axes are
-    # disjoint and the pair is HH-.  Nearly coincident fixed points defeat
-    # the circular-order test, so they are reported as degenerate.
+def _letter_kind(m: Matrix2, eps: float) -> str | None:
+    """E or H by |trace| against the band of width eps around 2 (None in
+    the band).  classify's identity test also needs |tr| within eps of 2,
+    so it never fires outside the band."""
+    t = abs(m.trace)
+    if t < 2.0 - eps:
+        return "E"
+    if t > 2.0 + eps:
+        return "H"
+    return None
+
+
+def _classify_letters(p: CocyclePair, eps: float):
+    """(pair type, classify(A), classify(B)); the two classes are None
+    unless both letters are hyperbolic, the only case that needs them.
+
+    For two hyperbolic letters: HH+ iff the attracting pair is not separated
+    by the repelling pair (this is the combinatorial cone-existence
+    predicate); otherwise the axes are disjoint and the pair is HH-.  Nearly
+    coincident fixed points defeat the circular-order test, so they are
+    reported as degenerate.
+    """
+    kinds = _letter_kind(p.A, eps), _letter_kind(p.B, eps)
+    for name, kind in zip("AB", kinds):
+        if kind is None:
+            reason = f"{name} is within eps of the parabolic locus"
+            return degenerate(reason), None, None
+    if kinds != ("H", "H"):
+        return {("E", "E"): EE, ("E", "H"): EH, ("H", "E"): HE}[kinds], None, None
+    ca, cb = classify(p.A, eps), classify(p.B, eps)
     atts = (ca.attracting.angle(), cb.attracting.angle())
     reps = (ca.repelling.angle(), cb.repelling.angle())
     for a in atts:
         for r in reps:
             gap = (a - r) % TWO_PI
             if min(gap, TWO_PI - gap) <= eps:
-                return degenerate(
-                    "an attracting and a repelling fixed point nearly coincide")
+                return degenerate("an attracting and a repelling fixed point "
+                                  "nearly coincide"), ca, cb
     if arcs_link(ca.attracting, cb.attracting, ca.repelling, cb.repelling):
-        return HH_MINUS
-    return HH_PLUS
+        return HH_MINUS, ca, cb
+    return HH_PLUS, ca, cb
+
+
+def classify_pair(p: CocyclePair, eps: float = 1e-9) -> PairType:
+    """The joint type of p.  DEG, EE, EH and HE are read off |tr A| and
+    |tr B|; only two hyperbolic letters need their fixed points."""
+    return _classify_letters(p, eps)[0]
 
 
 # Allowed one-move type transitions, keyed by (source code, move).  "HH+"
@@ -319,10 +338,9 @@ def cone_certificate(p: CocyclePair) -> ConeCertificate | None:
     L runs through CONE_BLOCK_LENGTHS (L = 1 needs no products) until mu > 1;
     None if no L proves a rate above 1.
     """
-    if classify_pair(p).code != "HH+":
+    ptype, ca, cb = _classify_letters(p, 1e-9)
+    if ptype.code != "HH+":
         return None
-    ca = classify(p.A)
-    cb = classify(p.B)
     att = (ca.attracting.angle(), cb.attracting.angle())
     rep = (ca.repelling.angle(), cb.repelling.angle())
     # Pick the repelling point from which, going counterclockwise, both

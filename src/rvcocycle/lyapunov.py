@@ -12,8 +12,12 @@ a_3, ..., a_n - 1) where a_n are the continued-fraction digits of alpha.
 They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
 budget outlasts its expansion (53 digits for the golden float).
-renorm_runs walks the moves once for renorm_decision,
-spectrum.mcg_trajectory and the orbit products.
+renorm_runs walks the moves, one tau_power per run, and each caller walks
+it once.  renorm_decision is _decide on a fresh renorm_runs generator;
+spectrum.mcg_trajectory hands _decide its own generator, records the runs
+the decision takes, and walks the same generator on when the decision
+stops before the trajectory's length.  The orbit products walk it to pick
+their level.
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
@@ -377,6 +381,13 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     """
     if budget is None:
         budget = DecisionBudget()
+    return _decide(p, renorm_runs(p, alpha, budget.max_digit), budget)
+
+
+def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
+    """renorm_decision on the runs (winner, run_len, pair) of renorm_runs
+    (p, ...), taken one at a time and no further than the decision needs,
+    so that a caller can keep walking the same iterator."""
     t0 = classify_pair(p)
     if t0.is_degenerate:
         raise DegeneratePairError(t0.reason)
@@ -402,7 +413,7 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     terminated = False
     index = 0
     try:
-        for winner, run_len, cur in renorm_runs(p, alpha, budget.max_digit):
+        for winner, run_len, cur in runs:
             last_winner = winner
             index += 1
             ptype = classify_pair(cur)

@@ -96,17 +96,25 @@ class Matrix2:
         return Matrix2(self.d, -self.b, -self.c, self.a, self.log_scale)
 
     def power(self, n: int) -> "Matrix2":
-        """n-th power by repeated squaring, n >= 0."""
+        """n-th power by repeated squaring; a negative n powers the inverse.
+
+        For n >= 1 this takes n.bit_length() - 1 squarings and
+        n.bit_count() - 1 products (power(1) is self, with no product);
+        power(0) is the identity.
+        """
         if n < 0:
             return self.inv().power(-n)
-        result = identity()
+        if n == 0:
+            return identity()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = mul(result, base)
-            base = mul(base, base)
+                result = base if result is None else mul(result, base)
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = mul(base, base)
 
     def entries(self) -> tuple[float, float, float, float]:
         """The entries, without the factor e^log_scale."""

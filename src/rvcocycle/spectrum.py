@@ -24,10 +24,11 @@ from .cocycle import (
     mul,
     trace_coords,
 )
-from .iet import Rotation2IET, Winner, continued_fraction
+from .iet import BudgetExceededError, Rotation2IET, Winner, continued_fraction
 from .lyapunov import (
     DecisionBudget,
     RenormTrace,
+    _decide,
     bounded_prefix,
     direct_exponent,
     renorm_decision,
@@ -265,6 +266,13 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     phi by the N-th power of the twist along a; Top runs use tau2 and the
     twist along b.  The trajectory has min(n_steps, number of runs of
     alpha) steps.
+
+    The induction is walked once: the decision (renorm_decision's) takes
+    the runs of one renorm_runs generator as far as it needs, and the
+    trajectory reads the runs it took, then walks the same generator on
+    if it stopped short of n_steps.  A run past max_digit raises
+    BudgetExceededError when it is one of the first n_steps runs; past
+    them it leaves the decision Undecided.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -275,12 +283,44 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
 
     if budget is None:
         budget = DecisionBudget()
+    runs = renorm_runs(pair, alpha, budget.max_digit)
+    walked: list[tuple[Winner, int, CocyclePair]] = []
+    stopped: list[BudgetExceededError] = []
+
+    def recorded():
+        try:
+            for run in runs:
+                walked.append(run)
+                yield run
+        except BudgetExceededError as exc:
+            stopped.append(exc)
+            raise
+
+    def walk_on():
+        # The runs up to n_steps that the decision did not take; a run past
+        # max_digit among them raises, as it does among the decision's own.
+        if len(walked) >= n_steps:
+            return
+        if stopped:
+            raise stopped[0]
+        for run in runs:
+            walked.append(run)
+            if len(walked) >= n_steps:
+                break
+
+    try:
+        decision = _decide(pair, recorded(), budget)
+    except DegeneratePairError:
+        walk_on()
+        raise
+    walk_on()
+
     phi = ((1, 0), (0, 1))
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
     growth: list[float] = []
-    for winner, run_len, cur in renorm_runs(pair, alpha, budget.max_digit):
+    for winner, run_len, cur in walked[:n_steps]:
         gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
         word.append((gen, run_len))
         phi = _int_mul(_int_twist_power(twist, run_len), phi)
@@ -288,8 +328,6 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
         norms.append(_l1(phi))
         growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),
                           cur.product().log_abs_trace()))
-        if len(word) >= n_steps:
-            break
 
     # q_k aligned conservatively with the run index (the first run length is
     # a_1 - 1, so the true return denominator at run k is >= this q_k).
@@ -299,7 +337,6 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
                          norms_l1=tuple(norms),
                          convergent_denominators=tuple(qs))
 
-    decision = renorm_decision(pair, alpha, budget)
     v = decision.verdict
     if v.kind == "UniformlyHyperbolic":
         mu = v.certificate.expansion_factor if v.certificate else math.nan

@@ -149,6 +149,18 @@ class TestExitCodes:
             assert err.startswith("error:") and "--seed" in err
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_usage_error_bad_mcg_steps(self, capsys, tmp_path, value):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"steps = {value}\n")
+        for extra in (("--steps", value), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "mcg", "--fixture", "commuting-elliptic",
+                                 "--alpha", str(GOLDEN), *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "--steps" in err
+            assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-steps", "0"),
         ("--max-digit", "0"),

@@ -21,7 +21,9 @@ from rvcocycle.cocycle import (
 from rvcocycle.hypgeom import hh_minus_canonical_pair, rotation_about
 from rvcocycle.lyapunov import exponent_lower_bound, renorm_decision
 from rvcocycle.mat2 import (
+    TWO_PI,
     Matrix2,
+    arcs_link,
     boundary_action,
     classify,
     diagonal,
@@ -38,6 +40,57 @@ def random_pair(rng, scale=2.0):
             if e[0] * e[3] - e[1] * e[2] > 0.05:
                 return Matrix2(*e)
     return CocyclePair(m(), m())
+
+
+def reference_classify_pair(p, eps=1e-9):
+    """classify_pair as it was: both letters through classify, fixed
+    points included, whatever their types."""
+    ca = classify(p.A, eps)
+    cb = classify(p.B, eps)
+    for name, c in (("A", ca), ("B", cb)):
+        if c.is_indeterminate or c.is_identity:
+            return "DEG", f"{name} is within eps of the parabolic locus"
+    if ca.is_elliptic and cb.is_elliptic:
+        return "EE", None
+    if ca.is_elliptic:
+        return "EH", None
+    if cb.is_elliptic:
+        return "HE", None
+    atts = (ca.attracting.angle(), cb.attracting.angle())
+    reps = (ca.repelling.angle(), cb.repelling.angle())
+    for a in atts:
+        for r in reps:
+            gap = (a - r) % TWO_PI
+            if min(gap, TWO_PI - gap) <= eps:
+                return "DEG", ("an attracting and a repelling fixed point "
+                               "nearly coincide")
+    if arcs_link(ca.attracting, cb.attracting, ca.repelling, cb.repelling):
+        return "HH-", None
+    return "HH+", None
+
+
+def letter_with_trace(t, x, b):
+    """The unimodular matrix [[t/2 + x, b], [c, t/2 - x]] of trace t."""
+    a, d = t / 2.0 + x, t / 2.0 - x
+    return Matrix2(a, b, (a * d - 1.0) / b, d)
+
+
+def letters():
+    """Letters of every kind, many of them at the type boundaries: traces
+    within a few eps of +-2, near-identity matrices, plain random ones."""
+    unit = st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: abs(v) > 1e-3)
+    near_two = st.builds(
+        lambda sign, off, x, b: letter_with_trace(sign * (2.0 + off), x, b),
+        st.sampled_from((-1.0, 1.0)), st.floats(min_value=-3e-9, max_value=3e-9),
+        st.floats(min_value=-2.0, max_value=2.0), unit)
+    near_identity = st.builds(
+        lambda sign, e: Matrix2(sign * (1.0 + e[0]), e[1], e[2], sign * (1.0 + e[3])),
+        st.sampled_from((-1.0, 1.0)),
+        st.tuples(*[st.floats(min_value=-2e-9, max_value=2e-9)] * 4))
+    plain = st.builds(letter_with_trace, st.floats(min_value=-6.0, max_value=6.0),
+                      st.floats(min_value=-2.0, max_value=2.0), unit)
+    return st.one_of(near_two, near_identity, plain, st.builds(rotation, angles()),
+                     st.builds(diagonal, st.floats(min_value=0.2, max_value=5.0)))
 
 
 def log_word_radii(p, max_len):
@@ -215,6 +268,36 @@ class TestClassifyPair:
         a = diagonal(2.0)
         b = diagonal(0.5)
         assert classify_pair(CocyclePair(a, b)).is_degenerate
+
+
+class TestClassifyPairMatchesReference:
+    @settings(max_examples=400)
+    @given(letters(), letters())
+    def test_matches_classify_reference(self, a, b):
+        p = CocyclePair(a, b)
+        got = classify_pair(p)
+        assert (got.code, got.reason) == reference_classify_pair(p)
+
+    def test_shared_axes_and_boundaries(self):
+        a = diagonal(2.0)
+        # Traces on the band edges 2 -+ eps and their float neighbours.
+        edges = [t for edge in (2.0 - 1e-9, 2.0 + 1e-9)
+                 for t in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 4.0))]
+        on_edges = [letter_with_trace(sign * t, 0.0, 0.7)
+                    for t in edges for sign in (1.0, -1.0)]
+        assert {abs(m.trace) for m in on_edges} == set(edges)
+        for b in [diagonal(0.5), diagonal(2.0), a.inv(), rotation(1e-10),
+                  Matrix2(1.0, 1.0, 0.0, 1.0), Matrix2(-1.0, 0.0, 0.0, -1.0)] + on_edges:
+            for p in (CocyclePair(a, b), CocyclePair(b, a)):
+                got = classify_pair(p)
+                assert (got.code, got.reason) == reference_classify_pair(p)
+
+    def test_cone_certificate_needs_hh_plus(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p = random_pair(rng)
+            if reference_classify_pair(p)[0] != "HH+":
+                assert cone_certificate(p) is None
 
 
 class TestTransitions:

@@ -21,6 +21,27 @@ from rvcocycle.mat2 import (
 )
 
 
+def reference_power(m, n):
+    """Matrix2.power as it was: square-and-multiply from the identity,
+    squaring once more after the last bit."""
+    if n < 0:
+        return reference_power(m.inv(), -n)
+    result = identity()
+    base = m
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
+
+
+def normalized(m):
+    """(entries over the largest |entry|, log of the whole scale)."""
+    top = max(abs(e) for e in m.entries())
+    return [e / top for e in m.entries()], m.log_scale + math.log(top)
+
+
 def entries():
     return st.floats(min_value=-5.0, max_value=5.0,
                      allow_nan=False, allow_infinity=False)
@@ -81,6 +102,37 @@ class TestAlgebra:
         scale = max(1.0, max(abs(e) for e in it.entries()))
         for x, y in zip(pw.entries(), it.entries()):
             assert abs(x - y) <= 1e-8 * scale
+
+    @given(unimodular(), st.integers(min_value=-64, max_value=4096))
+    def test_power_matches_reference(self, m, n):
+        pw, ref = m.power(n), reference_power(m, n)
+        assert pw.entries() == ref.entries()
+        assert pw.log_scale == ref.log_scale
+
+    @given(unimodular(), st.integers(min_value=-64, max_value=4096),
+           st.integers(min_value=-40, max_value=40))
+    def test_scaled_power_matches_reference(self, m, n, j):
+        # m written as e^(j log 2) times its entries over 2^j.
+        k = 2.0 ** j
+        scaled = Matrix2(m.a / k, m.b / k, m.c / k, m.d / k, j * math.log(2.0))
+        (pw, log_pw), (ref, log_ref) = (normalized(scaled.power(n)),
+                                        normalized(reference_power(scaled, n)))
+        for x, y in zip(pw, ref):
+            assert abs(x - y) <= 1e-12
+        assert abs(log_pw - log_ref) <= 1e-12 * max(1.0, abs(log_ref))
+
+    def test_power_product_count(self, monkeypatch):
+        from rvcocycle import mat2
+        calls = []
+        monkeypatch.setattr(mat2, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        m = Matrix2(2.0, 1.0, 1.0, 1.0)
+        for n in (1, 2, 3, 7, 8, 13, 1000):
+            calls.clear()
+            m.power(n)
+            assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
+        calls.clear()
+        assert m.power(1) is m and m.power(0).entries() == (1.0, 0.0, 0.0, 1.0)
+        assert not calls
 
     def test_negative_power(self):
         m = Matrix2(2.0, 1.0, 1.0, 1.0)

@@ -4,14 +4,34 @@ from fractions import Fraction
 
 import pytest
 
-from rvcocycle.cocycle import classify_pair, trace_bound, trace_coords
-from rvcocycle.lyapunov import DecisionBudget, renorm_decision
+from rvcocycle import lyapunov
+from rvcocycle.cocycle import (
+    CocyclePair,
+    DegeneratePairError,
+    classify_pair,
+    trace_bound,
+    trace_coords,
+)
+from rvcocycle.iet import (
+    BudgetExceededError,
+    Rotation2IET,
+    Winner,
+    continued_fraction,
+    run_steps,
+)
+from rvcocycle.lyapunov import DecisionBudget, renorm_decision, renorm_runs
 from rvcocycle.mat2 import Matrix2, classify, diagonal, mul, rotation
 from rvcocycle.spectrum import (
+    TWIST_A,
+    TWIST_B,
     BoundedWitness,
     ChartBoundaryError,
     HyperbolicityWitness,
+    MCGTrajectory,
     Representation,
+    _int_mul,
+    _int_twist_power,
+    _l1,
     chart_for,
     evaluate_slope,
     mcg_trajectory,
@@ -47,6 +67,74 @@ def exact_run_count(alpha: float) -> int:
     lengths[0] -= 1
     lengths[-1] -= 1
     return sum(n > 0 for n in lengths)
+
+
+def reference_mcg_trajectory(rep, alpha, n_steps, budget=None):
+    """mcg_trajectory as it was: the twist word from one walk of the
+    induction, then renorm_decision walking it again."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    pair = CocyclePair(rep.A, rep.B)
+    t0 = classify_pair(pair)
+    if t0.is_degenerate:
+        raise DegeneratePairError(t0.reason)
+    if budget is None:
+        budget = DecisionBudget()
+    phi = ((1, 0), (0, 1))
+    word, mats, norms, growth = [], [], [], []
+    for winner, run_len, cur in renorm_runs(pair, alpha, budget.max_digit):
+        gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
+        word.append((gen, run_len))
+        phi = _int_mul(_int_twist_power(twist, run_len), phi)
+        mats.append(phi)
+        norms.append(_l1(phi))
+        growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),
+                          cur.product().log_abs_trace()))
+        if len(word) >= n_steps:
+            break
+    cf = continued_fraction(alpha, max_digits=len(word) + 2)
+    qs = cf.convergent_denominators[:len(word) + 1]
+    traj = MCGTrajectory(twist_word=tuple(word), matrices=tuple(mats),
+                         norms_l1=tuple(norms),
+                         convergent_denominators=tuple(qs))
+    v = renorm_decision(pair, alpha, budget).verdict
+    if v.kind == "UniformlyHyperbolic":
+        mu = v.certificate.expansion_factor if v.certificate else math.nan
+        witness = HyperbolicityWitness(step_index=v.at_step, mu=mu,
+                                       growth_log=tuple(growth))
+    elif v.kind == "CertifiedBounded":
+        witness = BoundedWitness(max_trace_norm=v.max_trace_norm,
+                                 growth_log=tuple(growth))
+    elif v.kind == "FiniteOrder" and v.spectrum_member:
+        witness = BoundedWitness(max_trace_norm=math.nan,
+                                 growth_log=tuple(growth))
+    else:
+        witness = HyperbolicityWitness(step_index=len(word), mu=math.nan,
+                                       growth_log=tuple(growth))
+    return traj, witness
+
+
+def mcg_outcome(f, rep, alpha, n_steps, budget):
+    """The trajectory and witness of f, or the error it raised, as text
+    (repr keeps NaN comparable)."""
+    try:
+        traj, witness = f(rep, alpha, n_steps, budget)
+    except (BudgetExceededError, DegeneratePairError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(traj), repr(witness)
+
+
+def from_digits(digits):
+    """The continued fraction [0; digits...] as a Fraction."""
+    x = Fraction(0)
+    for a in reversed(digits):
+        x = 1 / (a + x)
+    return x
+
+
+def near_rational(prefix, big):
+    """[0; prefix..., big + 1/3] as a float."""
+    return float(from_digits(prefix + [big + Fraction(1, 3)]))
 
 
 class TestRepresentation:
@@ -307,3 +395,98 @@ class TestMCG:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             mcg_trajectory(generic_elliptic(), GOLDEN, 0)
+
+
+class TestMCGWalksOnce:
+    """mcg_trajectory takes the decision's runs from the walk it records,
+    so it must match the two-walk reference in every outcome."""
+
+    REPS = {"commuting-elliptic": commuting_elliptic,
+            "generic-elliptic": generic_elliptic, "diagonal": diag_rep}
+    # The commuting-elliptic pair meets a degenerate pair at run 21 of the
+    # first angle.  The second has the same first 22 digits (so the same
+    # pairs up to run 22), then a run of 5000.
+    ALPHAS = (0.25002873398134745,
+              from_digits([3, 1, 2174, 2, 1, 2, 380, 1, 1, 1, 2, 1, 1, 11, 11,
+                           1, 4, 1, 1, 3, 6, 5, 5000, 2, 3]),
+              GOLDEN, near_rational([2, 3], 1500), near_rational([1], 40),
+              0.4142135623730951, 0.6180339887)
+
+    def cases(self):
+        for name, rep in self.REPS.items():
+            for alpha in self.ALPHAS:
+                runs = [n for _, n in run_steps(Rotation2IET(alpha), 2**64)]
+                # Caps that stop the walk at its largest runs, and just
+                # after the first 21 and 40 runs.
+                caps = sorted({n - 1 for n in runs if n > 1})[-3:] + [
+                    max(runs[:k]) for k in (21, 40)]
+                for max_digit in [10**6] + caps:
+                    for max_steps in (1, 4, 21, 60):
+                        budget = DecisionBudget(max_accel_steps=max_steps,
+                                                max_digit=max_digit)
+                        for n_steps in (1, 3, 20, 21, 22, 40, 70):
+                            yield name, rep(), alpha, n_steps, budget
+
+    def test_matches_two_walk_reference(self):
+        seen = set()
+        for name, rep, alpha, n_steps, budget in self.cases():
+            want = mcg_outcome(reference_mcg_trajectory, rep, alpha, n_steps, budget)
+            got = mcg_outcome(mcg_trajectory, rep, alpha, n_steps, budget)
+            assert got == want, (name, alpha, n_steps, budget)
+            try:
+                v = renorm_decision(CocyclePair(rep.A, rep.B), alpha, budget).verdict
+            except DegeneratePairError:
+                seen.add("degenerate")
+                if want[0] == "BudgetExceededError":
+                    seen.add("degenerate, then max_digit inside n_steps")
+                continue
+            if v.kind == "UniformlyHyperbolic" and v.at_step < n_steps:
+                seen.add("HH+ before n_steps")
+            if budget.max_accel_steps < n_steps:
+                seen.add("step budget below n_steps")
+            if want[0] == "BudgetExceededError":
+                seen.add("max_digit inside n_steps")
+            elif v.kind == "Undecided" and "max_digit" in v.budget_note:
+                seen.add("max_digit after n_steps")
+        assert seen == {"degenerate", "degenerate, then max_digit inside n_steps",
+                        "HH+ before n_steps",
+                        "step budget below n_steps", "max_digit inside n_steps",
+                        "max_digit after n_steps"}
+
+    def test_random_pairs_match_reference(self):
+        rng = random.Random(9)
+
+        def letter():
+            while True:
+                e = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+                if e[0] * e[3] - e[1] * e[2] > 0.05:
+                    return Matrix2(*e)
+
+        for _ in range(150):
+            rep = Representation(letter(), letter())
+            alpha = rng.uniform(0.05, 0.95)
+            budget = DecisionBudget(max_accel_steps=rng.randint(1, 60),
+                                    max_digit=rng.choice((3, 10, 10**6)))
+            n_steps = rng.randint(1, 70)
+            assert (mcg_outcome(mcg_trajectory, rep, alpha, n_steps, budget)
+                    == mcg_outcome(reference_mcg_trajectory, rep, alpha,
+                                   n_steps, budget))
+
+    def test_one_tau_power_per_walked_run(self, monkeypatch):
+        calls = []
+        tau_power = lyapunov.tau_power
+        monkeypatch.setattr(lyapunov, "tau_power",
+                            lambda *a: calls.append(1) or tau_power(*a))
+        checked = 0
+        for _, rep, alpha, n_steps, budget in self.cases():
+            pair = CocyclePair(rep.A, rep.B)
+            try:
+                steps = renorm_decision(pair, alpha, budget).steps
+                calls.clear()
+                traj, _ = mcg_trajectory(rep, alpha, n_steps, budget)
+            except (BudgetExceededError, DegeneratePairError):
+                continue
+            decision_runs = sum(s.winner is not None for s in steps)
+            assert len(calls) == max(len(traj.twist_word), decision_runs)
+            checked += 1
+        assert checked > 100
