@@ -100,6 +100,8 @@ def parse_theta_range(spec: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise UsageError("--theta must look like lo:hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("--theta needs finite endpoints")
     if not lo < hi:
         raise UsageError("--theta needs lo < hi")
     return lo, hi

@@ -176,13 +176,15 @@ TRANSITIONS: dict[tuple[str, int], frozenset[str]] = {
 class TraceCoords:
     """x = tr A, y = tr B, z = tr AB, c = tr [A, B] (computed directly);
     residual is |x^2 + y^2 + z^2 - xyz - (c + 2)|, the defect of the
-    Fricke/Markov identity."""
+    Fricke/Markov identity.  log_abs_z is log |tr AB|, finite where z is
+    +-inf past the float range."""
 
     x: float
     y: float
     z: float
     c: float
     residual: float
+    log_abs_z: float
 
 
 def trace_coords(p: CocyclePair) -> TraceCoords:
@@ -195,7 +197,8 @@ def trace_coords(p: CocyclePair) -> TraceCoords:
     c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
                   ab.log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))
-    return TraceCoords(x=x, y=y, z=z, c=c, residual=residual)
+    return TraceCoords(x=x, y=y, z=z, c=c, residual=residual,
+                       log_abs_z=ab.log_abs_trace())
 
 
 def trace_bound(c: float) -> float:

@@ -25,7 +25,11 @@ the return words that renorm_runs moves the pair to (Rauzy 1979).  So
 direct_exponent and boundedness_implies_zero walk an n-step orbit as base
 steps into I_k, whole returns of the induced rotation, and base steps for
 the rest, at the level k that minimizes that count: about sqrt(n) letters
-instead of n.  Level 0 is the per-step walk.
+instead of n.  Level 0 is the per-step walk.  The three segments of an
+orbit are packed into one column of letter indices, built for all orbits
+at once, and the columns' products are taken by one pairwise tree on whole
+arrays, with each letter held as the two complex numbers of its Cayley
+coordinates.
 """
 
 from __future__ import annotations
@@ -191,35 +195,55 @@ def _induced_level(p: CocyclePair, alpha: float, n: int):
             Fraction(total, exact.denominator), lengths)
 
 
-def _rotation_letters(first: int, angle: float | Fraction, start: np.ndarray,
-                      room: np.ndarray, lengths: tuple[int, int]):
-    """Yield the letters of the rotation by angle along the orbits from
-    start, at most ORBIT_CHUNK steps at a time, as index arrays (steps x
-    starts): first for A, first + 1 for B (where the orbit point lies past
-    1 - angle), IDENTITY where the start's letters have ended.  Letters are
-    taken while their lengths (A, B) fit in room.  Returns the lengths used
-    and the orbit points reached.
-    """
+def _frac(v: np.ndarray) -> np.ndarray:
+    """v % 1.0 for v >= 0, bit for bit (v - floor(v) is exact by Sterbenz's
+    lemma), at a tenth of the cost of numpy's float modulo."""
+    return v - np.floor(v)
+
+
+def _induced_counts(start: np.ndarray, angle: Fraction,
+                    lengths: tuple[int, int], room: np.ndarray):
+    """The number of letters of the rotation by angle along the orbits from
+    start whose lengths (A, B) fit in room, and the length they take.  The
+    letter sums are taken at most ORBIT_CHUNK letters at a time."""
     split, angle = float(1 - angle), float(angle)
     len_a, len_b = lengths
-    used = np.zeros(len(start), dtype=np.int64)
     taken = np.zeros(len(start), dtype=np.int64)
-
-    def next_fits():
-        at = (start + taken * angle) % 1.0
-        return used + np.where(at > split, len_b, len_a) <= room, at
-
-    live, at = next_fits()
+    used = np.zeros(len(start), dtype=np.int64)
+    live = np.ones(len(start), dtype=bool)
     while live.any():
-        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths))
-        in_b = (start + (taken + np.arange(span)[:, None]) * angle) % 1.0 > split
+        # One letter more than the room of the roomiest orbit can hold.
+        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths) + 1)
+        in_b = _frac(start + (taken + np.arange(span)[:, None]) * angle) > split
         steps = np.where(in_b, len_b, len_a)
         fits = (used + np.cumsum(steps, axis=0) <= room) & live
-        used += np.where(fits, steps, 0).sum(axis=0)
         taken += fits.sum(axis=0)
-        live, at = next_fits()
-        yield np.where(fits, first + in_b, IDENTITY)
-    return used, at
+        used += np.where(fits, steps, 0).sum(axis=0)
+        live = fits[-1]
+    return taken, used
+
+
+def _letter_rows(x: np.ndarray, alpha: float, into: np.ndarray,
+                 start: np.ndarray, alpha_k: Fraction, taken: np.ndarray,
+                 tail: np.ndarray, ends: np.ndarray):
+    """Yield the letters of the orbits from x, one column per orbit and at
+    most ORBIT_CHUNK rows at a time, as indices among _orbit_chunks'
+    letters.  Column s holds into[s] base letters from x (0 for A, 1 for
+    B, where the point lies past 1 - alpha), then taken[s] induced letters
+    from start[s] (2 for A_k, 3 for B_k, by the rotation by alpha_k), then
+    base letters from tail[s] up to row ends[s], then IDENTITY.
+    """
+    split, split_k, angle_k = 1.0 - alpha, float(1 - alpha_k), float(alpha_k)
+    returns = into + taken
+    rows = int(ends.max())
+    for r0 in range(0, rows, ORBIT_CHUNK):
+        j = np.arange(r0, min(r0 + ORBIT_CHUNK, rows))[:, None]
+        entry = j < into
+        step = j - np.where(entry, 0, returns)
+        base = _frac(np.where(entry, x, tail) + step * alpha) > split
+        induced = _frac(start + (j - into) * angle_k) > split_k
+        yield np.where(j < returns, np.where(entry, base, 2 + induced),
+                       np.where(j < ends, base, IDENTITY))
 
 
 def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
@@ -229,7 +253,7 @@ def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
     steps = np.full(len(x), n, dtype=np.int64)
     for start in range(0, n, span):
         j = np.arange(start, min(start + span, n))[:, None]
-        inside = (x + j * alpha) % 1.0 < beta
+        inside = _frac(x + j * alpha) < beta
         new = inside.any(axis=0) & (steps == n)
         steps[new] = start + inside.argmax(axis=0)[new]
         if (steps < n).all():
@@ -237,33 +261,49 @@ def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
     return steps
 
 
-def _tree_product(table: np.ndarray, logs: np.ndarray, index: np.ndarray):
+def _cayley(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The real 2x2 matrices M = (a, b, c, d) as the pairs (alpha, beta) of
+    C M C^-1 = [[alpha, beta], [conj beta, conj alpha]], where C = [[1, -i],
+    [1, i]] is the Cayley transform: alpha = ((a + d) + i(b - c)) / 2 and
+    beta = ((a - d) - i(b + c)) / 2."""
+    a, b, c, d = entries
+    return ((a + d) + 1j * (b - c)) / 2, ((a - d) - 1j * (b + c)) / 2
+
+
+def _tree_product(table: tuple[np.ndarray, np.ndarray], logs: np.ndarray,
+                  index: np.ndarray):
     """The product (later @ earlier) over the rows of index of the letters
-    it picks from table, as (m, log) per column.  The leaves are padded with
-    identities to a power of two, and each level of a pairwise tree
-    multiplies neighbouring pairs entrywise on whole arrays, then divides
-    each product by its largest |entry| and adds the log.  So no product
-    leaves the float range, whatever the length or the letters' size."""
-    size = 1 << (len(index) - 1).bit_length()
-    pad = np.full((size - len(index), index.shape[1]), IDENTITY)
-    index = np.concatenate([index, pad])
-    log = logs[index].sum(axis=0)
-    m0, m1, m2, m3 = table[:, index]
-    while len(m0) > 1:
-        e0, e1, e2, e3 = m0[0::2], m1[0::2], m2[0::2], m3[0::2]
-        l0, l1, l2, l3 = m0[1::2], m1[1::2], m2[1::2], m3[1::2]
-        m0 = l0 * e0 + l1 * e2
-        m1 = l0 * e1 + l1 * e3
-        m2 = l2 * e0 + l3 * e2
-        m3 = l2 * e1 + l3 * e3
-        top = np.maximum(np.maximum(np.abs(m0), np.abs(m1)),
-                         np.maximum(np.abs(m2), np.abs(m3)))
-        m0 /= top
-        m1 /= top
-        m2 /= top
-        m3 /= top
-        log += np.log(top).sum(axis=0)
-    return (m0[0], m1[0], m2[0], m3[0]), log
+    it picks from table, as (m, log) per column: m is the four real entry
+    arrays (a, b, c, d) with largest |entry| 1.
+
+    table holds each letter in Cayley coordinates (see _cayley), where the
+    product of (alpha1, beta1) after (alpha2, beta2) is (alpha1 alpha2 +
+    beta1 conj beta2, alpha1 beta2 + beta1 conj alpha2).  Each level of a
+    pairwise tree multiplies neighbouring rows on whole arrays and carries
+    an odd last row up unchanged; each product is divided by max(|alpha|,
+    |beta|), whose log is kept, so no product leaves the float range,
+    whatever the length or the letters' size."""
+    al, be = np.take(table[0], index), np.take(table[1], index)
+    tops = [np.take(logs, index)]
+    while len(al) > 1:
+        half = len(al) // 2
+        a1, b1, a2, b2 = al[1::2], be[1::2], al[0:2 * half:2], be[0:2 * half:2]
+        pa = a1 * a2 + b1 * b2.conj()
+        pb = a1 * b2 + b1 * a2.conj()
+        top = np.maximum(np.abs(pa), np.abs(pb))
+        pa /= top
+        pb /= top
+        tops.append(np.log(top))
+        if len(al) % 2:
+            pa, pb = np.concatenate([pa, al[-1:]]), np.concatenate([pb, be[-1:]])
+        al, be = pa, pb
+    al, be = al[0], be[0]
+    m = (al.real + be.real, al.imag - be.imag,
+         -al.imag - be.imag, al.real - be.real)
+    top = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
+                     np.maximum(np.abs(m[2]), np.abs(m[3])))
+    log = np.concatenate(tops).sum(axis=0) + np.log(top)
+    return tuple(e / top for e in m), log
 
 
 def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
@@ -278,9 +318,10 @@ def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
     three segments: base letters until it enters I_k (fewer than
     max(|A_k|, |B_k|) steps), the letters A_k, B_k of the rotation by
     alpha_k on I_k while the next whole return fits in n, and base letters
-    for the rest.  Their letters are packed into blocks of at most
-    ORBIT_CHUNK, each reduced by _tree_product.  The level pair is moved
-    from A and B divided by their largest entries (the factors kept in
+    for the rest.  The three are packed into one column per start
+    (_letter_rows), so a chunk is a block of at most ORBIT_CHUNK rows of
+    those columns, reduced by _tree_product.  The level pair is moved from
+    A and B divided by their largest entries (the factors kept in
     log_scale), so tau_power stays in range for letters of any size.  At
     level 0 the first and last segments are empty and the middle one is
     the per-step walk.
@@ -290,29 +331,18 @@ def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
     base = CocyclePair(Matrix2(*ea, la), Matrix2(*eb, lb))
     _, pair, alpha_k, beta, lengths = _induced_level(base, alpha, n)
     (eak, lak), (ebk, lbk) = _letter_entries(pair.A), _letter_entries(pair.B)
-    # Columns: A, B, A_k, B_k, identity (IDENTITY).
-    table = np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T
+    # Letters: A, B, A_k, B_k, identity (IDENTITY).
+    table = _cayley(np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T)
     logs = np.array([la, lb, lak, lbk, 0.0])
     beta = float(beta)
     into = _entry_steps(x, alpha, beta, n, min(ORBIT_CHUNK, max(lengths)))
-
-    def letters():
-        one = (1, 1)
-        _, y = yield from _rotation_letters(0, alpha, x, into, one)
-        used, y = yield from _rotation_letters(2, alpha_k, y / beta,
-                                               n - into, lengths)
-        yield from _rotation_letters(0, alpha, y * beta, n - into - used, one)
-
-    block: list[np.ndarray] = []
-    rows = 0
-    for index in letters():
-        if rows + len(index) > ORBIT_CHUNK:
-            yield _tree_product(table, logs, np.concatenate(block))
-            block, rows = [], 0
-        block.append(index)
-        rows += len(index)
-    if block:
-        yield _tree_product(table, logs, np.concatenate(block))
+    start = (x + into * alpha) % 1.0 / beta
+    taken, used = _induced_counts(start, alpha_k, lengths, n - into)
+    tail = (start + taken * float(alpha_k)) % 1.0 * beta
+    ends = n - used + taken  # into + taken + the n - into - used tail steps
+    for index in _letter_rows(x, alpha, into, start, alpha_k, taken, tail,
+                              ends):
+        yield _tree_product(table, logs, index)
 
 
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,

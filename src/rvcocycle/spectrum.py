@@ -315,19 +315,23 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
         raise
     walk_on()
 
+    # log |tr AB| of the runs the decision took comes from their step
+    # records, whose trace coordinates formed AB; the runs walked on after
+    # the decision stopped form it here.
+    z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
     phi = ((1, 0), (0, 1))
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
     growth: list[float] = []
-    for winner, run_len, cur in walked[:n_steps]:
+    for i, (winner, run_len, cur) in enumerate(walked[:n_steps]):
         gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
         word.append((gen, run_len))
         phi = _int_mul(_int_twist_power(twist, run_len), phi)
         mats.append(phi)
         norms.append(_l1(phi))
-        growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),
-                          cur.product().log_abs_trace()))
+        z_log = z_logs[i] if i < len(z_logs) else cur.product().log_abs_trace()
+        growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(), z_log))
 
     # q_k aligned conservatively with the run index (the first run length is
     # a_1 - 1, so the true return denominator at run k is >= this q_k).

@@ -180,6 +180,20 @@ class TestExitCodes:
             assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("spec", ["0:inf", "-inf:1", "nan:1"])
+    def test_usage_error_non_finite_theta(self, capsys, tmp_path, spec):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"theta = {spec}\n")
+        # "--theta=" keeps argparse from reading "-inf:1" as an option.
+        for extra in ((f"--theta={spec}",), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "scan", "--fixture", "generic-elliptic",
+                                 "--grid", "4", *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "--theta" in err
+            assert err.count("\n") == 1
+
+
 class TestClassify:
     def test_generic_elliptic(self, capsys):
         code, out, _ = run(capsys, "classify", "--fixture", "generic-elliptic")

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,8 +16,10 @@ from rvcocycle.cocycle import (
     trace_coords,
 )
 from rvcocycle.hypgeom import hh_minus_canonical_pair
+from rvcocycle import lyapunov
 from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
+    IDENTITY,
     ORBIT_CHUNK,
     DecisionBudget,
     _induced_level,
@@ -170,6 +173,57 @@ def reference_audit(p, alpha, n_check, x0=0.2137):
     return worst
 
 
+def reference_rotation_letters(first, angle, start, room, lengths):
+    """The letters of the rotation by angle along the orbits from start, at
+    most ORBIT_CHUNK steps at a time, as index arrays (steps x starts):
+    first for A, first + 1 for B (where the orbit point lies past
+    1 - angle), IDENTITY where the start's letters have ended.  Letters are
+    taken while their lengths (A, B) fit in room.  Returns the lengths used
+    and the orbit points reached.  (The segment walk that _orbit_chunks
+    took before it packed the segments into one column per start.)"""
+    split, angle = float(1 - angle), float(angle)
+    len_a, len_b = lengths
+    used = np.zeros(len(start), dtype=np.int64)
+    taken = np.zeros(len(start), dtype=np.int64)
+
+    def next_fits():
+        at = (start + taken * angle) % 1.0
+        return used + np.where(at > split, len_b, len_a) <= room, at
+
+    live, at = next_fits()
+    while live.any():
+        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths))
+        in_b = (start + (taken + np.arange(span)[:, None]) * angle) % 1.0 > split
+        steps = np.where(in_b, len_b, len_a)
+        fits = (used + np.cumsum(steps, axis=0) <= room) & live
+        used += np.where(fits, steps, 0).sum(axis=0)
+        taken += fits.sum(axis=0)
+        live, at = next_fits()
+        yield np.where(fits, first + in_b, IDENTITY)
+    return used, at
+
+
+def reference_letters(alpha, x, n):
+    """Each start's letter indices over n steps by the segment walk: base
+    letters until the orbit enters I_k (found by a per-step scan), the
+    induced letters, the base letters after them."""
+    _, _, alpha_k, beta, lengths = _induced_level(generic_elliptic(), alpha, n)
+    beta = float(beta)
+    inside = (x + np.arange(n)[:, None] * alpha) % 1.0 < beta
+    into = np.where(inside.any(axis=0), inside.argmax(axis=0), n)
+
+    def letters():
+        one = (1, 1)
+        _, y = yield from reference_rotation_letters(0, alpha, x, into, one)
+        used, y = yield from reference_rotation_letters(2, alpha_k, y / beta,
+                                                        n - into, lengths)
+        yield from reference_rotation_letters(0, alpha, y * beta,
+                                              n - into - used, one)
+
+    rows = np.concatenate(list(letters()))
+    return [col[col != IDENTITY] for col in rows.T]
+
+
 class TestDirectExponent:
     def test_diagonal_gives_log_two(self):
         # Both letters are diag(2, 1/2): the exponent is exactly ln 2.
@@ -315,6 +369,52 @@ class TestInducedWalk:
             log += chunk_log + np.log(top)
         steps = prod[:, 0, 1] * np.exp(log)
         assert np.all(np.abs(steps - n) <= 1e-6 * n), (steps, n)
+
+    def test_letters_match_segment_walk(self, monkeypatch):
+        # The packed columns hold each start's letters in the order of the
+        # segment walk, and the longest column sets the number of rows.
+        blocks = []
+        monkeypatch.setattr(lyapunov, "_tree_product",
+                            lambda table, logs, index: blocks.append(index))
+        cases = criterion6_draws(6) + [(generic_elliptic(), alpha)
+                                       for alpha in (0.375, 0.5004, 0.3)]
+        x = np.random.default_rng(4).random(8)
+        for p, alpha in cases:
+            for n in (5000, 65537):
+                blocks.clear()
+                list(_orbit_chunks(p, alpha, x, n))
+                rows = np.concatenate(blocks)
+                want = reference_letters(alpha, x, n)
+                assert len(rows) == max(len(w) for w in want), (alpha, n)
+                for col, w in zip(rows.T, want):
+                    assert np.array_equal(col[col != IDENTITY], w), (alpha, n)
+
+    def test_chunk_contract(self, monkeypatch):
+        # Every chunk is scaled to a largest |entry| of 1 and reduces at
+        # most ORBIT_CHUNK rows; at alpha = 0.3 the 1e7 steps take about
+        # 1.4e6 rows per start, so their memory must stay per chunk.
+        rows = []
+        tree = lyapunov._tree_product
+
+        def recorded(table, logs, index):
+            rows.append(len(index))
+            return tree(table, logs, index)
+
+        monkeypatch.setattr(lyapunov, "_tree_product", recorded)
+        x = np.random.default_rng(0).random(8)
+        huge = CocyclePair(diagonal(1e200), rotation(1.0))
+        cases = [(generic_elliptic(), 0.3, 10**7), (huge, GOLDEN, 4097),
+                 (generic_elliptic(), 0.5004, 65537)]
+        for p, alpha, n in cases:
+            rows.clear()
+            tracemalloc.start()
+            for m, log in _orbit_chunks(p, alpha, x, n):
+                assert np.all(np.max(np.abs(m), axis=0) == 1.0), (alpha, n)
+                assert np.all(np.isfinite(log))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert max(rows) <= ORBIT_CHUNK, (alpha, n)
+            assert peak < 8 * 2**20, (alpha, n, peak)
 
     def test_hundred_million_steps(self):
         # Criterion 7's pairs at 1e8 steps: at most about 4e4 letters per

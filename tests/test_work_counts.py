@@ -20,9 +20,10 @@ from rvcocycle.spectrum import (
 )
 
 # A near-rational angle of the bounded benchmark's draw: 32 runs, one of
-# them long.  Two walks with the old power took 396 products.
+# them long.  Two walks with the old power took 396 products, and forming
+# A B again for each run's growth log took 183.
 BOUNDED_ALPHA = 0.30769497215185276
-BOUNDED_MUL = 183
+BOUNDED_MUL = 151
 # A slope of the refine benchmark's range, absorbed at step 3; 22 before.
 REFINE_THETA = 1.2
 REFINE_MUL = 14
