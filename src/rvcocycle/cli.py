@@ -194,9 +194,14 @@ def fmt12(x: float) -> str:
 
 def emit_scan_csv(result: ScanResult, sink) -> None:
     sink.write("theta,alpha,verdict,chi,steps,mu_lower\n")
+    # chi to 12 decimal places: direct_exponent's round-off stays below
+    # 1e-13 at scan's iteration counts, so a zero exponent prints as zeros
+    # rather than its round-off, and reordering the orbit-product
+    # arithmetic moves a printed chi only where it lies within that
+    # round-off of a rounding boundary.
     for p in sorted(result.points, key=lambda q: q.theta):
         sink.write(f"{fmt12(p.theta)},{fmt12(p.alpha)},{p.verdict},"
-                   f"{fmt12(p.chi)},{p.steps},{fmt12(p.mu_lower)}\n")
+                   f"{p.chi:.12f},{p.steps},{fmt12(p.mu_lower)}\n")
 
 
 def _finite_or_null(x: float) -> float | None:

@@ -28,8 +28,7 @@ the rest, at the level k that minimizes that count: about sqrt(n) letters
 instead of n.  Level 0 is the per-step walk.  The three segments of an
 orbit are packed into one column of letter indices, built for all orbits
 at once, and the columns' products are taken by one pairwise tree on whole
-arrays, with each letter held as the two complex numbers of its Cayley
-coordinates.
+arrays, with each letter held as its two rows, one complex number each.
 """
 
 from __future__ import annotations
@@ -261,45 +260,39 @@ def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
     return steps
 
 
-def _cayley(entries) -> tuple[np.ndarray, np.ndarray]:
-    """The real 2x2 matrices M = (a, b, c, d) as the pairs (alpha, beta) of
-    C M C^-1 = [[alpha, beta], [conj beta, conj alpha]], where C = [[1, -i],
-    [1, i]] is the Cayley transform: alpha = ((a + d) + i(b - c)) / 2 and
-    beta = ((a - d) - i(b + c)) / 2."""
-    a, b, c, d = entries
-    return ((a + d) + 1j * (b - c)) / 2, ((a - d) - 1j * (b + c)) / 2
-
-
 def _tree_product(table: tuple[np.ndarray, np.ndarray], logs: np.ndarray,
                   index: np.ndarray):
     """The product (later @ earlier) over the rows of index of the letters
     it picks from table, as (m, log) per column: m is the four real entry
     arrays (a, b, c, d) with largest |entry| 1.
 
-    table holds each letter in Cayley coordinates (see _cayley), where the
-    product of (alpha1, beta1) after (alpha2, beta2) is (alpha1 alpha2 +
-    beta1 conj beta2, alpha1 beta2 + beta1 conj alpha2).  Each level of a
-    pairwise tree multiplies neighbouring rows on whole arrays and carries
-    an odd last row up unchanged; each product is divided by max(|alpha|,
-    |beta|), whose log is kept, so no product leaves the float range,
-    whatever the length or the letters' size."""
-    al, be = np.take(table[0], index), np.take(table[1], index)
+    table holds each letter (a, b, c, d) as its two rows (r1, r2) = (a +
+    ib, c + id), so the product of (r1, r2) after (s1, s2) is (Re r1 s1 +
+    Im r1 s2, Re r2 s1 + Im r2 s2): the entry arithmetic of a real 2x2
+    product on two complex arrays instead of four real ones.  Coordinates
+    that mix the entries (Cayley's, say) would take an entry far below the
+    largest, such as the diagonal of a long unipotent product, from
+    cancelling terms and lose its precision.  Each level of a pairwise tree
+    multiplies neighbouring rows on whole arrays and carries an odd last
+    row up unchanged; each product is divided by the larger modulus of its
+    rows, whose log is kept, so no product leaves the float range, whatever
+    the length or the letters' size."""
+    r1, r2 = np.take(table[0], index), np.take(table[1], index)
     tops = [np.take(logs, index)]
-    while len(al) > 1:
-        half = len(al) // 2
-        a1, b1, a2, b2 = al[1::2], be[1::2], al[0:2 * half:2], be[0:2 * half:2]
-        pa = a1 * a2 + b1 * b2.conj()
-        pb = a1 * b2 + b1 * a2.conj()
-        top = np.maximum(np.abs(pa), np.abs(pb))
-        pa /= top
-        pb /= top
+    while len(r1) > 1:
+        pairs = len(r1) // 2
+        s1, s2 = r1[0:2 * pairs:2], r2[0:2 * pairs:2]
+        later1, later2 = r1[1::2], r2[1::2]
+        p1 = later1.real * s1 + later1.imag * s2
+        p2 = later2.real * s1 + later2.imag * s2
+        top = np.maximum(np.abs(p1), np.abs(p2))
+        p1 /= top
+        p2 /= top
         tops.append(np.log(top))
-        if len(al) % 2:
-            pa, pb = np.concatenate([pa, al[-1:]]), np.concatenate([pb, be[-1:]])
-        al, be = pa, pb
-    al, be = al[0], be[0]
-    m = (al.real + be.real, al.imag - be.imag,
-         -al.imag - be.imag, al.real - be.real)
+        if len(r1) % 2:
+            p1, p2 = np.concatenate([p1, r1[-1:]]), np.concatenate([p2, r2[-1:]])
+        r1, r2 = p1, p2
+    m = (r1[0].real, r1[0].imag, r2[0].real, r2[0].imag)
     top = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
                      np.maximum(np.abs(m[2]), np.abs(m[3])))
     log = np.concatenate(tops).sum(axis=0) + np.log(top)
@@ -331,14 +324,15 @@ def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
     base = CocyclePair(Matrix2(*ea, la), Matrix2(*eb, lb))
     _, pair, alpha_k, beta, lengths = _induced_level(base, alpha, n)
     (eak, lak), (ebk, lbk) = _letter_entries(pair.A), _letter_entries(pair.B)
-    # Letters: A, B, A_k, B_k, identity (IDENTITY).
-    table = _cayley(np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T)
+    # Letters: A, B, A_k, B_k, identity (IDENTITY), each as its two rows.
+    a, b, c, d = np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T
+    table = (a + 1j * b, c + 1j * d)
     logs = np.array([la, lb, lak, lbk, 0.0])
     beta = float(beta)
     into = _entry_steps(x, alpha, beta, n, min(ORBIT_CHUNK, max(lengths)))
-    start = (x + into * alpha) % 1.0 / beta
+    start = _frac(x + into * alpha) / beta
     taken, used = _induced_counts(start, alpha_k, lengths, n - into)
-    tail = (start + taken * float(alpha_k)) % 1.0 * beta
+    tail = _frac(start + taken * float(alpha_k)) * beta
     ends = n - used + taken  # into + taken + the n - into - used tail steps
     for index in _letter_rows(x, alpha, into, start, alpha_k, taken, tail,
                               ends):

@@ -325,6 +325,16 @@ class TestScan:
         )
         assert out == want
 
+    def test_csv_zero_exponent_prints_zero(self, capsys):
+        # The commuting-elliptic letters are rotations: chi is 0
+        # and its estimate is round-off, which the chi column does not show.
+        code, out, _ = run(capsys, "scan", "--fixture", "commuting-elliptic",
+                           "--grid", "6")
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().split("\n")[1:]]
+        assert [r[2] for r in rows] == ["finite_in"] * 6
+        assert [r[3] for r in rows] == ["0.000000000000"] * 6
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "scan", "--fixture", "generic-elliptic",
                            "--theta", "0.3:1.2", "--grid", "6",

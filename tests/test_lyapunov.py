@@ -416,6 +416,24 @@ class TestInducedWalk:
             assert max(rows) <= ORBIT_CHUNK, (alpha, n)
             assert peak < 8 * 2**20, (alpha, n, peak)
 
+    def test_unipotent_chunks_keep_their_small_entries(self):
+        # A chunk of k steps of u = [[1, 1], [0, 1]] is [[1, k], [0, 1]],
+        # scaled to [[1/k, 1], [0, 1/k]].  A tree in coordinates that mix
+        # the entries, such as the Cayley pair ((a + d) + i(b - c), (a - d) -
+        # i(b + c)) / 2, gets that diagonal from cancelling terms, with an
+        # error near 5e-6 of 1/k at this length (and 1e-6 of n in the step
+        # count); products on the entries keep both at round-off.
+        u = Matrix2(1.0, 1.0, 0.0, 1.0)
+        alpha, n = 0.32877074292244746, 299188
+        total = 0.0
+        for (a, b, c, d), log in _orbit_chunks(CocyclePair(u, u), alpha,
+                                               np.array([0.125]), n):
+            k = math.exp(log[0])
+            assert b[0] == 1.0 and c[0] == 0.0
+            assert abs(a[0] * k - 1.0) <= 1e-9 and abs(d[0] * k - 1.0) <= 1e-9
+            total += k
+        assert abs(total - n) <= 1e-9 * n
+
     def test_hundred_million_steps(self):
         # Criterion 7's pairs at 1e8 steps: at most about 4e4 letters per
         # orbit at the induced level, where the per-step walk takes 1e8.

@@ -1,16 +1,16 @@
 """Compare two source checkouts on the benchmark in alternating pairs.
 
-    python3 tools/bench_pairs.py BASE HEAD --label pr11 --pairs 10
+    python3 tools/bench_pairs.py BASE HEAD --label pr11
 
 BASE and HEAD are the roots of two source checkouts, each with its own
-perfbench/.  Pair i runs every workload of HEAD's BENCHMARK.json once on
-each checkout with seed i + 1; even pairs run BASE first, odd pairs HEAD
-first.  Each run is `python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0` in the checkout, T being BENCHMARK.json's
-run_seconds.  Besides the run's end-to-end metrics, the tool reads the
-run's perfbench/out/result-*.json for the machine's median slowdown and the
-raw round times, whose minimum is the harness margin: the harness dies when
-a round and its checks take under its reference period.
+perfbench/.  Pair i of the PAIRS pairs runs every workload of HEAD's
+BENCHMARK.json once on each checkout with seed i + 1; even pairs run BASE
+first, odd pairs HEAD first.  Each run is `python3 perfbench/run.py
+--workload W --seed S --seconds T --trace 0` in the checkout, T being
+BENCHMARK.json's run_seconds.  Besides the run's end-to-end metrics, the
+tool reads the run's perfbench/out/result-*.json for the machine's median
+slowdown and the raw round times, whose minimum is the harness margin: the
+harness dies when a round and its checks take under its reference period.
 
 The summary goes to BENCH_<label>.json at the root of this repository: per
 workload and metric, each side's median and quartiles, the change of the
@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+PAIRS = 10  # a claimed gain must win at least 9 of them
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -132,14 +133,13 @@ def main(argv=None) -> int:
     ap.add_argument("base", type=Path, help="root of the baseline checkout")
     ap.add_argument("head", type=Path, help="root of the changed checkout")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     spec = json.loads((args.head / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     runs = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         seed = pair + 1
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for workload in (w["name"] for w in spec["workloads"]):
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
                              "side": side, "result": result})
                 shown = result.get("error") or result["metrics"]
                 print(f"pair {pair} {workload} {side}: {shown}", file=sys.stderr)
-    doc = {"label": args.label, "pairs": args.pairs, "seconds": seconds,
+    doc = {"label": args.label, "pairs": PAIRS, "seconds": seconds,
            "order": "even pairs run base first, odd pairs head first",
            "machine": machine(), "workloads": summarize(runs, metrics),
            "runs": runs}
