@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .mat2 import (
     LOG_FLOAT_MAX,
+    IsometryClass,
     Matrix2,
     NonUnimodularError,
     TWO_PI,
@@ -103,11 +104,11 @@ def degenerate(reason: str) -> PairType:
     return PairType("DEG", reason)
 
 
-def _letter_kind(m: Matrix2, eps: float) -> str | None:
+def _letter_kind(trace: float, eps: float) -> str | None:
     """E or H by |trace| against the band of width eps around 2 (None in
     the band).  classify's identity test also needs |tr| within eps of 2,
     so it never fires outside the band."""
-    t = abs(m.trace)
+    t = abs(trace)
     if t < 2.0 - eps:
         return "E"
     if t > 2.0 + eps:
@@ -115,9 +116,12 @@ def _letter_kind(m: Matrix2, eps: float) -> str | None:
     return None
 
 
-def _classify_letters(p: CocyclePair, eps: float):
+def _classify_letters(p: CocyclePair, eps: float,
+                      traces: tuple[float, float] | None = None):
     """(pair type, classify(A), classify(B)); the two classes are None
     unless both letters are hyperbolic, the only case that needs them.
+    traces, when given, are (tr A, tr B), as a caller that holds them
+    already (the x and y of trace_coords) passes them.
 
     For two hyperbolic letters: HH+ iff the attracting pair is not separated
     by the repelling pair (this is the combinatorial cone-existence
@@ -125,7 +129,9 @@ def _classify_letters(p: CocyclePair, eps: float):
     coincident fixed points defeat the circular-order test, so they are
     reported as degenerate.
     """
-    kinds = _letter_kind(p.A, eps), _letter_kind(p.B, eps)
+    if traces is None:
+        traces = (p.A.trace, p.B.trace)
+    kinds = _letter_kind(traces[0], eps), _letter_kind(traces[1], eps)
     for name, kind in zip("AB", kinds):
         if kind is None:
             reason = f"{name} is within eps of the parabolic locus"
@@ -174,10 +180,12 @@ TRANSITIONS: dict[tuple[str, int], frozenset[str]] = {
 
 @dataclass(frozen=True)
 class TraceCoords:
-    """x = tr A, y = tr B, z = tr AB, c = tr [A, B] (computed directly);
-    residual is |x^2 + y^2 + z^2 - xyz - (c + 2)|, the defect of the
-    Fricke/Markov identity.  log_abs_z is log |tr AB|, finite where z is
-    +-inf past the float range."""
+    """x = tr A, y = tr B, z = tr AB, c = tr [A, B].  The tau moves keep c
+    exactly ([A, B A] = [A, B]), so along a renormalization run c is the
+    input pair's, taken once; residual |x^2 + y^2 + z^2 - xyz - (c + 2)|,
+    the defect of the Fricke/Markov identity, is then the drift of the
+    moved (x, y, z) off the level set of c.  log_abs_z is log |tr AB|,
+    finite where z is +-inf past the float range."""
 
     x: float
     y: float
@@ -187,15 +195,19 @@ class TraceCoords:
     log_abs_z: float
 
 
-def trace_coords(p: CocyclePair) -> TraceCoords:
+def trace_coords(p: CocyclePair, c: float | None = None) -> TraceCoords:
+    """The trace coordinates of p from the one product AB.  c is the known
+    commutator trace of p (a tau-image's is its source's); without it, c is
+    computed directly from AB and BA."""
     ab = mul(p.A, p.B)
-    ba = mul(p.B, p.A)
     x, y, z = p.A.trace, p.B.trace, ab.trace
-    # tr [A, B] = tr(AB adj(BA)), written out: the product itself would go
-    # through the Matrix2 check, and cancellation can leave its float
-    # determinant <= 0.
-    c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
-                  ab.log_scale + ba.log_scale)
+    if c is None:
+        ba = mul(p.B, p.A)
+        # tr [A, B] = tr(AB adj(BA)), written out: the product itself would
+        # go through the Matrix2 check, and cancellation can leave its float
+        # determinant <= 0.
+        c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
+                      ab.log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))
     return TraceCoords(x=x, y=y, z=z, c=c, residual=residual,
                        log_abs_z=ab.log_abs_trace())
@@ -326,7 +338,9 @@ def _block_log_rate(words: list[Matrix2]) -> float:
                for w in words)
 
 
-def cone_certificate(p: CocyclePair) -> ConeCertificate | None:
+def cone_certificate(p: CocyclePair,
+                     letters: tuple[IsometryClass, IsometryClass] | None = None,
+                     ) -> ConeCertificate | None:
     """Build the common strictly invariant arc for an HH+ pair with a proved
     expansion rate, or None.
 
@@ -340,10 +354,15 @@ def cone_certificate(p: CocyclePair) -> ConeCertificate | None:
     rho(w) >= mu^len(w) for every word of every length, with constant 1.
     L runs through CONE_BLOCK_LENGTHS (L = 1 needs no products) until mu > 1;
     None if no L proves a rate above 1.
+
+    letters, when given, is (classify(A), classify(B)) of a pair that the
+    caller's _classify_letters has already typed HH+.
     """
-    ptype, ca, cb = _classify_letters(p, 1e-9)
-    if ptype.code != "HH+":
-        return None
+    if letters is None:
+        ptype, *letters = _classify_letters(p, 1e-9)
+        if ptype.code != "HH+":
+            return None
+    ca, cb = letters
     att = (ca.attracting.angle(), cb.attracting.angle())
     rep = (ca.repelling.angle(), cb.repelling.angle())
     # Pick the repelling point from which, going counterclockwise, both

@@ -16,8 +16,13 @@ renorm_runs walks the moves, one tau_power per run, and each caller walks
 it once.  renorm_decision is _decide on a fresh renorm_runs generator;
 spectrum.mcg_trajectory hands _decide its own generator, records the runs
 the decision takes, and walks the same generator on when the decision
-stops before the trajectory's length.  The orbit products walk it to pick
-their level.
+stops before the trajectory's length.  The orbit products pick their
+level from the run lengths of run_steps alone, and move the pair through
+that level's runs only.
+
+Each step of a decision forms one product, AB, for z = tr AB.  The
+commutator trace c = tr [A, B] is taken once, from the input pair: the
+tau moves keep it exactly, since [A, B A] = [A, B].
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
@@ -44,7 +49,7 @@ from .cocycle import (
     ConeCertificate,
     DegeneratePairError,
     TraceCoords,
-    classify_pair,
+    _classify_letters,
     cone_certificate,
     tau_power,
     trace_bound,
@@ -88,6 +93,11 @@ class DecisionBudget:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step of a renormalization run.  coords are the moved pair's
+    x, y, z from one product AB, with c the input pair's commutator trace,
+    which the tau moves keep; residual is the drift of (x, y, z) off c's
+    level set."""
+
     index: int
     digit: int
     winner: Winner | None   # None for the step-0 record of the input pair
@@ -166,14 +176,18 @@ def _induced_level(p: CocyclePair, alpha: float, n: int):
 
     alpha_k and beta_k are exact: in units of 1/denominator(alpha) the
     lengths of I_k's two pieces are integers, the remainders of the Euclid
-    that run_steps takes.  Returns (k, pair_k, alpha_k, beta_k, lengths).
+    that run_steps takes.  The level is picked from the run lengths alone;
+    then the pair is moved through exactly its k runs, one tau_power each.
+    Returns (k, pair_k, alpha_k, beta_k, lengths).
     """
     exact = Fraction(alpha)
     pieces = (exact.denominator - exact.numerator, exact.numerator)
     lengths = (1, 1)
-    best_cost, best = n + 2, (0, p, pieces, lengths)
+    runs = []
+    best_cost, best = n + 2, (0, pieces, lengths)
     try:
-        for k, (winner, run, pair) in enumerate(renorm_runs(p, alpha, n), 1):
+        for winner, run in run_steps(Rotation2IET(alpha), n):
+            runs.append((winner, run))
             (piece_a, piece_b), (len_a, len_b) = pieces, lengths
             if winner is Winner.BOTTOM:
                 pieces = (piece_a - run * piece_b, piece_b)
@@ -185,12 +199,14 @@ def _induced_level(p: CocyclePair, alpha: float, n: int):
                 break
             cost = 2 * max(lengths) + n / min(lengths)
             if cost < best_cost:
-                best_cost, best = cost, (k, pair, pieces, lengths)
+                best_cost, best = cost, (len(runs), pieces, lengths)
     except BudgetExceededError:
         pass  # a run longer than n: its level costs more than level 0
-    k, pair, (piece_a, piece_b), lengths = best
+    k, (piece_a, piece_b), lengths = best
+    for winner, run in runs[:k]:
+        p = tau_power(p, winner_move(winner), run)
     total = piece_a + piece_b
-    return (k, pair, Fraction(piece_b, total),
+    return (k, p, Fraction(piece_b, total),
             Fraction(total, exact.denominator), lengths)
 
 
@@ -383,11 +399,15 @@ def _k_escort(tc: TraceCoords) -> bool:
     test: two of A, B, AB with |trace| < 2 - 1e-9).  The preimages
     (A, B A^-1) and (B^-1 A, B) have the traces (x, xy - z, y) and
     (xy - z, y, x); forming them instead can cancel a product's float
-    determinant to <= 0."""
-    x, y, z = tc.x, tc.y, tc.z
-    w = x * y - z
-    return any(sum(abs(t) < 2.0 - 1e-9 for t in traces) >= 2
-               for traces in ((x, y, z), (x, w, y), (w, y, x)))
+    determinant to <= 0.  All three triples hold x and y, so two elliptic
+    letters decide, and with one the third trace of either triple does."""
+    limit = 2.0 - 1e-9
+    ex, ey = abs(tc.x) < limit, abs(tc.y) < limit
+    if ex and ey:
+        return True
+    if not (ex or ey):
+        return False
+    return abs(tc.z) < limit or abs(tc.x * tc.y - tc.z) < limit
 
 
 def renorm_decision(p: CocyclePair, alpha: float | Fraction,
@@ -412,23 +432,24 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
     """renorm_decision on the runs (winner, run_len, pair) of renorm_runs
     (p, ...), taken one at a time and no further than the decision needs,
     so that a caller can keep walking the same iterator."""
-    t0 = classify_pair(p)
-    if t0.is_degenerate:
-        raise DegeneratePairError(t0.reason)
+    ptype, *letters = _classify_letters(p, 1e-9)
+    if ptype.is_degenerate:
+        raise DegeneratePairError(ptype.reason)
+    coords = trace_coords(p)
+    kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
-        bound = trace_bound(trace_coords(p).c) + 4.0
+        bound = trace_bound(kappa) + 4.0
     steps: list[StepRecord] = []
 
     def done(verdict: Verdict) -> RenormTrace:
         return RenormTrace(tuple(steps), verdict, bound)
 
-    if t0.code == "HH+":
-        coords = trace_coords(p)
+    if ptype.code == "HH+":
         steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
                                 coords=coords, in_k_escort=_k_escort(coords)))
         return done(Verdict(kind="UniformlyHyperbolic", at_step=0,
-                            certificate=cone_certificate(p)))
+                            certificate=cone_certificate(p, letters)))
 
     cur = p
     all_bounded = True
@@ -440,17 +461,16 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
         for winner, run_len, cur in runs:
             last_winner = winner
             index += 1
-            ptype = classify_pair(cur)
-            coords = trace_coords(cur)
-            escort = _k_escort(coords)
+            coords = trace_coords(cur, kappa)
+            ptype, *letters = _classify_letters(cur, 1e-9, (coords.x, coords.y))
             steps.append(StepRecord(index=index, digit=run_len, winner=winner,
                                     pair_type=ptype.code, coords=coords,
-                                    in_k_escort=escort))
+                                    in_k_escort=_k_escort(coords)))
             if ptype.is_degenerate:
                 raise DegeneratePairError(ptype.reason)
             if ptype.code == "HH+":
                 return done(Verdict(kind="UniformlyHyperbolic", at_step=index,
-                                    certificate=cone_certificate(cur)))
+                                    certificate=cone_certificate(cur, letters)))
             norm = max(abs(coords.x), abs(coords.y), abs(coords.z))
             max_norm = max(max_norm, norm)
             if norm > bound:

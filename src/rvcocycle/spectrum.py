@@ -214,27 +214,6 @@ def refine_spectrum(rep: Representation, theta_lo: float, theta_hi: float,
 # Mapping-class-group trajectories
 
 
-TWIST_A = ((1, 1), (0, 1))   # Dehn twist along generator a
-TWIST_B = ((1, 0), (1, 1))   # twist along b (transpose convention)
-
-
-def _int_mul(m1, m2):
-    return ((m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
-             m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
-            (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
-             m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]))
-
-
-def _int_twist_power(twist, n: int):
-    if twist is TWIST_A:
-        return ((1, n), (0, 1))
-    return ((1, 0), (n, 1))
-
-
-def _l1(m) -> int:
-    return abs(m[0][0]) + abs(m[0][1]) + abs(m[1][0]) + abs(m[1][1])
-
-
 @dataclass(frozen=True)
 class MCGTrajectory:
     twist_word: tuple[tuple[str, int], ...]    # (generator, power) per step
@@ -263,9 +242,10 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     pair, classified as hyperbolic divergence or bounded return.
 
     A Bottom run of length N applies tau1^N to the pair and multiplies
-    phi by the N-th power of the twist along a; Top runs use tau2 and the
-    twist along b.  The trajectory has min(n_steps, number of runs of
-    alpha) steps.
+    phi on the left by the N-th power of the twist along a, ((1, N), (0, 1)),
+    which adds N times row 2 to row 1; Top runs use tau2 and the twist
+    along b, ((1, 0), (N, 1)), which adds N times row 1 to row 2.  The
+    trajectory has min(n_steps, number of runs of alpha) steps.
 
     The induction is walked once: the decision (renorm_decision's) takes
     the runs of one renorm_runs generator as far as it needs, and the
@@ -319,17 +299,24 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     # records, whose trace coordinates formed AB; the runs walked on after
     # the decision stopped form it here.
     z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
-    phi = ((1, 0), (0, 1))
+    # phi = ((a, b), (c, d)); its entries stay nonnegative, so its l1 norm
+    # is their sum.
+    a, b, c, d = 1, 0, 0, 1
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
     growth: list[float] = []
     for i, (winner, run_len, cur) in enumerate(walked[:n_steps]):
-        gen, twist = ("a", TWIST_A) if winner is Winner.BOTTOM else ("b", TWIST_B)
-        word.append((gen, run_len))
-        phi = _int_mul(_int_twist_power(twist, run_len), phi)
-        mats.append(phi)
-        norms.append(_l1(phi))
+        if winner is Winner.BOTTOM:
+            word.append(("a", run_len))
+            a += run_len * c
+            b += run_len * d
+        else:
+            word.append(("b", run_len))
+            c += run_len * a
+            d += run_len * b
+        mats.append(((a, b), (c, d)))
+        norms.append(a + b + c + d)
         z_log = z_logs[i] if i < len(z_logs) else cur.product().log_abs_trace()
         growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(), z_log))
 

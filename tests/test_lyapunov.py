@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -30,6 +31,7 @@ from rvcocycle.lyapunov import (
     direct_exponent,
     exponent_lower_bound,
     renorm_decision,
+    renorm_runs,
     winner_move,
 )
 from rvcocycle.mat2 import Matrix2, diagonal, mul, rotation
@@ -534,6 +536,28 @@ class TestRenormDecision:
             assert (v.kind, v.at_step) == ("UniformlyHyperbolic", step), n
             assert trace.steps[-1].digit == digit
             assert v.certificate is not None and v.certificate.expansion_factor > 1.0
+
+    def test_steps_carry_the_input_commutator_trace(self):
+        # The tau moves keep tr [A, B], so every step records the input
+        # pair's c, while x, y, z and log |z| are the moved pair's own, as
+        # trace_coords reads them, bit for bit.
+        budget = DecisionBudget(max_accel_steps=60)
+        checked = 0
+        for p, alpha in criterion6_draws(200):
+            c = trace_coords(p).c
+            try:
+                trace = renorm_decision(p, alpha, budget)
+            except DegeneratePairError:
+                continue
+            moved = [p] + [pair for _, _, pair in itertools.islice(
+                renorm_runs(p, alpha, budget.max_digit), len(trace.steps))]
+            for step in trace.steps:
+                got, want = step.coords, trace_coords(moved[step.index])
+                assert got.c == c
+                assert (got.x, got.y, got.z, got.log_abs_z) == \
+                    (want.x, want.y, want.z, want.log_abs_z), (alpha, step.index)
+                checked += 1
+        assert checked > 900  # 963 step records over the 200 draws
 
     def test_transitions_respected_along_run(self):
         from rvcocycle.cocycle import TRANSITIONS

@@ -22,16 +22,11 @@ from rvcocycle.iet import (
 from rvcocycle.lyapunov import DecisionBudget, renorm_decision, renorm_runs
 from rvcocycle.mat2 import Matrix2, classify, diagonal, mul, rotation
 from rvcocycle.spectrum import (
-    TWIST_A,
-    TWIST_B,
     BoundedWitness,
     ChartBoundaryError,
     HyperbolicityWitness,
     MCGTrajectory,
     Representation,
-    _int_mul,
-    _int_twist_power,
-    _l1,
     chart_for,
     evaluate_slope,
     mcg_trajectory,
@@ -67,6 +62,27 @@ def exact_run_count(alpha: float) -> int:
     lengths[0] -= 1
     lengths[-1] -= 1
     return sum(n > 0 for n in lengths)
+
+
+TWIST_A = ((1, 1), (0, 1))   # Dehn twist along generator a
+TWIST_B = ((1, 0), (1, 1))   # twist along b (transpose convention)
+
+
+def _int_mul(m1, m2):
+    return ((m1[0][0] * m2[0][0] + m1[0][1] * m2[1][0],
+             m1[0][0] * m2[0][1] + m1[0][1] * m2[1][1]),
+            (m1[1][0] * m2[0][0] + m1[1][1] * m2[1][0],
+             m1[1][0] * m2[0][1] + m1[1][1] * m2[1][1]))
+
+
+def _int_twist_power(twist, n: int):
+    if twist is TWIST_A:
+        return ((1, n), (0, 1))
+    return ((1, 0), (n, 1))
+
+
+def _l1(m) -> int:
+    return abs(m[0][0]) + abs(m[0][1]) + abs(m[1][0]) + abs(m[1][1])
 
 
 def reference_mcg_trajectory(rep, alpha, n_steps, budget=None):
@@ -345,7 +361,6 @@ class TestMCG:
     def test_matrices_are_twist_products(self):
         traj, _ = mcg_trajectory(generic_elliptic(), GOLDEN, 4)
         phi = ((1, 0), (0, 1))
-        from rvcocycle.spectrum import TWIST_A, TWIST_B, _int_mul, _int_twist_power
         for (g, n), want in zip(traj.twist_word, traj.matrices):
             tw = _int_twist_power(TWIST_A if g == "a" else TWIST_B, n)
             phi = _int_mul(tw, phi)

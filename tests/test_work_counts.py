@@ -1,8 +1,10 @@
 """Work-count guards: the 2x2 products that one bounded twist trajectory
-and one refine slope take, counted (not timed) and held at or below the
-counts of the single walk of the induction.  A change that brings back a
-second walk, the identity product in Matrix2.power or the fixed points of
-elliptic letters shows up here as a higher count."""
+and one refine slope take, and the isometry classifications of one
+absorbing decision, counted (not timed) and held at or below the counts of
+the single walk of the induction.  A change that brings back a second walk,
+the identity product in Matrix2.power, the fixed points of elliptic
+letters, a second product per step for tr [A, B] or a second
+classification of an absorbing pair shows up here as a higher count."""
 
 import math
 import sys
@@ -10,8 +12,9 @@ import sys
 import pytest
 
 from rvcocycle import mat2
-from rvcocycle.lyapunov import DecisionBudget
-from rvcocycle.mat2 import Matrix2, rotation
+from rvcocycle.cocycle import CocyclePair
+from rvcocycle.lyapunov import DecisionBudget, renorm_decision
+from rvcocycle.mat2 import Matrix2, diagonal, rotation
 from rvcocycle.spectrum import (
     BoundedWitness,
     Representation,
@@ -20,24 +23,28 @@ from rvcocycle.spectrum import (
 )
 
 # A near-rational angle of the bounded benchmark's draw: 32 runs, one of
-# them long.  Two walks with the old power took 396 products, and forming
-# A B again for each run's growth log took 183.
+# them long.  Two walks with the old power took 396 products, forming A B
+# again for each run's growth log took 183, and B A for each step's
+# tr [A, B] took 151.
 BOUNDED_ALPHA = 0.30769497215185276
-BOUNDED_MUL = 151
-# A slope of the refine benchmark's range, absorbed at step 3; 22 before.
+BOUNDED_MUL = 119
+# A slope of the refine benchmark's range, absorbed at step 3; 22, then 14
+# with B A per step.
 REFINE_THETA = 1.2
-REFINE_MUL = 14
+REFINE_MUL = 11
+# An input pair that is HH+ at step 0: one classification per letter; 4
+# when the cone certificate classified the letters again.
+ABSORBING_ALPHA = 0.3819660112501051
+ABSORBING_CLASSIFY = 2
 
 
-@pytest.fixture
-def mul_calls(monkeypatch):
-    """Count every call of mat2.mul, through each module binding of it."""
+def count_calls(monkeypatch, original):
+    """Count every call of original, through each module binding of it."""
     calls = []
-    original = mat2.mul
 
-    def counted(m1, m2):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return original(m1, m2)
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "rvcocycle" or name.startswith("rvcocycle."):
@@ -45,6 +52,16 @@ def mul_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    return count_calls(monkeypatch, mat2.mul)
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    return count_calls(monkeypatch, mat2.classify)
 
 
 def test_bounded_trajectory_products(mul_calls):
@@ -63,3 +80,10 @@ def test_refine_slope_products(mul_calls):
     point = evaluate_slope(rep, REFINE_THETA, DecisionBudget(max_accel_steps=40))
     assert point.verdict == "hyperbolic" and point.steps == 3
     assert len(mul_calls) <= REFINE_MUL
+
+
+def test_absorbing_pair_classified_once(classify_calls):
+    p = CocyclePair(diagonal(2.0), diagonal(2.0))
+    trace = renorm_decision(p, ABSORBING_ALPHA)
+    assert trace.verdict.at_step == 0 and trace.verdict.certificate is not None
+    assert len(classify_calls) <= ABSORBING_CLASSIFY
