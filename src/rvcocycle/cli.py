@@ -13,6 +13,8 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,13 +37,11 @@ from .mat2 import (
     ENTRY_LIMIT,
     Matrix2,
     NonUnimodularError,
-    classify,
     diagonal,
     mul,
     rotation,
 )
 from .spectrum import (
-    BoundedWitness,
     ChartBoundaryError,
     HyperbolicityWitness,
     Representation,
@@ -60,16 +60,20 @@ class UsageError(Exception):
     pass
 
 
-def _fixtures() -> dict[str, tuple[Matrix2, Matrix2]]:
+def parse_fixture(name: str) -> tuple[Matrix2, Matrix2]:
     # generic-elliptic: two non-commuting elliptics with commutator trace
     # well above 2, the standard Cantor-spectrum test representation.
     m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
-    return {
+    table = {
         "commuting-hyperbolic": (diagonal(2.0), diagonal(2.0)),
         "commuting-elliptic": (rotation(1.0), rotation(math.sqrt(2.0))),
         "generic-elliptic": (rotation(1.0),
                              mul(mul(m, rotation(0.9)), m.inv())),
     }
+    if name not in table:
+        raise UsageError(f"unknown fixture {name!r}; choose from "
+                         + ", ".join(sorted(table)))
+    return table[name]
 
 
 def parse_rep(spec: str) -> tuple[Matrix2, Matrix2]:
@@ -124,50 +128,122 @@ def load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def resolve(args, cfg: dict[str, str], name: str, default, conv=str):
-    """Flag value if given, else config-file value, else default."""
-    v = getattr(args, name, None)
-    if v is not None:
-        return v
-    if name in cfg:
+# ---------------------------------------------------------------------------
+# Options
+
+
+@dataclass(frozen=True)
+class Option:
+    """An option of the commands named in commands.  conv reads its flag or
+    config-file text and raises ValueError on text it cannot read (the
+    pair and --theta parsers raise their own UsageError), ok is its valid
+    range, and what, its --help line, says what a valid value is.  A
+    default of None leaves it unset, so the library's own default applies."""
+
+    commands: str
+    conv: Callable[[str], Any] = str
+    ok: Callable[[Any], bool] = lambda v: True
+    what: str = ""
+    default: Any = None
+    required: bool = False
+
+
+def _count(least: int):
+    """conv, ok and what of an integer option whose least value is least."""
+    return int, lambda v: v >= least, f"an integer >= {least}"
+
+
+PAIR = "classify renorm lyapunov scan refine mcg"
+BUDGET = "renorm scan refine mcg"
+
+OPTIONS = {
+    "config": Option(PAIR + " verify-lemmas",
+                     what="a key = value config file; flags win"),
+    "rep": Option(PAIR, parse_rep,
+                  what="8 comma-separated reals: A row-major, then B"),
+    "fixture": Option(PAIR, parse_fixture, what="a named representation fixture"),
+    "out": Option(PAIR, what="an output path (default: stdout)"),
+    "format": Option("scan refine", str, lambda v: v in ("csv", "json"),
+                     "csv or json", "csv"),
+    "alpha": Option("renorm lyapunov mcg", float, lambda v: 0.0 < v < 1.0,
+                    "a real in (0, 1)", required=True),
+    "theta": Option("scan refine", parse_theta_range, what="a range lo:hi",
+                    default=(0.05, 1.5)),
+    "iters": Option("lyapunov", *_count(1), 100000),
+    "samples": Option("lyapunov", *_count(1)),
+    "seed": Option("lyapunov verify-lemmas", *_count(0)),
+    "grid": Option("scan", *_count(2), 64),
+    "chi_iters": Option("scan", *_count(0), 2000),
+    "depth": Option("refine", *_count(1), 8),
+    "steps": Option("mcg", *_count(1), 20),
+    "draws": Option("verify-lemmas", *_count(1), 100),
+    # The decision budget: DecisionBudget's fields hold the defaults.
+    "max_steps": Option(BUDGET, *_count(1)),
+    "max_digit": Option(BUDGET, *_count(1)),
+    "trace_bound": Option(BUDGET, float, lambda v: 0.0 < v < math.inf,
+                          "a finite real > 0"),
+}
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def resolve(args: argparse.Namespace, cfg: dict[str, str]) -> argparse.Namespace:
+    """The options of args.command, each from its flag, else the config
+    file, else its default; flag and config values are checked alike.  The
+    config keys of other commands' options are ignored."""
+    values = {}
+    for name, opt in OPTIONS.items():
+        if args.command not in opt.commands.split():
+            continue
+        text = getattr(args, name)
+        if text is None:
+            text = cfg.get(name)
+        if text is None:
+            if opt.required:
+                raise UsageError(f"{flag(name)} is required: {opt.what}")
+            values[name] = opt.default
+            continue
         try:
-            return conv(cfg[name])
-        except ValueError as exc:
-            raise UsageError(f"bad config value for {name}: {exc}")
-    return default
+            value = opt.conv(text)
+            ok = opt.ok(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise UsageError(f"{flag(name)} must be {opt.what}, got {text!r}")
+        values[name] = value
+    return argparse.Namespace(**values)
 
 
-def get_pair(args, cfg) -> tuple[Matrix2, Matrix2]:
-    rep = resolve(args, cfg, "rep", None)
-    fixture = resolve(args, cfg, "fixture", None)
-    if rep is not None and fixture is not None:
+def given(**kwargs) -> dict:
+    """The arguments that were set; the callee's defaults fill the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def get_pair(o) -> tuple[Matrix2, Matrix2]:
+    if o.rep is not None and o.fixture is not None:
         raise UsageError("give --rep or --fixture, not both")
-    if rep is not None:
-        return parse_rep(rep)
-    if fixture is not None:
-        table = _fixtures()
-        if fixture not in table:
-            raise UsageError(f"unknown fixture {fixture!r}; choose from "
-                             + ", ".join(sorted(table)))
-        return table[fixture]
-    raise UsageError("a representation is required: --rep or --fixture")
+    if o.rep is None and o.fixture is None:
+        raise UsageError("a representation is required: --rep or --fixture")
+    return o.rep or o.fixture
 
 
-def get_budget(args, cfg) -> DecisionBudget:
-    try:
-        return DecisionBudget(
-            max_accel_steps=resolve(args, cfg, "max_steps", 60, int),
-            max_digit=resolve(args, cfg, "max_digit", 10**6, int),
-            trace_bound=resolve(args, cfg, "trace_bound", None, float),
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad --max-steps, --max-digit or --trace-bound: {exc}")
+def get_budget(o) -> DecisionBudget:
+    return DecisionBudget(**given(max_accel_steps=o.max_steps,
+                                  max_digit=o.max_digit,
+                                  trace_bound=o.trace_bound))
 
 
-def _sink(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+def write(o, doc: dict | str) -> int:
+    """Send a dict as indented JSON, or a str as it is, to --out or stdout."""
+    text = doc if isinstance(doc, str) else json.dumps(doc, indent=2) + "\n"
+    if o.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(o.out, "w") as fh:
+            fh.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +268,17 @@ def fmt12(x: float) -> str:
     return s
 
 
-def emit_scan_csv(result: ScanResult, sink) -> None:
-    sink.write("theta,alpha,verdict,chi,steps,mu_lower\n")
+def scan_csv(result: ScanResult) -> str:
+    rows = ["theta,alpha,verdict,chi,steps,mu_lower\n"]
     # chi to 12 decimal places: direct_exponent's round-off stays below
     # 1e-13 at scan's iteration counts, so a zero exponent prints as zeros
     # rather than its round-off, and reordering the orbit-product
     # arithmetic moves a printed chi only where it lies within that
     # round-off of a rounding boundary.
     for p in sorted(result.points, key=lambda q: q.theta):
-        sink.write(f"{fmt12(p.theta)},{fmt12(p.alpha)},{p.verdict},"
-                   f"{p.chi:.12f},{p.steps},{fmt12(p.mu_lower)}\n")
+        rows.append(f"{fmt12(p.theta)},{fmt12(p.alpha)},{p.verdict},"
+                    f"{p.chi:.12f},{p.steps},{fmt12(p.mu_lower)}\n")
+    return "".join(rows)
 
 
 def _finite_or_null(x: float) -> float | None:
@@ -242,11 +319,6 @@ def renorm_json_doc(trace: RenormTrace) -> dict:
     return doc
 
 
-def emit_renorm_json(trace: RenormTrace, sink) -> None:
-    sink.write(json.dumps(renorm_json_doc(trace), indent=2))
-    sink.write("\n")
-
-
 def scan_json_doc(result: ScanResult) -> dict:
     def pt(p: ScanPoint):
         return {"theta": p.theta, "alpha": p.alpha, "verdict": p.verdict,
@@ -266,12 +338,12 @@ def scan_json_doc(result: ScanResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands; each one's docstring is its --help line.
 
 
-def cmd_classify(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    pair = CocyclePair(a, b)
+def cmd_classify(o) -> int:
+    """pair type and trace coordinates"""
+    pair = CocyclePair(*get_pair(o))
     t = classify_pair(pair)
     tc = trace_coords(pair)
     km = k_membership(pair)
@@ -280,124 +352,55 @@ def cmd_classify(args, cfg) -> int:
            "ellipticWitnesses": sorted(km.elliptic_witnesses)}
     if t.reason:
         doc["reason"] = t.reason
-    print(json.dumps(doc, indent=2))
-    return 0
+    return write(o, doc)
 
 
-def cmd_renorm(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    alpha = resolve(args, cfg, "alpha", None, float)
-    if alpha is None or not 0.0 < alpha < 1.0:
-        raise UsageError("--alpha in (0,1) is required")
-    trace = renorm_decision(CocyclePair(a, b), alpha, get_budget(args, cfg))
-    sink, close = _sink(resolve(args, cfg, "out", None))
-    try:
-        emit_renorm_json(trace, sink)
-    finally:
-        if close:
-            sink.close()
-    return 0
+def cmd_renorm(o) -> int:
+    """renormalization trace as JSON"""
+    trace = renorm_decision(CocyclePair(*get_pair(o)), o.alpha, get_budget(o))
+    return write(o, renorm_json_doc(trace))
 
 
-def cmd_lyapunov(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    alpha = resolve(args, cfg, "alpha", None, float)
-    if alpha is None or not 0.0 < alpha < 1.0:
-        raise UsageError("--alpha in (0,1) is required")
-    n_iters = resolve(args, cfg, "iters", 100000, int)
-    if n_iters < 1:
-        raise UsageError("--iters must be >= 1")
-    n_samples = resolve(args, cfg, "samples", 8, int)
-    if n_samples < 1:
-        raise UsageError("--samples must be >= 1")
-    seed = resolve(args, cfg, "seed", 0, int)
-    if seed < 0:
-        raise UsageError("--seed must be >= 0")
-    est = direct_exponent(CocyclePair(a, b), Rotation2IET(alpha),
-                          n_iters=n_iters, n_samples=n_samples, seed=seed)
-    print(json.dumps({"chi": est.chi, "nIters": est.n_iters,
-                      "samplePoints": est.sample_points,
-                      "stderr": est.stderr}, indent=2))
-    return 0
+def cmd_lyapunov(o) -> int:
+    """direct exponent estimate"""
+    est = direct_exponent(CocyclePair(*get_pair(o)), Rotation2IET(o.alpha),
+                          n_iters=o.iters, **given(n_samples=o.samples, seed=o.seed))
+    return write(o, {"chi": est.chi, "nIters": est.n_iters,
+                     "samplePoints": est.sample_points, "stderr": est.stderr})
 
 
-def cmd_scan(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    rep = Representation(a, b)
-    lo, hi = parse_theta_range(resolve(args, cfg, "theta", "0.05:1.5"))
-    n = resolve(args, cfg, "grid", 64, int)
-    if n < 2:
-        raise UsageError("--grid must be >= 2")
-    budget = get_budget(args, cfg)
-    chi_iters = resolve(args, cfg, "chi_iters", 2000, int)
-    if chi_iters < 0:
-        raise UsageError("--chi-iters must be >= 0")
-    result = scan_grid(rep, lo, hi, n, budget, chi_iters)
-    return _write_scan(args, cfg, result)
+def cmd_scan(o) -> int:
+    """grid scan over slope angles"""
+    result = scan_grid(Representation(*get_pair(o)), *o.theta, o.grid,
+                       get_budget(o), o.chi_iters)
+    return write(o, scan_csv(result) if o.format == "csv" else scan_json_doc(result))
 
 
-def cmd_refine(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    rep = Representation(a, b)
-    lo, hi = parse_theta_range(resolve(args, cfg, "theta", "0.05:1.5"))
-    depth = resolve(args, cfg, "depth", 8, int)
-    if depth < 1:
-        raise UsageError("--depth must be >= 1")
-    result = refine_spectrum(rep, lo, hi, depth, get_budget(args, cfg))
-    return _write_scan(args, cfg, result)
+def cmd_refine(o) -> int:
+    """adaptive spectrum refinement"""
+    result = refine_spectrum(Representation(*get_pair(o)), *o.theta, o.depth,
+                             get_budget(o))
+    return write(o, scan_csv(result) if o.format == "csv" else scan_json_doc(result))
 
 
-def _write_scan(args, cfg, result: ScanResult) -> int:
-    fmt = resolve(args, cfg, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError("--format must be csv or json")
-    sink, close = _sink(resolve(args, cfg, "out", None))
-    try:
-        if fmt == "csv":
-            emit_scan_csv(result, sink)
-        else:
-            sink.write(json.dumps(scan_json_doc(result), indent=2))
-            sink.write("\n")
-    finally:
-        if close:
-            sink.close()
-    return 0
-
-
-def cmd_mcg(args, cfg) -> int:
-    a, b = get_pair(args, cfg)
-    alpha = resolve(args, cfg, "alpha", None, float)
-    if alpha is None or not 0.0 < alpha < 1.0:
-        raise UsageError("--alpha in (0,1) is required")
-    n_steps = resolve(args, cfg, "steps", 20, int)
-    if n_steps < 1:
-        raise UsageError("--steps must be >= 1")
-    traj, witness = mcg_trajectory(Representation(a, b), alpha, n_steps,
-                                   get_budget(args, cfg))
+def cmd_mcg(o) -> int:
+    """twist trajectory along a slope"""
+    traj, witness = mcg_trajectory(Representation(*get_pair(o)), o.alpha,
+                                   o.steps, get_budget(o))
     if isinstance(witness, HyperbolicityWitness):
         wdoc = {"kind": "hyperbolic", "stepIndex": witness.step_index,
-                "mu": None if math.isnan(witness.mu) else witness.mu,
-                "growthLog": list(witness.growth_log)}
+                "mu": None if math.isnan(witness.mu) else witness.mu}
     else:
         mt = witness.max_trace_norm
-        wdoc = {"kind": "bounded",
-                "maxTraceNorm": None if math.isnan(mt) else mt,
-                "growthLog": list(witness.growth_log)}
-    doc = {
+        wdoc = {"kind": "bounded", "maxTraceNorm": None if math.isnan(mt) else mt}
+    wdoc["growthLog"] = list(witness.growth_log)
+    return write(o, {
         "twistWord": [{"generator": g, "power": p} for g, p in traj.twist_word],
         "matrices": [[list(row) for row in m] for m in traj.matrices],
         "normsL1": list(traj.norms_l1),
         "convergentDenominators": list(traj.convergent_denominators),
         "witness": wdoc,
-    }
-    sink, close = _sink(resolve(args, cfg, "out", None))
-    try:
-        sink.write(json.dumps(doc, indent=2))
-        sink.write("\n")
-    finally:
-        if close:
-            sink.close()
-    return 0
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +484,9 @@ LEMMA_SUITES = (
 )
 
 
-def cmd_verify_lemmas(args, cfg) -> int:
-    draws = resolve(args, cfg, "draws", 100, int)
-    if draws < 1:
-        raise UsageError("--draws must be >= 1")
-    seed = resolve(args, cfg, "seed", 0, int)
-    all_ok = True
+def lemma_failures(draws: int, seed: int = 0):
+    """Each suite's name and its failing draws as (index, message); every
+    suite draws from its own random.Random(seed)."""
     for name, check in LEMMA_SUITES:
         rng = random.Random(seed)
         failures = []
@@ -494,72 +494,25 @@ def cmd_verify_lemmas(args, cfg) -> int:
             msg = check(rng)
             if msg is not None:
                 failures.append((i, msg))
+        yield name, failures
+
+
+def cmd_verify_lemmas(o) -> int:
+    """geometric threshold lemma suite"""
+    all_ok = True
+    for name, failures in lemma_failures(o.draws, **given(seed=o.seed)):
         if failures:
             all_ok = False
-            print(f"{name}: FAIL ({len(failures)}/{draws} draws)")
+            print(f"{name}: FAIL ({len(failures)}/{o.draws} draws)")
             for i, msg in failures[:5]:
                 print(f"  draw {i}: {msg}")
         else:
-            print(f"{name}: pass ({draws} draws)")
+            print(f"{name}: pass ({o.draws} draws)")
     return 0 if all_ok else 3
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rvcocycle",
-        description="Renormalization toolkit for SL(2,R) cocycles over "
-                    "2-interval exchanges")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--rep", help="8 comma-separated reals: A row-major, then B")
-        sp.add_argument("--fixture", help="named representation fixture")
-        sp.add_argument("--config", help="key = value config file; flags win")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--max-steps", dest="max_steps", type=int)
-        sp.add_argument("--max-digit", dest="max_digit", type=int)
-        sp.add_argument("--trace-bound", dest="trace_bound", type=float)
-
-    sp = sub.add_parser("classify", help="pair type and trace coordinates")
-    common(sp)
-
-    sp = sub.add_parser("renorm", help="renormalization trace as JSON")
-    common(sp)
-    sp.add_argument("--alpha", type=float)
-
-    sp = sub.add_parser("lyapunov", help="direct exponent estimate")
-    common(sp)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--iters", type=int)
-    sp.add_argument("--samples", type=int)
-
-    sp = sub.add_parser("scan", help="grid scan over slope angles")
-    common(sp)
-    sp.add_argument("--theta", help="range lo:hi")
-    sp.add_argument("--grid", type=int)
-    sp.add_argument("--chi-iters", dest="chi_iters", type=int)
-
-    sp = sub.add_parser("refine", help="adaptive spectrum refinement")
-    common(sp)
-    sp.add_argument("--theta", help="range lo:hi")
-    sp.add_argument("--depth", type=int)
-
-    sp = sub.add_parser("mcg", help="twist trajectory along a slope")
-    common(sp)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--steps", type=int)
-
-    sp = sub.add_parser("verify-lemmas", help="geometric threshold lemma suite")
-    common(sp)
-    sp.add_argument("--draws", type=int)
-
-    return parser
 
 
 COMMANDS = {
@@ -573,12 +526,26 @@ COMMANDS = {
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes, as text, the options of OPTIONS it reads."""
+    parser = argparse.ArgumentParser(
+        prog="rvcocycle",
+        description="Renormalization toolkit for SL(2,R) cocycles over "
+                    "2-interval exchanges")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, run in COMMANDS.items():
+        sp = sub.add_parser(command, help=run.__doc__)
+        for name, opt in OPTIONS.items():
+            if command in opt.commands.split():
+                sp.add_argument(flag(name), help=opt.what)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else {}
-        return COMMANDS[args.command](args, cfg)
+        return COMMANDS[args.command](resolve(args, cfg))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .cocycle import (
     CocyclePair,
     DegeneratePairError,
-    classify_pair,
     mul,
     trace_coords,
 )
@@ -257,10 +256,6 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     pair = CocyclePair(rep.A, rep.B)
-    t0 = classify_pair(pair)
-    if t0.is_degenerate:
-        raise DegeneratePairError(t0.reason)
-
     if budget is None:
         budget = DecisionBudget()
     runs = renorm_runs(pair, alpha, budget.max_digit)
@@ -291,7 +286,10 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     try:
         decision = _decide(pair, recorded(), budget)
     except DegeneratePairError:
-        walk_on()
+        # _decide refuses a degenerate input pair before it takes a run;
+        # walk no run for it either.
+        if walked:
+            walk_on()
         raise
     walk_on()
 

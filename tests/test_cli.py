@@ -1,9 +1,12 @@
 import json
 import math
+import string
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rvcocycle.cli import (
+    OPTIONS,
     UsageError,
     fmt12,
     load_config,
@@ -21,6 +24,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Each command's numeric options; classify has none.
+NUMERIC_OPTIONS = {
+    "renorm": ("alpha", "max_steps", "max_digit", "trace_bound"),
+    "lyapunov": ("alpha", "iters", "samples", "seed"),
+    "scan": ("grid", "chi_iters", "max_steps", "max_digit", "trace_bound"),
+    "refine": ("depth", "max_steps", "max_digit", "trace_bound"),
+    "mcg": ("alpha", "steps", "max_steps", "max_digit", "trace_bound"),
+    "verify-lemmas": ("draws", "seed"),
+}
+# The numeric options whose range holds 0; -1 is out of every range.
+ZERO_IN_RANGE = {"chi_iters", "seed"}
+
+
+@st.composite
+def invalid_numeric_options(draw):
+    """A command, one of its numeric options, and a value outside the
+    option's range: 0 or -1, nan, +-inf, or letters, which no numeric
+    option reads (float reads some of them, as nan or inf)."""
+    command = draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    name = draw(st.sampled_from(NUMERIC_OPTIONS[command]))
+    special = ["-1", "nan", "inf", "-inf"]
+    if name not in ZERO_IN_RANGE:
+        special.append("0")
+    value = draw(st.sampled_from(special)
+                 | st.text(string.ascii_letters, min_size=1, max_size=8))
+    return command, name, value
 
 
 class TestParsing:
@@ -83,6 +114,16 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["nIters"] == 250
 
+    def test_keys_of_other_commands_are_ignored(self, capsys, tmp_path):
+        # One file serves several commands: classify reads no seed, format,
+        # alpha or draws.
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("fixture = generic-elliptic\nseed = -5\n"
+                           "format = xml\nalpha = 0.3\ndraws = 0\n")
+        code, out, _ = run(capsys, "classify", "--config", str(cfgfile))
+        assert code == 0
+        assert json.loads(out)["type"] == "EE"
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "classify", "--config", "/no/such/file",
                            "--fixture", "generic-elliptic")
@@ -140,14 +181,15 @@ class TestExitCodes:
     def test_usage_error_negative_seed(self, capsys, tmp_path):
         cfgfile = tmp_path / "cfg"
         cfgfile.write_text("seed = -1\n")
-        for extra in (("--seed", "-1"), ("--config", str(cfgfile))):
-            code, out, err = run(capsys, "lyapunov", "--fixture",
-                                 "commuting-hyperbolic", "--alpha", "0.3",
-                                 "--iters", "10", *extra)
-            assert code == 2, extra
-            assert out == ""
-            assert err.startswith("error:") and "--seed" in err
-            assert err.count("\n") == 1
+        lyapunov = ("lyapunov", "--fixture", "commuting-hyperbolic",
+                    "--alpha", "0.3", "--iters", "10")
+        for command in (lyapunov, ("verify-lemmas", "--draws", "1")):
+            for extra in (("--seed", "-1"), ("--config", str(cfgfile))):
+                code, out, err = run(capsys, *command, *extra)
+                assert code == 2, extra
+                assert out == ""
+                assert err.startswith("error:") and "--seed" in err
+                assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_usage_error_bad_mcg_steps(self, capsys, tmp_path, value):
@@ -179,6 +221,44 @@ class TestExitCodes:
             assert err.startswith("error:") and flag in err
             assert err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--fixture", "generic-elliptic", "--seed", "1"),
+        ("lyapunov", "--fixture", "commuting-hyperbolic", "--alpha", "0.3",
+         "--iters", "10", "--format", "json"),
+        ("verify-lemmas", "--draws", "1", "--max-steps", "5"),
+    ])
+    def test_usage_error_option_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_numeric_options_match_the_table(self):
+        for command in ("classify", *NUMERIC_OPTIONS):
+            numeric = {name for name, opt in OPTIONS.items()
+                       if command in opt.commands.split()
+                       and opt.conv in (int, float)}
+            assert numeric == set(NUMERIC_OPTIONS.get(command, ())), command
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(invalid_numeric_options())
+    def test_usage_error_invalid_numeric_value(self, capsys, tmp_path, case):
+        # Every value here is invalid, so no case starts a run.
+        command, name, value = case
+        flag = "--" + name.replace("_", "-")
+        base = [] if command == "verify-lemmas" else ["--fixture", "commuting-elliptic"]
+        if name != "alpha" and "alpha" in NUMERIC_OPTIONS[command]:
+            base += ["--alpha", "0.3"]
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"{flag[2:]} = {value}\n")
+        for extra in ((f"{flag}={value}",), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, command, *base, *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and flag in err
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("spec", ["0:inf", "-inf:1", "nan:1"])
     def test_usage_error_non_finite_theta(self, capsys, tmp_path, spec):
@@ -275,6 +355,21 @@ class TestRenorm:
         code, stdout, _ = run(capsys, "renorm", "--fixture",
                               "commuting-hyperbolic", "--alpha", str(GOLDEN))
         assert stdout == on_disk  # byte-identical re-serialization
+
+
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--fixture", "generic-elliptic"),
+        ("lyapunov", "--fixture", "commuting-hyperbolic", "--alpha", str(GOLDEN),
+         "--iters", "2000"),
+    ])
+    def test_out_file_takes_the_document(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "doc.json"
+        code, out, _ = run(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        assert out == ""
+        _, stdout, _ = run(capsys, *argv)
+        assert out_path.read_text() == stdout
 
 
 class TestLyapunov:

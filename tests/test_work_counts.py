@@ -33,7 +33,8 @@ BOUNDED_MUL = 119
 REFINE_THETA = 1.2
 REFINE_MUL = 11
 # An input pair that is HH+ at step 0: one classification per letter; 4
-# when the cone certificate classified the letters again.
+# when the cone certificate classified the letters again, or when
+# mcg_trajectory classified the input pair before its decision did.
 ABSORBING_ALPHA = 0.3819660112501051
 ABSORBING_CLASSIFY = 2
 
@@ -82,8 +83,20 @@ def test_refine_slope_products(mul_calls):
     assert len(mul_calls) <= REFINE_MUL
 
 
-def test_absorbing_pair_classified_once(classify_calls):
+def _decision_absorbed_at(p):
+    v = renorm_decision(p, ABSORBING_ALPHA).verdict
+    return v.at_step, v.certificate is not None
+
+
+def _trajectory_absorbed_at(p):
+    _, witness = mcg_trajectory(Representation(p.A, p.B), ABSORBING_ALPHA, 5)
+    return witness.step_index, not math.isnan(witness.mu)
+
+
+@pytest.mark.parametrize("absorbed_at", [_decision_absorbed_at,
+                                         _trajectory_absorbed_at],
+                         ids=["renorm_decision", "mcg_trajectory"])
+def test_absorbing_pair_classified_once(classify_calls, absorbed_at):
     p = CocyclePair(diagonal(2.0), diagonal(2.0))
-    trace = renorm_decision(p, ABSORBING_ALPHA)
-    assert trace.verdict.at_step == 0 and trace.verdict.certificate is not None
+    assert absorbed_at(p) == (0, True)
     assert len(classify_calls) <= ABSORBING_CLASSIFY
