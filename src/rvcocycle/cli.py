@@ -104,10 +104,8 @@ def parse_theta_range(spec: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise UsageError("--theta must look like lo:hi")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError("--theta needs finite endpoints")
-    if not lo < hi:
-        raise UsageError("--theta needs lo < hi")
+    if not (-math.pi <= lo < hi <= math.pi and hi - lo <= math.pi):
+        raise UsageError("--theta needs -pi <= lo < hi <= pi and hi - lo <= pi")
     return lo, hi
 
 
@@ -167,7 +165,8 @@ OPTIONS = {
                      "csv or json", "csv"),
     "alpha": Option("renorm lyapunov mcg", float, lambda v: 0.0 < v < 1.0,
                     "a real in (0, 1)", required=True),
-    "theta": Option("scan refine", parse_theta_range, what="a range lo:hi",
+    "theta": Option("scan refine", parse_theta_range,
+                    what="lo:hi, -pi <= lo < hi <= pi, hi - lo <= pi",
                     default=(0.05, 1.5)),
     "iters": Option("lyapunov", *_count(1), 100000),
     "samples": Option("lyapunov", *_count(1)),
@@ -526,15 +525,21 @@ COMMANDS = {
 }
 
 
+def usage_error(message: str):
+    raise UsageError(message)  # argparse's error hook: one error: line, exit 2
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes, as text, the options of OPTIONS it reads."""
     parser = argparse.ArgumentParser(
         prog="rvcocycle",
         description="Renormalization toolkit for SL(2,R) cocycles over "
                     "2-interval exchanges")
+    parser.error = usage_error
     sub = parser.add_subparsers(dest="command", required=True)
     for command, run in COMMANDS.items():
         sp = sub.add_parser(command, help=run.__doc__)
+        sp.error = usage_error
         for name, opt in OPTIONS.items():
             if command in opt.commands.split():
                 sp.add_argument(flag(name), help=opt.what)
@@ -542,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else {}
         return COMMANDS[args.command](resolve(args, cfg))
     except UsageError as exc:

@@ -38,8 +38,10 @@ class DegeneratePairError(ValueError):
     """The pair is too close to a type boundary to classify reliably."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CocyclePair:
+    """The pair (A, B); slotted and not frozen, as Matrix2: one per tau_power."""
+
     A: Matrix2
     B: Matrix2
 
@@ -178,14 +180,14 @@ TRANSITIONS: dict[tuple[str, int], frozenset[str]] = {
 # Trace coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceCoords:
     """x = tr A, y = tr B, z = tr AB, c = tr [A, B].  The tau moves keep c
-    exactly ([A, B A] = [A, B]), so along a renormalization run c is the
-    input pair's, taken once; residual |x^2 + y^2 + z^2 - xyz - (c + 2)|,
-    the defect of the Fricke/Markov identity, is then the drift of the
-    moved (x, y, z) off the level set of c.  log_abs_z is log |tr AB|,
-    finite where z is +-inf past the float range."""
+    exactly ([A, B A] = [A, B]), so along a renormalization run c is the input
+    pair's, taken once; residual |x^2 + y^2 + z^2 - xyz - (c + 2)|, the defect
+    of the Fricke/Markov identity, is then the drift of the moved (x, y, z)
+    off the level set of c.  log_abs_z is log |tr AB|, finite where z is +-inf
+    past the float range.  Slotted and not frozen, as Matrix2: one per step."""
 
     x: float
     y: float

@@ -91,12 +91,12 @@ class DecisionBudget:
             raise ValueError("trace_bound must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
-    """One step of a renormalization run.  coords are the moved pair's
-    x, y, z from one product AB, with c the input pair's commutator trace,
-    which the tau moves keep; residual is the drift of (x, y, z) off c's
-    level set."""
+    """One step of a renormalization run.  coords are the moved pair's x, y,
+    z from one product AB, with c the input pair's commutator trace, which
+    the tau moves keep; residual is the drift of (x, y, z) off c's level
+    set.  Slotted and not frozen, as Matrix2: the walk builds one per step."""
 
     index: int
     digit: int

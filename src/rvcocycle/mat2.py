@@ -31,7 +31,7 @@ class NonUnimodularError(ValueError):
     """Raised when a matrix has determinant <= 0 or too far from 1."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Matrix2:
     """Real 2x2 matrix with determinant 1: e^log_scale * [[a, b], [c, d]].
 
@@ -44,8 +44,9 @@ class Matrix2:
     The constructor rescales by 1/sqrt(det) when det > 0 (this keeps long
     products from drifting off the unimodular surface) and rejects det <= 0.
     Matrices are values that nothing mutates after construction.  The class
-    is not frozen: a frozen constructor sets each field through
-    object.__setattr__, a large share of the cost of a product.
+    is slotted and not frozen: a frozen constructor sets each field through
+    object.__setattr__, a large share of the cost of a product.  The check
+    accepts det within DET_TOL of 1 first, where the rest would change nothing.
     """
 
     a: float
@@ -56,6 +57,9 @@ class Matrix2:
 
     def __post_init__(self):
         a, b, c, d = self.a, self.b, self.c, self.d
+        det = a * d - b * c
+        if abs(det - 1.0) <= DET_TOL:  # false for an inf or nan entry
+            return
         scale = max(abs(a), abs(b), abs(c), abs(d))
         if not math.isfinite(scale):
             raise NonUnimodularError("matrix entries are not finite")
@@ -66,10 +70,9 @@ class Matrix2:
         noise = 16.0 * scale * scale * 2.220446049250313e-16
         if noise >= 0.5 or self.log_scale:
             return
-        det = a * d - b * c
         if det <= 0.0:
             raise NonUnimodularError(f"determinant {det} is not positive")
-        if abs(det - 1.0) > DET_TOL and abs(det - 1.0) > noise:
+        if abs(det - 1.0) > noise:
             s = 1.0 / math.sqrt(det)
             self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
 

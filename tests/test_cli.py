@@ -229,10 +229,26 @@ class TestExitCodes:
         ("verify-lemmas", "--draws", "1", "--max-steps", "5"),
     ])
     def test_usage_error_option_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--fixture", "generic-elliptic", "--bogus", "1"),
+        (),
+    ], ids=["unknown-flag", "missing-command"])
+    def test_usage_error_from_argparse(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+            main(["refine", "--help"])
+        assert exc.value.code == 0
+        assert "--theta" in capsys.readouterr().out
 
     def test_numeric_options_match_the_table(self):
         for command in ("classify", *NUMERIC_OPTIONS):
@@ -268,6 +284,18 @@ class TestExitCodes:
         for extra in ((f"--theta={spec}",), ("--config", str(cfgfile))):
             code, out, err = run(capsys, "scan", "--fixture", "generic-elliptic",
                                  "--grid", "4", *extra)
+            assert code == 2, extra
+            assert out == ""
+            assert err.startswith("error:") and "--theta" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["0.1:1e300", "3:4", "-4:-3.5"])
+    def test_usage_error_theta_past_one_period(self, capsys, tmp_path, spec):
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text(f"theta = {spec}\n")
+        for extra in ((f"--theta={spec}",), ("--config", str(cfgfile))):
+            code, out, err = run(capsys, "refine", "--fixture", "generic-elliptic",
+                                 "--depth", "1", *extra)
             assert code == 2, extra
             assert out == ""
             assert err.startswith("error:") and "--theta" in err

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rvcocycle.mat2 import (
+    DET_TOL,
     BoundaryPoint,
     Matrix2,
     NonUnimodularError,
@@ -34,6 +35,44 @@ def reference_power(m, n):
         base = mul(base, base)
         n >>= 1
     return result
+
+
+def reference_validate(a, b, c, d, log_scale=0.0):
+    """Matrix2's check as it was, without the det-first test: the entries
+    it keeps, or the NonUnimodularError it raises."""
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if not math.isfinite(scale):
+        raise NonUnimodularError("matrix entries are not finite")
+    noise = 16.0 * scale * scale * 2.220446049250313e-16
+    if noise >= 0.5 or log_scale:
+        return a, b, c, d
+    det = a * d - b * c
+    if det <= 0.0:
+        raise NonUnimodularError(f"determinant {det} is not positive")
+    if abs(det - 1.0) > DET_TOL and abs(det - 1.0) > noise:
+        s = 1.0 / math.sqrt(det)
+        return a * s, b * s, c * s, d * s
+    return a, b, c, d
+
+
+@st.composite
+def constructor_args(draw):
+    """Entries with det within DET_TOL of 1, off by 1e-8 to 1e-1, or <= 0;
+    at sizes past 1.2e7, where the determinant's noise is >= 0.5; with an
+    inf or nan entry; and with a nonzero log_scale."""
+    size = draw(st.sampled_from([1.0, 1e3, 1.2e7, 1e40, 1e160]))
+    a = draw(st.floats(1.0, 10.0)) * size * draw(st.sampled_from([1.0, -1.0]))
+    b = draw(st.floats(-10.0, 10.0)) * size
+    c = draw(st.floats(-10.0, 10.0))
+    off = draw(st.floats(-DET_TOL, DET_TOL) | st.floats(1e-8, 1e-1)
+               | st.floats(-1e-1, -1e-8) | st.floats(-3.0, -1.0))
+    args = [a, b, c, (1.0 + off + b * c) / a]
+    bad = draw(st.none() | st.tuples(st.integers(0, 3),
+                                     st.sampled_from([math.inf, -math.inf, math.nan])))
+    if bad is not None:
+        args[bad[0]] = bad[1]
+    log_scale = draw(st.just(0.0) | st.floats(-700.0, 700.0))
+    return (*args, log_scale)
 
 
 def normalized(m):
@@ -80,6 +119,20 @@ class TestConstruction:
     @given(unimodular())
     def test_det_one(self, m):
         assert abs(m.det - 1.0) < 1e-6
+
+    @settings(max_examples=1000)
+    @given(constructor_args())
+    def test_validation_matches_reference(self, args):
+        try:
+            expected = reference_validate(*args)
+        except NonUnimodularError as exc:
+            with pytest.raises(NonUnimodularError) as got:
+                Matrix2(*args)
+            assert str(got.value) == str(exc)
+            return
+        m = Matrix2(*args)
+        assert [x.hex() for x in m.entries()] == [x.hex() for x in expected]
+        assert m.log_scale == args[4]
 
 
 class TestAlgebra:

@@ -4,7 +4,9 @@ absorbing decision, counted (not timed) and held at or below the counts of
 the single walk of the induction.  A change that brings back a second walk,
 the identity product in Matrix2.power, the fixed points of elliptic
 letters, a second product per step for tr [A, B] or a second
-classification of an absorbing pair shows up here as a higher count."""
+classification of an absorbing pair shows up here as a higher count.
+The values the walk builds per product and per step are slotted: a
+__dict__ on them brings back the cost of building it."""
 
 import math
 import sys
@@ -100,3 +102,10 @@ def test_absorbing_pair_classified_once(classify_calls, absorbed_at):
     p = CocyclePair(diagonal(2.0), diagonal(2.0))
     assert absorbed_at(p) == (0, True)
     assert len(classify_calls) <= ABSORBING_CLASSIFY
+
+
+def test_walk_values_are_slotted():
+    p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
+    step = renorm_decision(p, BOUNDED_ALPHA).steps[-1]
+    for value in (p.A, p, step.coords, step):
+        assert not hasattr(value, "__dict__"), type(value).__name__
