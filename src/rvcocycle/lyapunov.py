@@ -16,9 +16,9 @@ renorm_runs walks the moves, one tau_power per run, and each caller walks
 it once.  renorm_decision is _decide on a fresh renorm_runs generator;
 spectrum.mcg_trajectory hands _decide its own generator, records the runs
 the decision takes, and walks the same generator on when the decision
-stops before the trajectory's length.  The orbit products pick their
-level from the run lengths of run_steps alone, and move the pair through
-that level's runs only.
+stops before the trajectory's length.  The orbit products read the runs
+of run_steps into their own table of levels, with the letters formed only
+as far as n-step orbits use them.
 
 Each step of a decision forms one product, AB, for z = tr AB.  The
 commutator trace c = tr [A, B] is taken once, from the input pair: the
@@ -26,21 +26,24 @@ tau moves keep it exactly, since [A, B A] = [A, B].
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
-the return words that renorm_runs moves the pair to (Rauzy 1979).  So
-direct_exponent and boundedness_implies_zero walk an n-step orbit as base
-steps into I_k, whole returns of the induced rotation, and base steps for
-the rest, at the level k that minimizes that count: about sqrt(n) letters
-instead of n.  Level 0 is the per-step walk.  The three segments of an
-orbit are packed into one column of letter indices, built for all orbits
-at once, and the columns' products are taken by one pairwise tree on whole
-arrays, with each letter held as its two rows, one complex number each.
+the return words that the runs move the pair to (Rauzy 1979; Zorich 1996).
+So direct_exponent and boundedness_implies_zero walk an n-step orbit
+through every level whose return times fit in n: down, each level's entry
+into I_{k+1}; then up, each level's part of the next longer letter that
+still fits.  Each is a power of one letter at most and its letter of the
+other kind, and each power is taken as its squares, so an orbit takes
+O(sum of log a_k) factors over those levels, whatever n and however close
+alpha is to a rational.  The level table is built once per call, with the
+pieces of each I_k and the orbit points as exact integers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -62,10 +65,8 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
-from .mat2 import Matrix2, identity, mul
+from .mat2 import ENTRY_LIMIT, Matrix2, identity, mul
 
-ORBIT_CHUNK = 1024
-IDENTITY = 4  # index of the identity among _orbit_chunks' letters
 DEFAULT_SAMPLES = 8
 
 
@@ -153,237 +154,214 @@ def renorm_runs(p: CocyclePair, alpha: float | Fraction, max_digit: int):
 # Direct exponent
 
 
-def _letter_entries(m: Matrix2) -> tuple[tuple[float, ...], float]:
-    """The entries of m divided by the largest one, and the log of the
-    factor taken out (including m's own log scale)."""
-    top = max(abs(e) for e in m.entries())
-    return tuple(e / top for e in m.entries()), m.log_scale + math.log(top)
+def _unit_letter(m: Matrix2) -> Matrix2:
+    """m with its entries divided by the largest one, whose log joins the
+    log scale."""
+    top = max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
+    return Matrix2(m.a / top, m.b / top, m.c / top, m.d / top,
+                   m.log_scale + math.log(top))
 
 
-def _induced_level(p: CocyclePair, alpha: float, n: int):
-    """The level of the Rauzy induction of alpha at which n-step orbit
-    products cost least, and the first-return rotation there.
+@dataclass(slots=True)
+class _Level:
+    """Level k of the Rauzy induction, for orbits of at most n steps.
 
-    After the first k runs of renorm_runs the first return of the rotation
-    by alpha to I_k = [0, beta_k] is, in the coordinate y = x / beta_k, the
-    rotation by alpha_k, and its two letters are the return words A_k, B_k
-    of the pair moved by those runs, |A_k| and |B_k| base steps long.  An
-    orbit takes fewer than max(|A_k|, |B_k|) base steps into I_k, about
-    n / min(|A_k|, |B_k|) returns, and fewer than max(...) base steps after
-    its last whole return, so the level minimizes
-    2 max(|A_k|, |B_k|) + n / min(|A_k|, |B_k|).  Level 0 (alpha_0 = alpha,
-    beta_0 = 1, both lengths 1) is the per-step walk.
+    The first return of the rotation to I_k = [0, size) takes the letter
+    A_k on [0, split), moving a point by size - split, and B_k on [split,
+    size), moving it by -split; lengths are |A_k| and |B_k| in base steps.
+    Positions and pieces are exact integers in one unit for alpha and the
+    orbit starts.  letters holds A_k and B_k as _unit_letter matrices, None
+    for a letter longer than n.  winner and run give the run into level
+    k + 1 (None and 0 at the last level), and powers[e] is the run's
+    repeated letter to the power 2^e (A_k for Bottom, B_k for Top, A_k at a
+    last level of one piece), for each 2^e <= min(run, n // its length).
+    """
 
-    alpha_k and beta_k are exact: in units of 1/denominator(alpha) the
-    lengths of I_k's two pieces are integers, the remainders of the Euclid
-    that run_steps takes.  The level is picked from the run lengths alone;
-    then the pair is moved through exactly its k runs, one tau_power each.
-    Returns (k, pair_k, alpha_k, beta_k, lengths).
+    split: int
+    size: int
+    lengths: tuple[int, int]
+    letters: tuple[Matrix2 | None, Matrix2 | None]
+    winner: Winner | None = None
+    run: int = 0
+    powers: list[Matrix2] = field(default_factory=list)
+
+
+def _squares(m: Matrix2 | None, cap: int) -> list[Matrix2]:
+    """[m, m^2, m^4, ...] through the largest power 2^e <= cap."""
+    powers = [m] if cap >= 1 else []
+    while powers and 1 << len(powers) <= cap:
+        powers.append(mul(powers[-1], powers[-1]))
+    return powers
+
+
+def _bits(powers: list[Matrix2], i: int) -> list[Matrix2]:
+    """The squares whose product is the power i: one per set bit of i."""
+    if i < 2:  # most runs are short: no loop for a power of 0 or 1
+        return powers[:i]
+    return [powers[e] for e in range(i.bit_length()) if i >> e & 1]
+
+
+def _level_table(p: CocyclePair, alpha: float, n: int,
+                 unit: int) -> list[_Level]:
+    """The levels of the Rauzy induction of alpha that orbits of at most n
+    steps reach, with pieces in units of 1/unit (a multiple of the
+    denominator of alpha), through the first level where both letters are
+    longer than n.
+
+    Each run of run_steps (winner, r) moves the pieces, the lengths and the
+    letters: a Bottom run makes B A^r of B on the piece cut from A's, a Top
+    run B^r A of A.  The moved letter is a product of the run's squares,
+    formed only when it fits in n.  Where the expansion of alpha ends the
+    two pieces are equal and the return alternates A_k and B_k; one closing
+    Top run of 1 makes the last level, with one piece whose letter B_k A_k
+    returns every point to itself, walked as one power.
+
+    The products are taken on the letters as mul keeps them, unscaled
+    below ENTRY_LIMIT: a log scale folded back into the entries by exp
+    would cost each product a rounding of its log, and a deep letter the
+    sum of them.  The table holds them as _unit_letter matrices.
     """
     exact = Fraction(alpha)
-    pieces = (exact.denominator - exact.numerator, exact.numerator)
-    lengths = (1, 1)
-    runs = []
-    best_cost, best = n + 2, (0, pieces, lengths)
-    try:
-        for winner, run in run_steps(Rotation2IET(alpha), n):
-            runs.append((winner, run))
-            (piece_a, piece_b), (len_a, len_b) = pieces, lengths
-            if winner is Winner.BOTTOM:
-                pieces = (piece_a - run * piece_b, piece_b)
-                lengths = (len_a, len_b + run * len_a)
-            else:
-                pieces = (piece_a, piece_b - run * piece_a)
-                lengths = (len_a + run * len_b, len_b)
-            if 2 * max(lengths) >= best_cost:
-                break
-            cost = 2 * max(lengths) + n / min(lengths)
-            if cost < best_cost:
-                best_cost, best = cost, (len(runs), pieces, lengths)
-    except BudgetExceededError:
-        pass  # a run longer than n: its level costs more than level 0
-    k, (piece_a, piece_b), lengths = best
-    for winner, run in runs[:k]:
-        p = tau_power(p, winner_move(winner), run)
-    total = piece_a + piece_b
-    return (k, p, Fraction(piece_b, total),
-            Fraction(total, exact.denominator), lengths)
+    a, b = (m if max(map(abs, m.entries())) <= ENTRY_LIMIT else _unit_letter(m)
+            for m in (p.A, p.B))
+    split = (exact.denominator - exact.numerator) * (unit // exact.denominator)
+    lv = _Level(split, unit, (1, 1), (_unit_letter(a), _unit_letter(b)))
+    levels = [lv]
+    runs = run_steps(Rotation2IET(exact), exact.denominator)
+    while lv.split < lv.size and min(lv.lengths) <= n:
+        winner, run = next(runs, (Winner.TOP, 1))
+        len_a, len_b = lv.lengths
+        bottom = winner is Winner.BOTTOM
+        squares = _squares(a if bottom else b,
+                           min(run, n // (len_a if bottom else len_b)))
+        lv.winner, lv.run = winner, run
+        lv.powers = [_unit_letter(m) for m in squares]
+        if bottom:
+            cut, lengths = run * (lv.size - lv.split), (len_a, len_b + run * len_a)
+            b = None if lengths[1] > n else mul(b, reduce(mul, _bits(squares, run)))
+            letters = (lv.letters[0], None if b is None else _unit_letter(b))
+            lv = _Level(lv.split - cut, lv.size - cut, lengths, letters)
+        else:
+            cut, lengths = run * lv.split, (len_a + run * len_b, len_b)
+            a = None if lengths[0] > n else mul(reduce(mul, _bits(squares, run)), a)
+            letters = (None if a is None else _unit_letter(a), lv.letters[1])
+            lv = _Level(lv.split, lv.size - cut, lengths, letters)
+        levels.append(lv)
+    if lv.split == lv.size:
+        lv.powers = [_unit_letter(m) for m in _squares(a, n // lv.lengths[0])]
+    return levels
 
 
-def _frac(v: np.ndarray) -> np.ndarray:
-    """v % 1.0 for v >= 0, bit for bit (v - floor(v) is exact by Sterbenz's
-    lemma), at a tenth of the cost of numpy's float modulo."""
-    return v - np.floor(v)
+def _orbit_factors(levels: list[_Level], y: int,
+                   n: int) -> tuple[list[Matrix2], int]:
+    """The factors of the n-step orbit product from y, in the order they
+    act, and the point the orbit reaches; y and the levels as in
+    _level_table.
 
-
-def _induced_counts(start: np.ndarray, angle: Fraction,
-                    lengths: tuple[int, int], room: np.ndarray):
-    """The number of letters of the rotation by angle along the orbits from
-    start whose lengths (A, B) fit in room, and the length they take.  The
-    letter sums are taken at most ORBIT_CHUNK letters at a time."""
-    split, angle = float(1 - angle), float(angle)
-    len_a, len_b = lengths
-    taken = np.zeros(len(start), dtype=np.int64)
-    used = np.zeros(len(start), dtype=np.int64)
-    live = np.ones(len(start), dtype=bool)
-    while live.any():
-        # One letter more than the room of the roomiest orbit can hold.
-        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths) + 1)
-        in_b = _frac(start + (taken + np.arange(span)[:, None]) * angle) > split
-        steps = np.where(in_b, len_b, len_a)
-        fits = (used + np.cumsum(steps, axis=0) <= room) & live
-        taken += fits.sum(axis=0)
-        used += np.where(fits, steps, 0).sum(axis=0)
-        live = fits[-1]
-    return taken, used
-
-
-def _letter_rows(x: np.ndarray, alpha: float, into: np.ndarray,
-                 start: np.ndarray, alpha_k: Fraction, taken: np.ndarray,
-                 tail: np.ndarray, ends: np.ndarray):
-    """Yield the letters of the orbits from x, one column per orbit and at
-    most ORBIT_CHUNK rows at a time, as indices among _orbit_chunks'
-    letters.  Column s holds into[s] base letters from x (0 for A, 1 for
-    B, where the point lies past 1 - alpha), then taken[s] induced letters
-    from start[s] (2 for A_k, 3 for B_k, by the rotation by alpha_k), then
-    base letters from tail[s] up to row ends[s], then IDENTITY.
+    Down: at each level the orbit enters I_{k+1}, by A_k^j B_k after a
+    Bottom run and by B_k^j after a Top run.  It stops at a level where the
+    entry does not fit in the steps left, taking the part of the entry that
+    fits, or at a level none of whose letters fits.  A last level of one
+    piece is walked as one power.  Up: after the last whole letter of level
+    k + 1 comes the part of the next one that fits, in letters of level k:
+    A_k^i of B_{k+1} = B_k A_k^r after a Bottom run, A_k then B_k^i of
+    A_{k+1} = B_k^r A_k after a Top run.  Each power is its squares, one per
+    set bit of the exponent.
     """
-    split, split_k, angle_k = 1.0 - alpha, float(1 - alpha_k), float(alpha_k)
-    returns = into + taken
-    rows = int(ends.max())
-    for r0 in range(0, rows, ORBIT_CHUNK):
-        j = np.arange(r0, min(r0 + ORBIT_CHUNK, rows))[:, None]
-        entry = j < into
-        step = j - np.where(entry, 0, returns)
-        base = _frac(np.where(entry, x, tail) + step * alpha) > split
-        induced = _frac(start + (j - into) * angle_k) > split_k
-        yield np.where(j < returns, np.where(entry, base, 2 + induced),
-                       np.where(j < ends, base, IDENTITY))
-
-
-def _entry_steps(x: np.ndarray, alpha: float, beta: float, n: int,
-                 span: int) -> np.ndarray:
-    """The steps the orbits of the rotation by alpha from x take to enter
-    [0, beta), at most n; scanned span steps at a time."""
-    steps = np.full(len(x), n, dtype=np.int64)
-    for start in range(0, n, span):
-        j = np.arange(start, min(start + span, n))[:, None]
-        inside = _frac(x + j * alpha) < beta
-        new = inside.any(axis=0) & (steps == n)
-        steps[new] = start + inside.argmax(axis=0)[new]
-        if (steps < n).all():
+    factors: list[Matrix2] = []
+    left = n
+    for k, lv in enumerate(levels):  # down
+        len_a, len_b = lv.lengths
+        if lv.split == lv.size:
+            i = left // len_a
+            factors += _bits(lv.powers, i)
+            left -= i * len_a
             break
-    return steps
+        if left < len_a and left < len_b:  # nothing fits from here down
+            break
+        inner = levels[k + 1].size
+        if y < inner:
+            continue
+        piece_a, piece_b = lv.split, lv.size - lv.split
+        if lv.winner is Winner.BOTTOM:
+            j = (piece_a - y + piece_b - 1) // piece_b
+            i = min(j, left // len_a)
+            factors += _bits(lv.powers, i)
+            y += i * piece_b
+            left -= i * len_a
+            if i < j or len_b > left:
+                break
+            factors.append(lv.letters[1])
+            y -= piece_a
+            left -= len_b
+        else:
+            j = (y - inner) // piece_a + 1
+            i = min(j, left // len_b)
+            factors += _bits(lv.powers, i)
+            y -= i * piece_a
+            left -= i * len_b
+            if i < j:
+                break
+    for level in range(k - 1, -1, -1):  # up
+        lv, inner = levels[level], levels[level + 1]
+        len_a, len_b = lv.lengths
+        piece_a, piece_b = lv.split, lv.size - lv.split
+        if lv.winner is Winner.BOTTOM:
+            if y >= inner.split and len_a <= left:
+                i = min(lv.run, left // len_a)
+                factors += _bits(lv.powers, i)
+                y += i * piece_b
+                left -= i * len_a
+        elif y < inner.split and len_a <= left:
+            factors.append(lv.letters[0])
+            y += piece_b
+            left -= len_a
+            if len_b <= left:
+                i = left // len_b
+                factors += _bits(lv.powers, i)
+                y -= i * piece_a
+                left -= i * len_b
+    return factors, y
 
 
-def _tree_product(table: tuple[np.ndarray, np.ndarray], logs: np.ndarray,
-                  index: np.ndarray):
-    """The product (later @ earlier) over the rows of index of the letters
-    it picks from table, as (m, log) per column: m is the four real entry
-    arrays (a, b, c, d) with largest |entry| 1.
-
-    table holds each letter (a, b, c, d) as its two rows (r1, r2) = (a +
-    ib, c + id), so the product of (r1, r2) after (s1, s2) is (Re r1 s1 +
-    Im r1 s2, Re r2 s1 + Im r2 s2): the entry arithmetic of a real 2x2
-    product on two complex arrays instead of four real ones.  Coordinates
-    that mix the entries (Cayley's, say) would take an entry far below the
-    largest, such as the diagonal of a long unipotent product, from
-    cancelling terms and lose its precision.  Each level of a pairwise tree
-    multiplies neighbouring rows on whole arrays and carries an odd last
-    row up unchanged; each product is divided by the larger modulus of its
-    rows, whose log is kept, so no product leaves the float range, whatever
-    the length or the letters' size."""
-    r1, r2 = np.take(table[0], index), np.take(table[1], index)
-    tops = [np.take(logs, index)]
-    while len(r1) > 1:
-        pairs = len(r1) // 2
-        s1, s2 = r1[0:2 * pairs:2], r2[0:2 * pairs:2]
-        later1, later2 = r1[1::2], r2[1::2]
-        p1 = later1.real * s1 + later1.imag * s2
-        p2 = later2.real * s1 + later2.imag * s2
-        top = np.maximum(np.abs(p1), np.abs(p2))
-        p1 /= top
-        p2 /= top
-        tops.append(np.log(top))
-        if len(r1) % 2:
-            p1, p2 = np.concatenate([p1, r1[-1:]]), np.concatenate([p2, r2[-1:]])
-        r1, r2 = p1, p2
-    m = (r1[0].real, r1[0].imag, r2[0].real, r2[0].imag)
-    top = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
-                     np.maximum(np.abs(m[2]), np.abs(m[3])))
-    log = np.concatenate(tops).sum(axis=0) + np.log(top)
-    return tuple(e / top for e in m), log
-
-
-def _orbit_chunks(p: CocyclePair, alpha: float, x: np.ndarray, n: int):
-    """Yield the orbit products of the cocycle over n steps from the starts
-    x, in orbit order, through the rotation induced at the cheapest level
-    of the Rauzy induction (see _induced_level).
-
-    Each yield is (m, log): m is the four entry arrays (a, b, c, d), one
-    value per start, with largest |entry| 1, and e^log * m is the product
-    rho(T^(k-1) y) ... rho(y) over the k steps the chunk covers from its
-    first orbit point y (k may differ between starts).  An orbit walks
-    three segments: base letters until it enters I_k (fewer than
-    max(|A_k|, |B_k|) steps), the letters A_k, B_k of the rotation by
-    alpha_k on I_k while the next whole return fits in n, and base letters
-    for the rest.  The three are packed into one column per start
-    (_letter_rows), so a chunk is a block of at most ORBIT_CHUNK rows of
-    those columns, reduced by _tree_product.  The level pair is moved from
-    A and B divided by their largest entries (the factors kept in
-    log_scale), so tau_power stays in range for letters of any size.  At
-    level 0 the first and last segments are empty and the middle one is
-    the per-step walk.
-    """
-    ea, la = _letter_entries(p.A)
-    eb, lb = _letter_entries(p.B)
-    base = CocyclePair(Matrix2(*ea, la), Matrix2(*eb, lb))
-    _, pair, alpha_k, beta, lengths = _induced_level(base, alpha, n)
-    (eak, lak), (ebk, lbk) = _letter_entries(pair.A), _letter_entries(pair.B)
-    # Letters: A, B, A_k, B_k, identity (IDENTITY), each as its two rows.
-    a, b, c, d = np.array([ea, eb, eak, ebk, (1.0, 0.0, 0.0, 1.0)]).T
-    table = (a + 1j * b, c + 1j * d)
-    logs = np.array([la, lb, lak, lbk, 0.0])
-    beta = float(beta)
-    into = _entry_steps(x, alpha, beta, n, min(ORBIT_CHUNK, max(lengths)))
-    start = _frac(x + into * alpha) / beta
-    taken, used = _induced_counts(start, alpha_k, lengths, n - into)
-    tail = _frac(start + taken * float(alpha_k)) * beta
-    ends = n - used + taken  # into + taken + the n - into - used tail steps
-    for index in _letter_rows(x, alpha, into, start, alpha_k, taken, tail,
-                              ends):
-        yield _tree_product(table, logs, index)
+def _exact_points(alpha: float, xs: Iterable[float]) -> tuple[int, list[int]]:
+    """A unit common to alpha and the floats xs in [0, 1) (the least common
+    multiple of their denominators), and each x as an integer in it."""
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    unit = math.lcm(Fraction(alpha).denominator, *(q for _, q in ratios))
+    return unit, [num * (unit // q) for num, q in ratios]
 
 
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
                     n_samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> LyapunovEstimate:
     """Estimate chi as log|rho_n(x) e_1| / n along orbits of the rotation
-    from n_samples random starting points.  The orbit products come from
-    _orbit_chunks, which walks each orbit through the rotation induced at a
-    level of the Rauzy induction with return times near sqrt(n), so a call
-    multiplies O(sqrt(n)) letters rather than n; each chunk's product is
-    applied to the orbit vectors once, which are then renormalized.
-    Negative round-off estimates are clipped at 0 (exponents of
-    determinant-1 cocycles are nonnegative).
+    from n_samples random starting points.  Each orbit product is the walk
+    of _orbit_factors through every level of the Rauzy induction with
+    return times up to n, O(sum of log a_k) factors whatever n; each factor
+    is applied to the orbit vector, which is then renormalized.  Negative
+    round-off estimates are clipped at 0 (exponents of determinant-1
+    cocycles are nonnegative).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    x = rng.random(n_samples)
-    v0 = np.ones(n_samples)
-    v1 = np.zeros(n_samples)
-    logsum = np.zeros(n_samples)
-    for (a, b, c, d), log in _orbit_chunks(p, float(t.alpha), x, n_iters):
-        w0 = a * v0 + b * v1
-        w1 = c * v0 + d * v1
-        norm = np.hypot(w0, w1)
-        v0 = w0 / norm
-        v1 = w1 / norm
-        logsum += log + np.log(norm)
-    per = logsum / n_iters
+    alpha = float(t.alpha)
+    unit, starts = _exact_points(alpha, rng.random(n_samples))
+    levels = _level_table(p, alpha, n_iters, unit)
+    logs = []
+    for y in starts:
+        v0, v1, log = 1.0, 0.0, 0.0
+        for m in _orbit_factors(levels, y, n_iters)[0]:
+            w0 = m.a * v0 + m.b * v1
+            w1 = m.c * v0 + m.d * v1
+            norm = math.hypot(w0, w1)
+            v0, v1 = w0 / norm, w1 / norm
+            log += m.log_scale + math.log(norm)
+        logs.append(log)
+    per = np.array(logs) / n_iters
     chi = max(float(per.mean()), 0.0)
     stderr = float(per.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return LyapunovEstimate(chi=chi, n_iters=n_iters,
@@ -540,6 +518,8 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     full 2x2 orbit product up to n_check and return the maximum over the
     checkpoints n_check, n_check/2, n_check/4, ... (down to 1000) of
     log||product_n|| / n.  Bounded renormalization predicts decay to 0.
+    The factors come from _orbit_factors on one level table, each stretch
+    between checkpoints walked on from the exact point the last one reached.
     """
     if trace.verdict.kind != "CertifiedBounded":
         raise ValueError("requires a CertifiedBounded renormalization trace")
@@ -551,16 +531,15 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
         checkpoints.append(n)
         n //= 2
     alpha = float(t.alpha)
-    x = np.array([x0 % 1.0])
+    unit, (y,) = _exact_points(alpha, [x0 % 1.0])
+    levels = _level_table(p, alpha, n_check, unit)
     prod = identity()
     done = 0
     worst = -math.inf
     for k in reversed(checkpoints):
-        for (a, b, c, d), log in _orbit_chunks(p, alpha, x, k - done):
-            chunk = Matrix2(float(a[0]), float(b[0]), float(c[0]), float(d[0]),
-                            float(log[0]))
-            prod = mul(chunk, prod)
-        x = (x + (k - done) * alpha) % 1.0
+        factors, y = _orbit_factors(levels, y, k - done)
+        for m in factors:
+            prod = mul(m, prod)
         done = k
         nrm = np.linalg.norm(np.reshape(prod.entries(), (2, 2)), 2)
         worst = max(worst, (prod.log_scale + math.log(nrm)) / k)

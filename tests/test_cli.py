@@ -420,6 +420,15 @@ class TestLyapunov:
         doc = json.loads(out, parse_constant=reject)
         assert doc["chi"] == pytest.approx(math.log(1e5), abs=1e-9)
 
+    def test_ten_billion_steps(self, capsys):
+        # The float 0.3 has a digit near 9e14: every orbit takes long powers
+        # of one letter, as a few squares each.
+        code, out, _ = run(capsys, "lyapunov", "--fixture", "generic-elliptic",
+                           "--alpha", "0.3", "--iters", "10000000000")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["nIters"] == 10**10 and math.isfinite(doc["chi"])
+
 
 class TestScan:
     def test_csv_shape(self, capsys):

@@ -17,14 +17,12 @@ from rvcocycle.cocycle import (
     trace_coords,
 )
 from rvcocycle.hypgeom import hh_minus_canonical_pair
-from rvcocycle import lyapunov
 from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
-    IDENTITY,
-    ORBIT_CHUNK,
     DecisionBudget,
-    _induced_level,
-    _orbit_chunks,
+    _exact_points,
+    _level_table,
+    _orbit_factors,
     StepRecord,
     bounded_prefix,
     boundedness_implies_zero,
@@ -175,55 +173,31 @@ def reference_audit(p, alpha, n_check, x0=0.2137):
     return worst
 
 
-def reference_rotation_letters(first, angle, start, room, lengths):
-    """The letters of the rotation by angle along the orbits from start, at
-    most ORBIT_CHUNK steps at a time, as index arrays (steps x starts):
-    first for A, first + 1 for B (where the orbit point lies past
-    1 - angle), IDENTITY where the start's letters have ended.  Letters are
-    taken while their lengths (A, B) fit in room.  Returns the lengths used
-    and the orbit points reached.  (The segment walk that _orbit_chunks
-    took before it packed the segments into one column per start.)"""
-    split, angle = float(1 - angle), float(angle)
-    len_a, len_b = lengths
-    used = np.zeros(len(start), dtype=np.int64)
-    taken = np.zeros(len(start), dtype=np.int64)
-
-    def next_fits():
-        at = (start + taken * angle) % 1.0
-        return used + np.where(at > split, len_b, len_a) <= room, at
-
-    live, at = next_fits()
-    while live.any():
-        span = min(ORBIT_CHUNK, int((room - used)[live].max()) // min(lengths))
-        in_b = (start + (taken + np.arange(span)[:, None]) * angle) % 1.0 > split
-        steps = np.where(in_b, len_b, len_a)
-        fits = (used + np.cumsum(steps, axis=0) <= room) & live
-        used += np.where(fits, steps, 0).sum(axis=0)
-        taken += fits.sum(axis=0)
-        live, at = next_fits()
-        yield np.where(fits, first + in_b, IDENTITY)
-    return used, at
+def level_table(p, alpha, n, xs=()):
+    """The level table of direct_exponent for n-step orbits from xs, and
+    the starts as exact points."""
+    unit, starts = _exact_points(alpha, xs)
+    return _level_table(p, alpha, n, unit), unit, starts
 
 
-def reference_letters(alpha, x, n):
-    """Each start's letter indices over n steps by the segment walk: base
-    letters until the orbit enters I_k (found by a per-step scan), the
-    induced letters, the base letters after them."""
-    _, _, alpha_k, beta, lengths = _induced_level(generic_elliptic(), alpha, n)
-    beta = float(beta)
-    inside = (x + np.arange(n)[:, None] * alpha) % 1.0 < beta
-    into = np.where(inside.any(axis=0), inside.argmax(axis=0), n)
-
-    def letters():
-        one = (1, 1)
-        _, y = yield from reference_rotation_letters(0, alpha, x, into, one)
-        used, y = yield from reference_rotation_letters(2, alpha_k, y / beta,
-                                                        n - into, lengths)
-        yield from reference_rotation_letters(0, alpha, y * beta,
-                                              n - into - used, one)
-
-    rows = np.concatenate(list(letters()))
-    return [col[col != IDENTITY] for col in rows.T]
+def factor_words(levels):
+    """The word in base letters ("a", "b", in the order they act) of every
+    matrix of a level table, by id, built from the runs alone: a Bottom
+    run of r makes B_k A_k^r the next B, a Top run B_k^r A_k the next A."""
+    words = {}
+    a, b = "a", "b"
+    for lv, nxt in zip(levels, levels[1:] + [None]):
+        for m, w in zip(lv.letters, (a, b)):
+            if m is not None:
+                words[id(m)] = w
+        rep = b if lv.winner is Winner.TOP else a
+        for e, m in enumerate(lv.powers):
+            words[id(m)] = rep * 2**e
+        if lv.winner is Winner.BOTTOM:
+            b = a * lv.run + b if nxt.letters[1] is not None else None
+        elif lv.winner is Winner.TOP:
+            a = a + b * lv.run if nxt.letters[0] is not None else None
+    return words
 
 
 class TestDirectExponent:
@@ -253,9 +227,8 @@ class TestDirectExponent:
                                 100, n_samples=n_samples)
 
     def test_matches_per_step_reference(self):
-        # Chunk boundaries and tails: 1 step, below and at a 32-step block,
-        # either side of one chunk, and a one-step tail after four chunks.
-        assert ORBIT_CHUNK == 1024
+        # 1 step, below and at the reference's 32-step block, either side of
+        # 1024, and one step past 4096.
         for p, alpha in criterion6_draws(20):
             t = Rotation2IET(alpha)
             for n_iters in (1, 31, 32, 1023, 1025, 4097):
@@ -270,10 +243,9 @@ class TestDirectExponent:
 
     def test_products_stay_in_range(self):
         # A rotation divided by its largest entry has norm up to sqrt 2, so
-        # about 2048 such factors pass the float range unless every tree
-        # level is rescaled; [[N, N], [N, N + 1/N]] divided by N has norm 2,
-        # and a chunk of 1024 of them passes it.  The lengths leave tails of
-        # 672, 1, 952, 476 and 777 steps after the last full chunk.
+        # about 2048 such factors pass the float range unless products are
+        # rescaled; [[N, N], [N, N + 1/N]] divided by N has norm 2, and
+        # 1024 of them pass it.
         t = Rotation2IET(GOLDEN)
         for n_iters in (100_000, 4097, 3000):
             est = direct_exponent(commuting_elliptic(), t, n_iters)
@@ -297,7 +269,7 @@ class TestDirectExponent:
         est = direct_exponent(big, Rotation2IET(0.3), 1000)
         assert est.chi == pytest.approx(math.log(1e5), abs=1e-9)
         assert est.stderr == pytest.approx(0.0, abs=1e-9)
-        # Unnormalized letters of 1e200 would overflow the first tree level.
+        # Letters of 1e200 overflow their first product unless scaled.
         huge = CocyclePair(diagonal(1e200), diagonal(1e200))
         est = direct_exponent(huge, Rotation2IET(0.3), 1000)
         assert est.chi == pytest.approx(math.log(1e200), abs=1e-9)
@@ -305,13 +277,12 @@ class TestDirectExponent:
 
 class TestInducedWalk:
     def test_matches_per_step_reference(self):
-        # Orbit lengths at which each of these draws walks level k >= 2 of
-        # the induction, so the walk into I_k, the induced returns and the
-        # base steps after them all run.
+        # Orbit lengths at which the level table of each of these draws
+        # reaches level 2 or deeper, so entries, tails and powers all run.
         for p, alpha in criterion6_draws(6):
             t = Rotation2IET(alpha)
             for n_iters in (5000, 20000, 65537):
-                assert _induced_level(p, alpha, n_iters)[0] >= 2
+                assert len(level_table(p, alpha, n_iters)[0]) > 2
                 est = direct_exponent(p, t, n_iters, seed=1)
                 chi, stderr = reference_exponent(p, alpha, n_iters, 8, 1)
                 assert abs(est.chi - chi) <= 1e-9, (alpha, n_iters)
@@ -325,19 +296,19 @@ class TestInducedWalk:
         assert trace.verdict.kind == "CertifiedBounded"
         p, alpha = criterion6_draws(1)[0]
         for n_check in (5000, 20000, 65537):
-            assert _induced_level(p, alpha, n_check // 2)[0] >= 2
+            assert len(level_table(p, alpha, n_check // 2)[0]) > 2
             got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,
                                            n_check)
             assert abs(got - reference_audit(p, alpha, n_check)) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.375, 0.3125, 0.5004, 0.4996])
     def test_short_expansions_and_near_half(self, alpha):
-        # 3/8 and 5/16 end their expansions (at levels 3 and 2) before the
-        # cost-optimal level; near 1/2 the return times jump past 1000 in
-        # one run, so a few induced returns sit between long base segments.
+        # 3/8 and 5/16 end their expansions at levels 3 and 2; near 1/2 the
+        # return times jump past 1000 in one run, so orbits take long
+        # powers of one letter.
         pairs = [generic_elliptic()] + [p for p, _ in criterion6_draws(3)]
         for n_iters in (5000, 20000):
-            assert _induced_level(pairs[0], alpha, n_iters)[0] >= 2
+            assert len(level_table(pairs[0], alpha, n_iters)[0]) > 2
             for p in pairs:
                 for n_samples in (1, 8):
                     est = direct_exponent(p, Rotation2IET(alpha), n_iters,
@@ -348,6 +319,24 @@ class TestInducedWalk:
                     assert abs(est.chi - chi) <= 1e-9, where
                     assert abs(est.stderr - stderr) <= 1e-9, where
 
+    @pytest.mark.parametrize("alpha", [0.375, 0.3125, 0.5])
+    def test_terminal_level_is_one_power(self, alpha):
+        # Where the expansion ends the two pieces are equal and the return
+        # alternates A_k and B_k; the last level holds one piece, whose
+        # letter B_k A_k is the period, walked as one power.
+        levels = level_table(generic_elliptic(), alpha, 10**6)[0]
+        last = levels[-1]
+        assert last.split == last.size and last.winner is None
+        assert last.lengths[0] == Fraction(alpha).denominator
+        assert len(last.powers) == (10**6 // last.lengths[0]).bit_length()
+        pairs = [generic_elliptic()] + [p for p, _ in criterion6_draws(3)]
+        for n_iters in (1, 2, 15, 16, 17, 1000):
+            for p in pairs:
+                est = direct_exponent(p, Rotation2IET(alpha), n_iters, seed=3)
+                chi, stderr = reference_exponent(p, alpha, n_iters, 8, 3)
+                assert abs(est.chi - chi) <= 1e-9, n_iters
+                assert abs(est.stderr - stderr) <= 1e-9, n_iters
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.floats(1e-6, 1.0 - 1e-6),
            n=st.integers(1, 300_000),
@@ -356,89 +345,86 @@ class TestInducedWalk:
     def test_segments_cover_n_steps(self, alpha, n, x):
         # With A = B = [[1, 1], [0, 1]] a product of k letters is
         # [[1, k], [0, 1]] whatever the letters, so the (0, 1) entry of
-        # every orbit's product counts its base steps: the walk into I_k,
-        # the return times of the induced letters and the steps after them
+        # every orbit's product counts its base steps: the entries on the
+        # way down, the last level's power and the tails on the way up
         # add up to n.
         u = Matrix2(1.0, 1.0, 0.0, 1.0)
-        prod = np.tile(np.eye(2), (len(x), 1, 1))
-        log = np.zeros(len(x))
-        for (a, b, c, d), chunk_log in _orbit_chunks(CocyclePair(u, u), alpha,
-                                                     np.array(x), n):
-            m = np.stack([np.stack([a, b], -1), np.stack([c, d], -1)], -2)
-            prod = m @ prod
-            top = np.abs(prod).max(axis=(1, 2))
-            prod /= top[:, None, None]
-            log += chunk_log + np.log(top)
-        steps = prod[:, 0, 1] * np.exp(log)
-        assert np.all(np.abs(steps - n) <= 1e-6 * n), (steps, n)
+        levels, _, starts = level_table(CocyclePair(u, u), alpha, n, x)
+        for y in starts:
+            prod, log = np.eye(2), 0.0
+            for m in _orbit_factors(levels, y, n)[0]:
+                prod = np.array([[m.a, m.b], [m.c, m.d]]) @ prod
+                top = np.abs(prod).max()
+                prod /= top
+                log += m.log_scale + math.log(top)
+            steps = prod[0, 1] * math.exp(log)
+            assert abs(steps - n) <= 1e-6 * n, (steps, n)
 
-    def test_letters_match_segment_walk(self, monkeypatch):
-        # The packed columns hold each start's letters in the order of the
-        # segment walk, and the longest column sets the number of rows.
-        blocks = []
-        monkeypatch.setattr(lyapunov, "_tree_product",
-                            lambda table, logs, index: blocks.append(index))
-        cases = criterion6_draws(6) + [(generic_elliptic(), alpha)
-                                       for alpha in (0.375, 0.5004, 0.3)]
+    def test_factors_match_per_step_letters(self):
+        # Expanded into base letters, each orbit's factors spell the
+        # letters of the per-step walk from (x + j alpha) mod 1, B past
+        # 1 - alpha, and the walk ends at (x + n alpha) mod 1.
+        cases = criterion6_draws(6) + [(generic_elliptic(), alpha) for alpha
+                                       in (0.375, 0.3125, 0.5, 0.5004, 0.3)]
         x = np.random.default_rng(4).random(8)
         for p, alpha in cases:
-            for n in (5000, 65537):
-                blocks.clear()
-                list(_orbit_chunks(p, alpha, x, n))
-                rows = np.concatenate(blocks)
-                want = reference_letters(alpha, x, n)
-                assert len(rows) == max(len(w) for w in want), (alpha, n)
-                for col, w in zip(rows.T, want):
-                    assert np.array_equal(col[col != IDENTITY], w), (alpha, n)
+            for n in (1, 5000, 65537):
+                levels, unit, starts = level_table(p, alpha, n, x)
+                words = factor_words(levels)
+                for lv in levels:
+                    for m, length in zip(lv.letters, lv.lengths):
+                        assert m is None or len(words[id(m)]) == length
+                for x0, y in zip(x, starts):
+                    factors, end = _orbit_factors(levels, y, n)
+                    got = "".join(words[id(m)] for m in factors)
+                    points = (x0 + np.arange(n) * alpha) % 1.0
+                    want = "".join(np.where(points > 1.0 - alpha, "b", "a"))
+                    assert got == want, (alpha, n, x0)
+                    off = (end / unit - x0 - n * alpha) % 1.0
+                    assert min(off, 1.0 - off) <= 1e-9, (alpha, n, x0)
 
-    def test_chunk_contract(self, monkeypatch):
-        # Every chunk is scaled to a largest |entry| of 1 and reduces at
-        # most ORBIT_CHUNK rows; at alpha = 0.3 the 1e7 steps take about
-        # 1.4e6 rows per start, so their memory must stay per chunk.
-        rows = []
-        tree = lyapunov._tree_product
-
-        def recorded(table, logs, index):
-            rows.append(len(index))
-            return tree(table, logs, index)
-
-        monkeypatch.setattr(lyapunov, "_tree_product", recorded)
+    def test_factor_contract(self):
+        # Every factor is a letter divided by its largest |entry|, with a
+        # finite log.  At alpha = 0.3 the 1e7 steps took about 1.4e6 rows
+        # per start through one induced level; the walk keeps O(levels).
         x = np.random.default_rng(0).random(8)
         huge = CocyclePair(diagonal(1e200), rotation(1.0))
         cases = [(generic_elliptic(), 0.3, 10**7), (huge, GOLDEN, 4097),
                  (generic_elliptic(), 0.5004, 65537)]
         for p, alpha, n in cases:
-            rows.clear()
-            tracemalloc.start()
-            for m, log in _orbit_chunks(p, alpha, x, n):
-                assert np.all(np.max(np.abs(m), axis=0) == 1.0), (alpha, n)
-                assert np.all(np.isfinite(log))
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert max(rows) <= ORBIT_CHUNK, (alpha, n)
-            assert peak < 8 * 2**20, (alpha, n, peak)
+            levels, _, starts = level_table(p, alpha, n, x)
+            for y in starts:
+                for m in _orbit_factors(levels, y, n)[0]:
+                    assert max(map(abs, m.entries())) == 1.0, (alpha, n)
+                    assert math.isfinite(m.log_scale), (alpha, n)
+        tracemalloc.start()
+        est = direct_exponent(generic_elliptic(), Rotation2IET(0.3), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert math.isfinite(est.chi)
+        assert peak < 8 * 2**20, peak
 
-    def test_unipotent_chunks_keep_their_small_entries(self):
-        # A chunk of k steps of u = [[1, 1], [0, 1]] is [[1, k], [0, 1]],
-        # scaled to [[1/k, 1], [0, 1/k]].  A tree in coordinates that mix
-        # the entries, such as the Cayley pair ((a + d) + i(b - c), (a - d) -
-        # i(b + c)) / 2, gets that diagonal from cancelling terms, with an
-        # error near 5e-6 of 1/k at this length (and 1e-6 of n in the step
-        # count); products on the entries keep both at round-off.
+    def test_unipotent_factors_keep_their_small_entries(self):
+        # A factor of k steps of u = [[1, 1], [0, 1]] is [[1, k], [0, 1]],
+        # scaled to [[1/k, 1], [0, 1/k]].  Coordinates that mix the entries,
+        # such as the Cayley pair ((a + d) + i(b - c), (a - d) - i(b + c)) /
+        # 2, get that diagonal from cancelling terms, with an error near
+        # 5e-6 of 1/k at this length (and 1e-6 of n in the step count);
+        # products on the entries keep both at round-off.
         u = Matrix2(1.0, 1.0, 0.0, 1.0)
         alpha, n = 0.32877074292244746, 299188
+        levels, _, (y,) = level_table(CocyclePair(u, u), alpha, n, [0.125])
         total = 0.0
-        for (a, b, c, d), log in _orbit_chunks(CocyclePair(u, u), alpha,
-                                               np.array([0.125]), n):
-            k = math.exp(log[0])
-            assert b[0] == 1.0 and c[0] == 0.0
-            assert abs(a[0] * k - 1.0) <= 1e-9 and abs(d[0] * k - 1.0) <= 1e-9
+        for m in _orbit_factors(levels, y, n)[0]:
+            k = math.exp(m.log_scale)
+            assert m.b == 1.0 and m.c == 0.0
+            assert abs(m.a * k - 1.0) <= 1e-9 and abs(m.d * k - 1.0) <= 1e-9
             total += k
         assert abs(total - n) <= 1e-9 * n
 
     def test_hundred_million_steps(self):
-        # Criterion 7's pairs at 1e8 steps: at most about 4e4 letters per
-        # orbit at the induced level, where the per-step walk takes 1e8.
+        # Criterion 7's pairs at 1e8 steps: the golden float's 39 levels
+        # take about 30 factors per orbit, where the per-step walk takes 1e8.
         t = Rotation2IET(GOLDEN)
         est = direct_exponent(commuting_hyperbolic(), t, 10**8)
         assert abs(est.chi - math.log(2.0)) <= 1e-6

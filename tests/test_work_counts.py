@@ -6,16 +6,26 @@ the identity product in Matrix2.power, the fixed points of elliptic
 letters, a second product per step for tr [A, B] or a second
 classification of an absorbing pair shows up here as a higher count.
 The values the walk builds per product and per step are slotted: a
-__dict__ on them brings back the cost of building it."""
+__dict__ on them brings back the cost of building it.  direct_exponent's
+orbit walk is counted the same way: its factors per orbit and the
+products of its level table."""
 
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from rvcocycle import mat2
 from rvcocycle.cocycle import CocyclePair
-from rvcocycle.lyapunov import DecisionBudget, renorm_decision
+from rvcocycle.iet import Winner
+from rvcocycle.lyapunov import (
+    DecisionBudget,
+    _exact_points,
+    _level_table,
+    _orbit_factors,
+    renorm_decision,
+)
 from rvcocycle.mat2 import Matrix2, diagonal, rotation
 from rvcocycle.spectrum import (
     BoundedWitness,
@@ -39,6 +49,19 @@ REFINE_MUL = 11
 # mcg_trajectory classified the input pair before its decision did.
 ABSORBING_ALPHA = 0.3819660112501051
 ABSORBING_CLASSIFY = 2
+# direct_exponent's walk through every level of the induction with return
+# times up to n: O(sum of log a_k) factors per orbit, where the one induced
+# level near sqrt(n) took about 600 letters per orbit at 1e4 steps and
+# 1.4e6 at alpha = 0.3 and 1e7.  The table squares a run's letter only up
+# to the powers that fit in n: the float 0.1 and the float 0.3 each have a
+# digit near 9e14 (1.8e15 and 9.0e14), whose full power takes about 50
+# squarings.  3/8 ends its expansion, and its last level is one power.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+WALK_CASES = [(alpha, n) for alpha in (0.1, 0.3, 0.7, GOLDEN, 1.0 / (1e6 + 2.5))
+              for n in (10**3, 10**5, 10**8, 10**10)] + [(0.3, 10**7),
+                                                         (0.375, 10**10)]
+ORBIT_FACTORS = 64  # at most 39 taken
+TABLE_MUL = 64  # at most 48 taken (the golden float at 1e10)
 
 
 def count_calls(monkeypatch, original):
@@ -109,3 +132,20 @@ def test_walk_values_are_slotted():
     step = renorm_decision(p, BOUNDED_ALPHA).steps[-1]
     for value in (p.A, p, step.coords, step):
         assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+@pytest.mark.parametrize("alpha, n", WALK_CASES)
+def test_orbit_walk_factors(mul_calls, alpha, n):
+    m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
+    p = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
+    unit, starts = _exact_points(alpha, np.random.default_rng(0).random(8))
+    mul_calls.clear()
+    levels = _level_table(p, alpha, n, unit)
+    assert len(mul_calls) <= TABLE_MUL
+    for lv in levels:
+        # Squares of the run's letter (A at a last level) while they fit in
+        # the run and in n; a last level has no run to bound them.
+        fits = n // lv.lengths[lv.winner is Winner.TOP]
+        assert len(lv.powers) == min(lv.run or fits, fits).bit_length()
+    for y in starts:
+        assert len(_orbit_factors(levels, y, n)[0]) <= ORBIT_FACTORS
