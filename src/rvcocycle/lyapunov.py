@@ -30,7 +30,7 @@ the return words that the runs move the pair to (Rauzy 1979; Zorich 1996).
 So direct_exponent and boundedness_implies_zero walk an n-step orbit
 through every level whose return times fit in n: down, each level's entry
 into I_{k+1}; then up, each level's part of the next longer letter that
-still fits.  Each is a power of one letter at most and its letter of the
+still fits.  Each is at most one power of a letter and one letter of the
 other kind, and each power is taken as its squares, so an orbit takes
 O(sum of log a_k) factors over those levels, whatever n and however close
 alpha is to a rational.  The level table is built once per call, with the

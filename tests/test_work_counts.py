@@ -51,7 +51,7 @@ ABSORBING_ALPHA = 0.3819660112501051
 ABSORBING_CLASSIFY = 2
 # direct_exponent's walk through every level of the induction with return
 # times up to n: O(sum of log a_k) factors per orbit, where the one induced
-# level near sqrt(n) took about 600 letters per orbit at 1e4 steps and
+# level near sqrt(n) took about 290 letters per orbit at 1e4 steps and
 # 1.4e6 at alpha = 0.3 and 1e7.  The table squares a run's letter only up
 # to the powers that fit in n: the float 0.1 and the float 0.3 each have a
 # digit near 9e14 (1.8e15 and 9.0e14), whose full power takes about 50
