@@ -2,6 +2,10 @@
 classification, character-variety trace coordinates, the compact-set
 membership test, and the invariant-cone uniform-hyperbolicity certificate.
 
+The certificate's rate is a formula on the two letters, not an enumeration
+of words: the larger of their Perron and their Birkhoff rate on the cone of
+a strictly invariant arc.
+
 The pair (A, B) is a locally constant cocycle over a 2-interval exchange:
 A acts on I_a, B on I_b.  The moves are
 
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .mat2 import (
+    EPS_TRACE,
     LOG_FLOAT_MAX,
     IsometryClass,
     Matrix2,
@@ -30,8 +35,6 @@ from .mat2 import (
 )
 
 CONE_MARGIN_FRACTION = 0.25
-# Block lengths L at which cone_certificate tries to prove its rate.
-CONE_BLOCK_LENGTHS = (1, 2, 4, 8, 12)
 
 
 class DegeneratePairError(ValueError):
@@ -106,19 +109,18 @@ def degenerate(reason: str) -> PairType:
     return PairType("DEG", reason)
 
 
-def _letter_kind(trace: float, eps: float) -> str | None:
-    """E or H by |trace| against the band of width eps around 2 (None in
-    the band).  classify's identity test also needs |tr| within eps of 2,
-    so it never fires outside the band."""
+def _letter_kind(trace: float) -> str | None:
+    """E or H by |trace| against the band of width EPS_TRACE around 2 (None
+    in the band, the only place classify's identity test fires)."""
     t = abs(trace)
-    if t < 2.0 - eps:
+    if t < 2.0 - EPS_TRACE:
         return "E"
-    if t > 2.0 + eps:
+    if t > 2.0 + EPS_TRACE:
         return "H"
     return None
 
 
-def _classify_letters(p: CocyclePair, eps: float,
+def _classify_letters(p: CocyclePair,
                       traces: tuple[float, float] | None = None):
     """(pair type, classify(A), classify(B)); the two classes are None
     unless both letters are hyperbolic, the only case that needs them.
@@ -133,20 +135,20 @@ def _classify_letters(p: CocyclePair, eps: float,
     """
     if traces is None:
         traces = (p.A.trace, p.B.trace)
-    kinds = _letter_kind(traces[0], eps), _letter_kind(traces[1], eps)
+    kinds = _letter_kind(traces[0]), _letter_kind(traces[1])
     for name, kind in zip("AB", kinds):
         if kind is None:
             reason = f"{name} is within eps of the parabolic locus"
             return degenerate(reason), None, None
     if kinds != ("H", "H"):
         return {("E", "E"): EE, ("E", "H"): EH, ("H", "E"): HE}[kinds], None, None
-    ca, cb = classify(p.A, eps), classify(p.B, eps)
+    ca, cb = classify(p.A), classify(p.B)
     atts = (ca.attracting.angle(), cb.attracting.angle())
     reps = (ca.repelling.angle(), cb.repelling.angle())
     for a in atts:
         for r in reps:
             gap = (a - r) % TWO_PI
-            if min(gap, TWO_PI - gap) <= eps:
+            if min(gap, TWO_PI - gap) <= EPS_TRACE:
                 return degenerate("an attracting and a repelling fixed point "
                                   "nearly coincide"), ca, cb
     if arcs_link(ca.attracting, cb.attracting, ca.repelling, cb.repelling):
@@ -154,10 +156,10 @@ def _classify_letters(p: CocyclePair, eps: float,
     return HH_PLUS, ca, cb
 
 
-def classify_pair(p: CocyclePair, eps: float = 1e-9) -> PairType:
+def classify_pair(p: CocyclePair) -> PairType:
     """The joint type of p.  DEG, EE, EH and HE are read off |tr A| and
     |tr B|; only two hyperbolic letters need their fixed points."""
-    return _classify_letters(p, eps)[0]
+    return _classify_letters(p)[0]
 
 
 # Allowed one-move type transitions, keyed by (source code, move).  "HH+"
@@ -232,12 +234,12 @@ class KMembership:
     elliptic_witnesses: frozenset[str]  # subset of {"A", "B", "AB"}
 
 
-def k_membership(p: CocyclePair, eps: float = 1e-9) -> KMembership:
+def k_membership(p: CocyclePair) -> KMembership:
     """Membership in the compact set of pairs with at least two elliptic
-    matrices among A, B and AB (strict trace test with tolerance band eps)."""
+    matrices among A, B and AB (strict trace test, tolerance EPS_TRACE)."""
     witnesses = set()
     for name, m in (("A", p.A), ("B", p.B), ("AB", p.product())):
-        if abs(m.trace) < 2.0 - eps:
+        if abs(m.trace) < 2.0 - EPS_TRACE:
             witnesses.add(name)
     return KMembership(in_k=len(witnesses) >= 2,
                        elliptic_witnesses=frozenset(witnesses))
@@ -253,7 +255,8 @@ class ConeCertificate:
     containing both attracting fixed points and neither repelling one, mapped
     strictly inside itself by A and by B, with a proved rate: every word w in
     the semigroup, of every length, has spectral radius
-    >= constant * expansion_factor^len(w).  The proof needs no constant, so
+    >= constant * expansion_factor^len(w), the larger of the letters' Perron
+    and Birkhoff rates (cone_certificate).  Neither rate needs a constant, so
     constant is always 1."""
 
     arc_lo: float
@@ -266,33 +269,23 @@ class ConeCertificate:
         return (angle - self.arc_lo) % TWO_PI <= width + 1e-12
 
 
-def word_levels(p: CocyclePair, max_len: int):
-    """Yield, for n = 1 .. max_len, the list of words in {A, B} of length n
-    (w g for each word w of length n - 1 and g in (A, B)).  Each level is
-    built, one product per word, only when the previous one has been taken.
-    Words whose float product degenerates (cancellation between
-    near-inverse factors) are dropped together with their extensions.
-    """
+def short_words(p: CocyclePair, max_len: int):
+    """Yield (n, w g) for n = 1 .. max_len, each word w of length n - 1 and
+    g in (A, B).  Words whose float product degenerates (cancellation
+    between near-inverse factors) are dropped with their extensions."""
     level = [p.A, p.B]
     for n in range(1, max_len + 1):
-        yield level
-        if n == max_len:
-            return
         nxt = []
         for w in level:
+            yield n, w
+            if n == max_len:
+                continue
             for g in (p.A, p.B):
                 try:
                     nxt.append(mul(w, g))
                 except NonUnimodularError:
                     pass
         level = nxt
-
-
-def short_words(p: CocyclePair, max_len: int):
-    """Yield (length, matrix) for every word of word_levels(p, max_len)."""
-    for n, level in enumerate(word_levels(p, max_len), 1):
-        for m in level:
-            yield n, m
 
 
 def _quadrant_pair(p: CocyclePair, lo: float, width: float) -> CocyclePair | None:
@@ -325,9 +318,10 @@ def _quadrant_pair(p: CocyclePair, lo: float, width: float) -> CocyclePair | Non
 
 
 def _block_log_rate(words: list[Matrix2]) -> float:
-    """log min over the words of r_l(w) = min_j (l w)_j / l_j, for positive
-    matrices and l the left Perron vector of the word of smallest spectral
-    radius.  For v >= 0, l(w v) >= r_l(w) l(v)."""
+    """The Perron rate: log min over the positive letters of r_l(w) =
+    min_j (l w)_j / l_j, l the left Perron vector of the letter of smallest
+    spectral radius.  For v >= 0, l(w v) >= r_l(w) l(v), so at its Perron
+    vector a word of these letters has rho >= (min r_l)^(its length)."""
     u = min(words, key=spectral_radius)
     p, q, r, s = u.entries()
     d = s - p
@@ -348,20 +342,21 @@ def cone_certificate(p: CocyclePair,
 
     The arc spans both attracting fixed points with a margin of one quarter
     of the smallest gap to a repelling point.  Conjugated to the positive
-    quadrant of that arc's cone, A and B are positive matrices.  For a
-    positive functional l on the cone, l(M v) >= r_l(M) l(v) (see
-    _block_log_rate); the Perron vector of every word lies in the cone, and
-    w^L splits into len(w) blocks of length L, so
-    mu = (min over words of length L of r_l)^(1/L) gives
-    rho(w) >= mu^len(w) for every word of every length, with constant 1.
-    L runs through CONE_BLOCK_LENGTHS (L = 1 needs no products) until mu > 1;
-    None if no L proves a rate above 1.
+    quadrant of that arc's cone, A and B are positive matrices, and each of
+    two closed-form rates on them gives rho(w) >= mu^len(w) for every word
+    w: the Perron rate (_block_log_rate) and the Birkhoff rate.  A positive
+    letter [[p, q], [r, s]] contracts the quadrant's Hilbert metric by
+    tau = tanh(log(ps/qr)/4) (Birkhoff 1957; Bushell 1973), and a word w
+    contracts it by 1/rho(w)^2 at its Perron vector, so the rate is
+    tau^(-1/2) = e^log_scale (sqrt(ps) + sqrt(qr)) for the largest tau.
+    mu is the larger rate, capped at the letters' spectral radii; None
+    unless mu > 1.  No word is formed.
 
     letters, when given, is (classify(A), classify(B)) of a pair that the
     caller's _classify_letters has already typed HH+.
     """
     if letters is None:
-        ptype, *letters = _classify_letters(p, 1e-9)
+        ptype, *letters = _classify_letters(p)
         if ptype.code != "HH+":
             return None
     ca, cb = letters
@@ -389,15 +384,11 @@ def cone_certificate(p: CocyclePair,
     cone = _quadrant_pair(p, lo, (hi - lo) % TWO_PI)
     if cone is None:
         return None
+    birkhoff = min(m.log_scale + math.log(math.sqrt(m.a * m.d) + math.sqrt(m.b * m.c))
+                   for m in (cone.A, cone.B))
+    log_mu = max(_block_log_rate([cone.A, cone.B]), birkhoff)
     # No valid rate exceeds the spectral radius of a letter; the cap only
     # takes off rounding above it.
     cap = min(spectral_radius(p.A), spectral_radius(p.B))
-    for n, words in enumerate(word_levels(cone, CONE_BLOCK_LENGTHS[-1]), 1):
-        if n not in CONE_BLOCK_LENGTHS:
-            continue
-        if len(words) < 2 ** n:
-            return None
-        mu = min(math.exp(min(_block_log_rate(words) / n, LOG_FLOAT_MAX)), cap)
-        if mu > 1.0:
-            return ConeCertificate(arc_lo=lo, arc_hi=hi, expansion_factor=mu)
-    return None
+    mu = min(math.exp(min(log_mu, LOG_FLOAT_MAX)), cap)
+    return ConeCertificate(lo, hi, mu) if mu > 1.0 else None

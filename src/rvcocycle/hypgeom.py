@@ -101,15 +101,15 @@ def translation_between(rep: BoundaryPoint, att: BoundaryPoint,
     return mul(mul(q, Matrix2(lam, 0.0, 0.0, 1.0 / lam)), q.inv())
 
 
-def elliptic_data(m: Matrix2, eps: float = 1e-9) -> EllipticData:
-    cls = classify(m, eps)
+def elliptic_data(m: Matrix2) -> EllipticData:
+    cls = classify(m)
     if not cls.is_elliptic:
         raise DegeneratePairError("matrix is not elliptic")
     return EllipticData(center=cls.center, angle=(2.0 * cls.angle) % (2.0 * math.pi))
 
 
-def hyperbolic_data(m: Matrix2, eps: float = 1e-9) -> HyperbolicData:
-    cls = classify(m, eps)
+def hyperbolic_data(m: Matrix2) -> HyperbolicData:
+    cls = classify(m)
     if not cls.is_hyperbolic:
         raise DegeneratePairError("matrix is not hyperbolic")
     return HyperbolicData(
@@ -163,9 +163,9 @@ def boundary_value(m: Matrix2, p: BoundaryPoint) -> float:
     return u / v
 
 
-def pair_geometry(a: Matrix2, b: Matrix2, eps: float = 1e-9) -> PairGeometry:
+def pair_geometry(a: Matrix2, b: Matrix2) -> PairGeometry:
     """Type-dependent distance between the invariant objects of a and b."""
-    ca, cb = classify(a, eps), classify(b, eps)
+    ca, cb = classify(a), classify(b)
     if not (ca.is_elliptic or ca.is_hyperbolic):
         raise DegeneratePairError(f"first matrix classified {ca.kind}")
     if not (cb.is_elliptic or cb.is_hyperbolic):

@@ -65,7 +65,7 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
-from .mat2 import ENTRY_LIMIT, Matrix2, identity, mul
+from .mat2 import ENTRY_LIMIT, EPS_TRACE, Matrix2, mul
 
 DEFAULT_SAMPLES = 8
 
@@ -374,12 +374,12 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
 
 def _k_escort(tc: TraceCoords) -> bool:
     """Whether the pair or a one-step tau-preimage lies in K (k_membership's
-    test: two of A, B, AB with |trace| < 2 - 1e-9).  The preimages
+    test: two of A, B, AB with |trace| < 2 - EPS_TRACE).  The preimages
     (A, B A^-1) and (B^-1 A, B) have the traces (x, xy - z, y) and
     (xy - z, y, x); forming them instead can cancel a product's float
     determinant to <= 0.  All three triples hold x and y, so two elliptic
     letters decide, and with one the third trace of either triple does."""
-    limit = 2.0 - 1e-9
+    limit = 2.0 - EPS_TRACE
     ex, ey = abs(tc.x) < limit, abs(tc.y) < limit
     if ex and ey:
         return True
@@ -410,7 +410,7 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
     """renorm_decision on the runs (winner, run_len, pair) of renorm_runs
     (p, ...), taken one at a time and no further than the decision needs,
     so that a caller can keep walking the same iterator."""
-    ptype, *letters = _classify_letters(p, 1e-9)
+    ptype, *letters = _classify_letters(p)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
     coords = trace_coords(p)
@@ -440,7 +440,7 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
             last_winner = winner
             index += 1
             coords = trace_coords(cur, kappa)
-            ptype, *letters = _classify_letters(cur, 1e-9, (coords.x, coords.y))
+            ptype, *letters = _classify_letters(cur, (coords.x, coords.y))
             steps.append(StepRecord(index=index, digit=run_len, winner=winner,
                                     pair_type=ptype.code, coords=coords,
                                     in_k_escort=_k_escort(coords)))
@@ -520,6 +520,9 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     log||product_n|| / n.  Bounded renormalization predicts decay to 0.
     The factors come from _orbit_factors on one level table, each stretch
     between checkpoints walked on from the exact point the last one reached.
+    The product is four floats and a log, renormalized by its largest entry
+    after each factor, as direct_exponent walks its vector; its 2-norm, the
+    largest singular value, is taken in closed form.
     """
     if trace.verdict.kind != "CertifiedBounded":
         raise ValueError("requires a CertifiedBounded renormalization trace")
@@ -533,14 +536,18 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     alpha = float(t.alpha)
     unit, (y,) = _exact_points(alpha, [x0 % 1.0])
     levels = _level_table(p, alpha, n_check, unit)
-    prod = identity()
+    a, b, c, d, log = 1.0, 0.0, 0.0, 1.0, 0.0
     done = 0
     worst = -math.inf
     for k in reversed(checkpoints):
         factors, y = _orbit_factors(levels, y, k - done)
         for m in factors:
-            prod = mul(m, prod)
+            a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
+                          m.c * a + m.d * c, m.c * b + m.d * d)
+            top = max(abs(a), abs(b), abs(c), abs(d))
+            a, b, c, d = a / top, b / top, c / top, d / top
+            log += m.log_scale + math.log(top)
         done = k
-        nrm = np.linalg.norm(np.reshape(prod.entries(), (2, 2)), 2)
-        worst = max(worst, (prod.log_scale + math.log(nrm)) / k)
+        nrm = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
+        worst = max(worst, (log + math.log(nrm)) / k)
     return worst

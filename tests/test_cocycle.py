@@ -118,6 +118,15 @@ def log_word_radii(p, max_len):
         yield n, float(log_rho.min())
 
 
+def assert_words_keep(p, cert, max_len):
+    """rho(w) >= constant * mu^len(w) on every word of length up to max_len,
+    by log_word_radii."""
+    for n, log_rho in log_word_radii(p, max_len):
+        lower = math.log(cert.constant) + n * math.log(cert.expansion_factor)
+        assert log_rho >= lower + math.log1p(-1e-9), \
+            f"word of length {n}: log radius {log_rho} < log bound {lower}"
+
+
 def angles():
     return st.floats(min_value=0.05, max_value=6.2)
 
@@ -385,22 +394,45 @@ class TestCone:
                     f"pair {found}, word of length {n}: log radius {log_rho} " \
                     f"< log bound {lower}"
 
-    def test_weak_pair_has_no_certificate(self):
+    def test_weak_pair_is_certified(self):
         # An HH+ pair of criterion 4's draw (seed 31, scale 2.5) on which no
-        # block length up to 12 proves a rate above 1: a length-8 word grows
-        # only about 1.048 per letter.  The verdict needs only the arc.
+        # block length up to 12 of a block-length ladder proved a rate above
+        # 1: a length-8 word grows only about 1.048 per letter.  The
+        # Birkhoff rate proves mu = 1.0227, and every word up to length 20
+        # keeps it.
         p = CocyclePair(
             Matrix2(-1.0979387479033134, 0.4875026217567887,
                     0.2537453433510055, -1.0234646716750608),
             Matrix2(-1.2556963476309757, -0.9590704883837048,
                     -0.33513549825046857, -1.0523392605822341))
         assert classify_pair(p).code == "HH+"
-        assert cone_certificate(p) is None
+        cert = cone_certificate(p)
+        assert cert is not None and cert.expansion_factor > 1.0
+        assert_words_keep(p, cert, 20)
         alpha = (math.sqrt(5.0) - 1.0) / 2.0
         trace = renorm_decision(p, alpha)
         assert trace.verdict.kind == "UniformlyHyperbolic"
         assert trace.verdict.at_step == 0
-        assert exponent_lower_bound(trace, alpha) == 0.0
+        assert exponent_lower_bound(trace, alpha) > 0.0
+
+    def test_every_absorbing_pair_is_certified(self):
+        # Criterion 4's first 300 HH+ pairs (seed 31, scale 2.5) all get a
+        # certificate.  A block-length ladder over L = 1, 2, 4, 8, 12 left
+        # pairs 10, 79, 102 and 231 without one; their words are checked
+        # to length 17.
+        rng = random.Random(31)
+        certs = []
+        while len(certs) < 300:
+            p = random_pair(rng, scale=2.5)
+            try:
+                if classify_pair(p).code != "HH+":
+                    continue
+                certs.append((p, cone_certificate(p)))
+            except ValueError:
+                continue
+        assert all(cert is not None for _, cert in certs)
+        for i in (10, 79, 102, 231):
+            assert_words_keep(*certs[i], 17)
 
     def test_arc_invariance(self):
         p = CocyclePair(Matrix2(3.0, 1.0, 1.0, 0.667), Matrix2(2.5, 0.3, 0.4, 0.448))

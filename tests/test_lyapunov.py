@@ -103,6 +103,34 @@ def mp_pairs(p, runs, dps):
     return out
 
 
+def mp_audit(p, alpha, n_check, x0, dps):
+    """reference_audit in dps-digit mpmath, on the exact points of the
+    orbit of x0: one product per step, the 2-norm from the Frobenius norm
+    and the determinant."""
+    checkpoints = set()
+    n = n_check
+    while n >= min(1000, n_check):
+        checkpoints.add(n)
+        n //= 2
+    step, x = Fraction(alpha), Fraction(x0)
+    worst = -math.inf
+    with mpmath.workdps(dps):
+        a, b = ([mpmath.mpf(e) for e in m.entries()] for m in (p.A, p.B))
+        prod = [mpmath.mpf(1), 0, 0, mpmath.mpf(1)]
+        for k in range(1, n_check + 1):
+            m = a if x < 1 - step else b
+            p0, p1, p2, p3 = prod
+            prod = [m[0] * p0 + m[1] * p2, m[0] * p1 + m[1] * p3,
+                    m[2] * p0 + m[3] * p2, m[2] * p1 + m[3] * p3]
+            x = (x + step) % 1
+            if k in checkpoints:
+                f = sum(e * e for e in prod)
+                det = prod[0] * prod[3] - prod[1] * prod[2]
+                norm = mpmath.sqrt((f + mpmath.sqrt(f * f - 4 * det**2)) / 2)
+                worst = max(worst, float(mpmath.log(norm) / k))
+    return worst
+
+
 def mp_maps_arc_inside(m, lo, hi, dps):
     """Whether m sends the counterclockwise arc [lo, hi] (chart t -> (cos
     t/2, sin t/2)) strictly inside itself: the images of lo, the midpoint
@@ -674,6 +702,21 @@ class TestDerivedQuantities:
             got = boundedness_implies_zero(g, Rotation2IET(GOLDEN), trace,
                                            n_check)
             assert abs(got - reference_audit(g, GOLDEN, n_check)) <= 1e-9
+
+    def test_boundedness_audit_matches_mpmath(self):
+        # Criterion 6's draw 11 (alpha = 0.8138261609728749), against the
+        # orbit product taken one step at a time in 50 digits on exact
+        # orbit points.  The audit is 2.2e-15 off at 20000 steps, as it was
+        # when it multiplied its factors with mul: the float letters of the
+        # level table carry that error, and the product of the same factors
+        # in 50 digits is within 2e-17 of the audit.
+        trace = renorm_decision(commuting_elliptic(), GOLDEN,
+                                DecisionBudget(max_accel_steps=40))
+        p, alpha = criterion6_draws(11)[-1]
+        assert alpha == 0.8138261609728749
+        got = boundedness_implies_zero(p, Rotation2IET(alpha), trace, 20000)
+        want = mp_audit(p, alpha, 20000, 0.2137, 50)
+        assert abs(got - want) <= 1e-14
 
     def test_boundedness_audit_requires_bounded(self):
         trace = renorm_decision(commuting_hyperbolic(), GOLDEN)

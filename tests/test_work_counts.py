@@ -8,7 +8,8 @@ classification of an absorbing pair shows up here as a higher count.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
-products of its level table."""
+products of its level table.  The cone certificate is a formula on the
+two letters and forms no product at all."""
 
 import math
 import sys
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from rvcocycle import mat2
-from rvcocycle.cocycle import CocyclePair
+from rvcocycle.cocycle import CocyclePair, cone_certificate
 from rvcocycle.iet import Winner
 from rvcocycle.lyapunov import (
     DecisionBudget,
@@ -106,6 +107,25 @@ def test_refine_slope_products(mul_calls):
     point = evaluate_slope(rep, REFINE_THETA, DecisionBudget(max_accel_steps=40))
     assert point.verdict == "hyperbolic" and point.steps == 3
     assert len(mul_calls) <= REFINE_MUL
+
+
+# An HH+ pair of criterion 4's draw on which a block-length ladder over
+# L = 1, 2, 4, 8, 12 formed all 8188 words and still proved no rate.
+WEAK_PAIR = CocyclePair(
+    Matrix2(-1.0979387479033134, 0.4875026217567887,
+            0.2537453433510055, -1.0234646716750608),
+    Matrix2(-1.2556963476309757, -0.9590704883837048,
+            -0.33513549825046857, -1.0523392605822341))
+
+
+@pytest.mark.parametrize("p", [WEAK_PAIR,
+                               CocyclePair(diagonal(2.0), diagonal(2.0))],
+                         ids=["weak", "diagonal"])
+def test_cone_certificate_forms_no_words(mul_calls, p):
+    mul_calls.clear()
+    cert = cone_certificate(p)
+    assert len(mul_calls) == 0
+    assert cert is not None
 
 
 def _decision_absorbed_at(p):
