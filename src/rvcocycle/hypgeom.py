@@ -22,6 +22,7 @@ from .mat2 import (
     IsometryClass,
     Matrix2,
     arcs_link,
+    boundary_action,
     classify,
     mul,
     rotation,
@@ -145,22 +146,14 @@ def axis_to_axis(rep_a: BoundaryPoint, att_a: BoundaryPoint,
     if arcs_link(rep_a, att_a, rep_b, att_b):
         return 0.0, True
     g = axis_to_imaginary(rep_a, att_a)
-    p = boundary_value(g, rep_b)
-    q = boundary_value(g, att_b)
+    p = boundary_action(g, rep_b).value
+    q = boundary_action(g, att_b).value
     # Disjoint from the imaginary axis: both endpoints on one side.
     lo, hi = sorted((abs(p), abs(q)))
     if hi == math.inf or lo == 0.0:
         # Shared endpoint with the first axis: asymptotic geodesics.
         return 0.0, False
     return math.acosh((lo + hi) / (hi - lo)), False
-
-
-def boundary_value(m: Matrix2, p: BoundaryPoint) -> float:
-    u = m.a * p.u + m.b * p.v
-    v = m.c * p.u + m.d * p.v
-    if v == 0.0:
-        return math.inf
-    return u / v
 
 
 def pair_geometry(a: Matrix2, b: Matrix2) -> PairGeometry:

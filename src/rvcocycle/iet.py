@@ -31,6 +31,7 @@ from fractions import Fraction
 
 RATIONAL_TOL = 1e-13
 MAX_DIGIT = 10**6
+RETURN_BUDGET = 10**7  # first_return_oracle's steps per orbit
 
 
 class FiniteOrderError(RuntimeError):
@@ -84,18 +85,18 @@ class Rotation2IET:
             return x + alpha
         return x + alpha - 1.0
 
-    def winner(self, tol: float = RATIONAL_TOL) -> Winner:
+    def winner(self) -> Winner:
         half_gap = self.alpha - Fraction(1, 2) if self.exact else self.alpha - 0.5
-        if (half_gap == 0) if self.exact else (abs(half_gap) <= tol):
+        if (half_gap == 0) if self.exact else (abs(half_gap) <= RATIONAL_TOL):
             raise FiniteOrderError("alpha = 1/2: the exchange is finite order")
         return Winner.TOP if half_gap > 0 else Winner.BOTTOM
 
 
-def rauzy_step(t: Rotation2IET, tol: float = RATIONAL_TOL) -> tuple[Winner, Rotation2IET]:
+def rauzy_step(t: Rotation2IET) -> tuple[Winner, Rotation2IET]:
     """One elementary induction step; returns the winner and the normalized
     first-return map (on [0, alpha] if top wins, on [0, 1-alpha] if bottom wins).
     """
-    w = t.winner(tol)
+    w = t.winner()
     if w is Winner.TOP:
         new_alpha = (2 * t.alpha - 1) / t.alpha
     else:
@@ -103,7 +104,7 @@ def rauzy_step(t: Rotation2IET, tol: float = RATIONAL_TOL) -> tuple[Winner, Rota
     if t.exact:
         if new_alpha <= 0 or new_alpha >= 1:
             raise FiniteOrderError("alpha reached the boundary: rational input")
-    elif new_alpha <= tol or new_alpha >= 1.0 - tol:
+    elif new_alpha <= RATIONAL_TOL or new_alpha >= 1.0 - RATIONAL_TOL:
         raise FiniteOrderError("alpha reached the boundary: rational input")
     return w, Rotation2IET(new_alpha)
 
@@ -116,9 +117,7 @@ class AccelStep:
     scale: float          # |I_n| relative to the interval before the step
 
 
-def accelerated_step(t: Rotation2IET, prev: Winner = Winner.BOTTOM,
-                     tol: float = RATIONAL_TOL,
-                     max_digit: int = MAX_DIGIT) -> AccelStep:
+def accelerated_step(t: Rotation2IET, prev: Winner = Winner.BOTTOM) -> AccelStep:
     """Consume elementary steps while the winner equals `prev`, plus the first
     step whose winner differs.  The digit is the number of steps consumed.
     Start runs with prev = BOTTOM; chain with prev = result.winner.other.
@@ -130,10 +129,10 @@ def accelerated_step(t: Rotation2IET, prev: Winner = Winner.BOTTOM,
     cur = t
     scale = 1.0
     while True:
-        w, nxt = rauzy_step(cur, tol)
+        w, nxt = rauzy_step(cur)
         scale *= cur.len_b if w is Winner.TOP else cur.len_a
         digit += 1
-        if digit > max_digit:
+        if digit > MAX_DIGIT:
             raise BudgetExceededError("digit exceeds the per-step cap")
         cur = nxt
         if w is not prev:
@@ -141,15 +140,14 @@ def accelerated_step(t: Rotation2IET, prev: Winner = Winner.BOTTOM,
     return AccelStep(digit=digit, winner=prev, state=cur, scale=scale)
 
 
-def accelerated_digits(alpha: float | Fraction, n: int,
-                       tol: float = RATIONAL_TOL) -> list[int]:
+def accelerated_digits(alpha: float | Fraction, n: int) -> list[int]:
     """First n continued-fraction digits of alpha read off the induction."""
     t = Rotation2IET(alpha)
     prev = Winner.BOTTOM
     digits = []
     for _ in range(n):
         try:
-            step = accelerated_step(t, prev, tol)
+            step = accelerated_step(t, prev)
         except FiniteOrderError:
             break
         digits.append(step.digit)
@@ -234,8 +232,7 @@ class FirstReturnRecord:
     return_times: tuple[int, int]
 
 
-def first_return_oracle(t: Rotation2IET, n_accel: int,
-                        budget: int = 10**7) -> FirstReturnRecord:
+def first_return_oracle(t: Rotation2IET, n_accel: int) -> FirstReturnRecord:
     """Return times of the original rotation on the interval [0, x_n] induced
     after n_accel accelerated steps, found by direct orbit simulation from one
     sample point in each continuity piece of the induced map.
@@ -256,7 +253,7 @@ def first_return_oracle(t: Rotation2IET, n_accel: int,
     times = []
     for x in samples:
         y = x
-        for k in range(1, budget + 1):
+        for k in range(1, RETURN_BUDGET + 1):
             y = t.apply(y)
             if y >= 1.0:
                 y -= 1.0

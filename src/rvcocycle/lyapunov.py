@@ -13,12 +13,12 @@ They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
 budget outlasts its expansion (53 digits for the golden float).
 renorm_runs walks the moves, one tau_power per run, and each caller walks
-it once.  renorm_decision is _decide on a fresh renorm_runs generator;
-spectrum.mcg_trajectory hands _decide its own generator, records the runs
-the decision takes, and walks the same generator on when the decision
-stops before the trajectory's length.  The orbit products read the runs
-of run_steps into their own table of levels, with the letters formed only
-as far as n-step orbits use them.
+it once.  renorm_decision is _decide on a fresh renorm_runs generator.
+spectrum.mcg_trajectory walks first: it takes the runs of its trajectory
+off one generator, and _decide reads those runs and then the rest of the
+same generator, as far as the decision needs.  The orbit products read
+the runs of run_steps into their own table of levels, with the letters
+formed only as far as n-step orbits use them.
 
 Each step of a decision forms one product, AB, for z = tr AB.  The
 commutator trace c = tr [A, B] is taken once, from the input pair: the
@@ -59,15 +59,17 @@ from .cocycle import (
     trace_coords,
 )
 from .iet import (
+    MAX_DIGIT,
     BudgetExceededError,
     Rotation2IET,
     Winner,
     continued_fraction,
     run_steps,
 )
-from .mat2 import ENTRY_LIMIT, EPS_TRACE, Matrix2, mul
+from .mat2 import ENTRY_LIMIT, EPS_TRACE, Matrix2, identity, mul
 
 DEFAULT_SAMPLES = 8
+AUDIT_START = 0.2137  # boundedness_implies_zero's orbit start
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,7 @@ class LyapunovEstimate:
 @dataclass(frozen=True)
 class DecisionBudget:
     max_accel_steps: int = 60
-    max_digit: int = 10**6
+    max_digit: int = MAX_DIGIT
     trace_bound: float | None = None  # default: bound from c, plus slack 4
 
     def __post_init__(self):
@@ -408,8 +410,9 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
 
 def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
     """renorm_decision on the runs (winner, run_len, pair) of renorm_runs
-    (p, ...), taken one at a time and no further than the decision needs,
-    so that a caller can keep walking the same iterator."""
+    (p, ...), taken one at a time and no further than the decision needs:
+    spectrum.mcg_trajectory passes the runs it has walked, chained to the
+    rest of the same generator."""
     ptype, *letters = _classify_letters(p)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
@@ -430,48 +433,36 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
                             certificate=cone_certificate(p, letters)))
 
     cur = p
-    all_bounded = True
     max_norm = 0.0
-    last_winner = None
-    terminated = False
-    index = 0
     try:
         for winner, run_len, cur in runs:
-            last_winner = winner
-            index += 1
             coords = trace_coords(cur, kappa)
             ptype, *letters = _classify_letters(cur, (coords.x, coords.y))
-            steps.append(StepRecord(index=index, digit=run_len, winner=winner,
-                                    pair_type=ptype.code, coords=coords,
-                                    in_k_escort=_k_escort(coords)))
+            steps.append(StepRecord(index=len(steps) + 1, digit=run_len,
+                                    winner=winner, pair_type=ptype.code,
+                                    coords=coords, in_k_escort=_k_escort(coords)))
             if ptype.is_degenerate:
                 raise DegeneratePairError(ptype.reason)
             if ptype.code == "HH+":
-                return done(Verdict(kind="UniformlyHyperbolic", at_step=index,
+                return done(Verdict(kind="UniformlyHyperbolic", at_step=len(steps),
                                     certificate=cone_certificate(cur, letters)))
-            norm = max(abs(coords.x), abs(coords.y), abs(coords.z))
-            max_norm = max(max_norm, norm)
-            if norm > bound:
-                all_bounded = False
-            if index >= budget.max_accel_steps:
+            max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
+            if len(steps) >= budget.max_accel_steps:
                 break
         else:
-            terminated = True
+            if steps:
+                checked = cur.A if steps[-1].winner is Winner.BOTTOM else cur.B
+            else:
+                # alpha = 1/2: period 2, whose return product BA has the trace of AB.
+                checked = cur.product()
+            member = abs(checked.trace) <= 2.0
+            return done(Verdict(kind="FiniteOrder", at_step=len(steps), last_pair=cur,
+                                spectrum_member=member))
     except BudgetExceededError:
         return done(Verdict(kind="Undecided",
                             budget_note="run length exceeded max_digit"))
-
-    if terminated:
-        if last_winner is None:
-            # alpha = 1/2: period 2, whose return product BA has the trace of AB.
-            checked = cur.product()
-        else:
-            checked = cur.A if last_winner is Winner.BOTTOM else cur.B
-        member = abs(checked.trace) <= 2.0
-        return done(Verdict(kind="FiniteOrder", at_step=index, last_pair=cur,
-                            spectrum_member=member))
-    if all_bounded:
-        return done(Verdict(kind="CertifiedBounded", at_step=index,
+    if max_norm <= bound:
+        return done(Verdict(kind="CertifiedBounded", at_step=len(steps),
                             max_trace_norm=max_norm))
     return done(Verdict(kind="Undecided",
                         budget_note="trace bound exceeded without reaching HH+"))
@@ -512,17 +503,16 @@ def exponent_lower_bound(trace: RenormTrace, alpha: float) -> float:
 
 
 def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
-                             trace: RenormTrace, n_check: int,
-                             x0: float = 0.2137) -> float:
+                             trace: RenormTrace, n_check: int) -> float:
     """Direct norm-growth audit for a CertifiedBounded run: accumulate the
     full 2x2 orbit product up to n_check and return the maximum over the
     checkpoints n_check, n_check/2, n_check/4, ... (down to 1000) of
-    log||product_n|| / n.  Bounded renormalization predicts decay to 0.
-    The factors come from _orbit_factors on one level table, each stretch
-    between checkpoints walked on from the exact point the last one reached.
-    The product is four floats and a log, renormalized by its largest entry
-    after each factor, as direct_exponent walks its vector; its 2-norm, the
-    largest singular value, is taken in closed form.
+    log||product_n|| / n, on the orbit from AUDIT_START.  Bounded
+    renormalization predicts decay to 0.  The factors come from
+    _orbit_factors on one level table, each stretch between checkpoints
+    walked on from the exact point the last one reached, and are multiplied
+    by mul.  The product's 2-norm, the largest singular value, is taken in
+    closed form.
     """
     if trace.verdict.kind != "CertifiedBounded":
         raise ValueError("requires a CertifiedBounded renormalization trace")
@@ -534,20 +524,17 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
         checkpoints.append(n)
         n //= 2
     alpha = float(t.alpha)
-    unit, (y,) = _exact_points(alpha, [x0 % 1.0])
+    unit, (y,) = _exact_points(alpha, [AUDIT_START])
     levels = _level_table(p, alpha, n_check, unit)
-    a, b, c, d, log = 1.0, 0.0, 0.0, 1.0, 0.0
+    prod = identity()
     done = 0
     worst = -math.inf
     for k in reversed(checkpoints):
         factors, y = _orbit_factors(levels, y, k - done)
         for m in factors:
-            a, b, c, d = (m.a * a + m.b * c, m.a * b + m.b * d,
-                          m.c * a + m.d * c, m.c * b + m.d * d)
-            top = max(abs(a), abs(b), abs(c), abs(d))
-            a, b, c, d = a / top, b / top, c / top, d / top
-            log += m.log_scale + math.log(top)
+            prod = mul(m, prod)
         done = k
+        a, b, c, d = prod.entries()
         nrm = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
-        worst = max(worst, (log + math.log(nrm)) / k)
+        worst = max(worst, (prod.log_scale + math.log(nrm)) / k)
     return worst

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .cocycle import (
     CocyclePair,
     DegeneratePairError,
+    classify_pair,
     mul,
     trace_coords,
 )
@@ -61,16 +63,11 @@ def chart_for(rep: Representation, theta: float) -> tuple[float, CocyclePair]:
     th = theta % math.pi
     if min(th, math.pi - th) <= CHART_TOL or abs(th - math.pi / 2.0) <= CHART_TOL:
         raise ChartBoundaryError(f"slope angle {theta} is on a chart boundary")
-    if th < math.pi / 2.0:
-        t = math.tan(th)
-        first, second = rep.A, rep.B
-        k = int(math.floor(t))
-        pair = CocyclePair(first, mul(second, first.power(k)))
-    else:
-        t = -math.tan(th)
-        first = rep.A.inv()
-        k = int(math.floor(t))
-        pair = CocyclePair(first, mul(rep.B, first.power(k)))
+    upper = th > math.pi / 2.0
+    t = -math.tan(th) if upper else math.tan(th)
+    first = rep.A.inv() if upper else rep.A
+    k = int(math.floor(t))
+    pair = CocyclePair(first, mul(rep.B, first.power(k)))
     alpha = t - math.floor(t)
     if alpha <= CHART_TOL or alpha >= 1.0 - CHART_TOL:
         raise ChartBoundaryError(f"slope angle {theta} gives an integer slope")
@@ -246,11 +243,12 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     along b, ((1, 0), (N, 1)), which adds N times row 1 to row 2.  The
     trajectory has min(n_steps, number of runs of alpha) steps.
 
-    The induction is walked once: the decision (renorm_decision's) takes
-    the runs of one renorm_runs generator as far as it needs, and the
-    trajectory reads the runs it took, then walks the same generator on
-    if it stopped short of n_steps.  A run past max_digit raises
-    BudgetExceededError when it is one of the first n_steps runs; past
+    The induction is walked once.  The trajectory takes the first n_steps
+    runs of one renorm_runs generator, and the decision (renorm_decision's)
+    reads those runs and then the rest of the same generator, as far as it
+    needs.  A run past max_digit raises BudgetExceededError when it is one
+    of the first n_steps runs, unless the input pair is degenerate
+    (DegeneratePairError, as the decision raises before any run); past
     them it leaves the decision Undecided.
     """
     if n_steps < 1:
@@ -259,43 +257,18 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     if budget is None:
         budget = DecisionBudget()
     runs = renorm_runs(pair, alpha, budget.max_digit)
-    walked: list[tuple[Winner, int, CocyclePair]] = []
-    stopped: list[BudgetExceededError] = []
-
-    def recorded():
-        try:
-            for run in runs:
-                walked.append(run)
-                yield run
-        except BudgetExceededError as exc:
-            stopped.append(exc)
-            raise
-
-    def walk_on():
-        # The runs up to n_steps that the decision did not take; a run past
-        # max_digit among them raises, as it does among the decision's own.
-        if len(walked) >= n_steps:
-            return
-        if stopped:
-            raise stopped[0]
-        for run in runs:
-            walked.append(run)
-            if len(walked) >= n_steps:
-                break
-
     try:
-        decision = _decide(pair, recorded(), budget)
-    except DegeneratePairError:
-        # _decide refuses a degenerate input pair before it takes a run;
-        # walk no run for it either.
-        if walked:
-            walk_on()
+        walked = list(islice(runs, n_steps))
+    except BudgetExceededError:
+        ptype = classify_pair(pair)
+        if ptype.is_degenerate:
+            raise DegeneratePairError(ptype.reason) from None
         raise
-    walk_on()
+    decision = _decide(pair, chain(walked, runs), budget)
 
     # log |tr AB| of the runs the decision took comes from their step
-    # records, whose trace coordinates formed AB; the runs walked on after
-    # the decision stopped form it here.
+    # records, whose trace coordinates formed AB; the runs past the
+    # decision's last form it here.
     z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
     # phi = ((a, b), (c, d)); its entries stay nonnegative, so its l1 norm
     # is their sum.
@@ -304,7 +277,7 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     mats = []
     norms = []
     growth: list[float] = []
-    for i, (winner, run_len, cur) in enumerate(walked[:n_steps]):
+    for i, (winner, run_len, cur) in enumerate(walked):
         if winner is Winner.BOTTOM:
             word.append(("a", run_len))
             a += run_len * c

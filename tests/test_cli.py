@@ -1,6 +1,7 @@
 import json
 import math
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -517,6 +518,73 @@ class TestMCG:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+# Recorded renorm and mcg runs: argv, exit code and the stdout document
+# (null on an error), one per verdict kind and mcg witness.
+DECISIONS = json.loads((Path(__file__).parent / "data" /
+                        "cli_decisions.json").read_text())
+
+
+def assert_matches(got, want, where="stdout"):
+    """Ints, strings, bools and nulls equal, and floats within a relative
+    1e-12, since libm can differ in the last bits between machines."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), \
+            (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), (where, got)
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), (where, got)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+class TestDecisionGoldens:
+    @pytest.mark.parametrize("name", list(DECISIONS))
+    def test_matches_recorded_run(self, capsys, name):
+        case = DECISIONS[name]
+        code, out, err = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        if case["stdout"] is None:
+            assert out == "" and err.startswith("error:")
+        else:
+            assert_matches(json.loads(out), case["stdout"])
+
+    def test_every_outcome_is_recorded(self):
+        verdicts, witnesses, codes = set(), set(), set()
+        for case in DECISIONS.values():
+            doc = case["stdout"]
+            codes.add((case["argv"][0], case["exit"]))
+            if doc is None:
+                continue
+            if case["argv"][0] == "renorm":
+                kind = doc["verdict"]
+                if kind == "finite":
+                    kind += "-in" if doc["certificate"]["spectrumMember"] else "-out"
+                elif kind == "hyperbolic":
+                    kind += "-at-0" if doc["steps"][0]["n"] == 0 else "-later"
+                verdicts.add(kind)
+            else:
+                w = doc["witness"]
+                witnesses.add((w["kind"], w.get("mu", w.get("maxTraceNorm")) is None))
+        assert verdicts == {"hyperbolic-at-0", "hyperbolic-later", "bounded",
+                            "finite-in", "finite-out", "undecided"}
+        assert witnesses == {("hyperbolic", False), ("hyperbolic", True),
+                             ("bounded", False), ("bounded", True)}
+        assert codes == {("renorm", 0), ("mcg", 0), ("mcg", 1)}
+
+    def test_assert_matches_tolerance(self):
+        assert_matches({"a": [1, 2.0, None, True]}, {"a": [1, 2.0 * (1 + 1e-13), None, True]})
+        for got, want in (({"a": 2.0 * (1 + 1e-11)}, {"a": 2.0}), ({"a": 1.0}, {"a": 1}),
+                          ({"a": 1}, {"a": True}), ({"b": 1}, {"a": 1}),
+                          ([1, 2], [1]), ("x", "y")):
+            with pytest.raises(AssertionError):
+                assert_matches(got, want)
 
 
 class TestVerifyLemmas:

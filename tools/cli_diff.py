@@ -1,0 +1,124 @@
+"""Run a fixed matrix of rvcocycle CLI commands in two source checkouts and
+print each command whose stdout or exit code differs.
+
+    python3 tools/cli_diff.py BASE HEAD
+
+BASE and HEAD are the roots of two source checkouts.  Each command of
+matrix() runs as `python3 -m rvcocycle.cli ARGS` with PYTHONPATH set to the
+checkout's src/, one process at a time.  The matrix holds every command on
+the three fixtures at several angles, scan and refine as both CSV and JSON,
+and usage and runtime errors.  stdout must be byte-identical; stderr is not
+compared.  The exit code is 0 when no command differs, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FIXTURES = ("commuting-hyperbolic", "commuting-elliptic", "generic-elliptic")
+GOLDEN = "0.6180339887498949"
+# Irrational-looking, short (dyadic), half, a run past the digit cap
+# (0.3), and a last moved letter that is hyperbolic (0.953125).
+ALPHAS = (GOLDEN, "0.41421356237", "0.375", "0.5", "0.3", "0.953125")
+# Both charts, tan theta > 0 and < 0; "=" keeps argparse from reading a
+# leading "-" as an option.
+THETAS = ("--theta=0.05:1.5", "--theta=-1.4:-0.2")
+
+
+def matrix() -> list[tuple[str, ...]]:
+    """The commands, as argument tuples."""
+    cmds: list[tuple[str, ...]] = []
+    for fx in FIXTURES:
+        pair = ("--fixture", fx)
+        cmds.append(("classify", *pair))
+        for alpha in ALPHAS:
+            cmds.append(("renorm", *pair, "--alpha", alpha))
+            cmds.append(("mcg", *pair, "--alpha", alpha, "--steps", "8"))
+        cmds += [
+            ("renorm", *pair, "--alpha", GOLDEN, "--max-steps", "20"),
+            ("renorm", *pair, "--alpha", GOLDEN, "--max-steps", "4",
+             "--trace-bound", "1"),
+            ("renorm", *pair, "--alpha", GOLDEN, "--max-digit", "5"),
+            ("mcg", *pair, "--alpha", GOLDEN, "--steps", "8", "--max-steps", "20"),
+            ("mcg", *pair, "--alpha", "0.3", "--steps", "3"),
+            ("lyapunov", *pair, "--alpha", GOLDEN, "--iters", "2000"),
+            ("lyapunov", *pair, "--alpha", "0.3", "--iters", "100000",
+             "--samples", "3", "--seed", "5"),
+        ]
+        for theta in THETAS:
+            for fmt in ("csv", "json"):
+                cmds.append(("scan", *pair, theta, "--grid", "12",
+                             "--chi-iters", "500", "--format", fmt))
+                cmds.append(("refine", *pair, theta, "--depth", "4",
+                             "--max-steps", "20", "--format", fmt))
+    cmds += [
+        ("verify-lemmas", "--draws", "10"),
+        # Usage errors (exit 2).
+        ("classify",),
+        ("classify", "--fixture", "nope"),
+        ("classify", "--rep", "1,0,0,2,1,0,0,1"),
+        ("renorm", "--fixture", "generic-elliptic"),
+        ("renorm", "--fixture", "generic-elliptic", "--alpha", "1.5"),
+        ("scan", "--fixture", "generic-elliptic", "--theta", "1:0"),
+        ("mcg", "--fixture", "generic-elliptic", "--alpha", GOLDEN, "--grid", "3"),
+        ("nonsense",),
+        # Runtime errors (exit 1).
+        ("renorm", "--rep", "1,1,0,1,2,0,0,0.5", "--alpha", GOLDEN),
+        ("mcg", "--rep", "1,1,0,1,2,0,0,0.5", "--alpha", "0.3", "--steps", "4"),
+        ("mcg", "--fixture", "commuting-elliptic", "--alpha", "0.3", "--steps", "4"),
+    ]
+    return cmds
+
+
+def run_all(checkout: Path, cmds: list[tuple[str, ...]]) -> dict:
+    """{args: (exit code, stdout)} for each command run in checkout."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = {}
+    for args in cmds:
+        proc = subprocess.run([sys.executable, "-m", "rvcocycle.cli", *args],
+                              cwd=checkout, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL)
+        out[args] = (proc.returncode, proc.stdout)
+    return out
+
+
+def differences(base: dict, head: dict) -> list[str]:
+    """One line per command whose exit code or stdout differs between the
+    two results of run_all, or that only one of them ran."""
+    lines = []
+    for args in dict.fromkeys([*base, *head]):
+        shown = "rvcocycle " + " ".join(args)
+        if args not in base or args not in head:
+            lines.append(f"{shown}: run on one side only")
+            continue
+        (code_b, out_b), (code_h, out_h) = base[args], head[args]
+        if code_b != code_h:
+            lines.append(f"{shown}: exit {code_b} -> {code_h}")
+        elif out_b != out_h:
+            rows_b, rows_h = out_b.splitlines(), out_h.splitlines()
+            at = next((i for i, (b, h) in enumerate(zip(rows_b, rows_h)) if b != h),
+                      min(len(rows_b), len(rows_h)))
+            lines.append(f"{shown}: stdout differs at line {at + 1}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, help="root of the baseline checkout")
+    ap.add_argument("head", type=Path, help="root of the changed checkout")
+    args = ap.parse_args(argv)
+    cmds = matrix()
+    base, head = (run_all(p.resolve(), cmds) for p in (args.base, args.head))
+    lines = differences(base, head)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(cmds)} commands differ")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
