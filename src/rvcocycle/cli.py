@@ -30,6 +30,7 @@ from .iet import BudgetExceededError, Rotation2IET
 from .lyapunov import (
     DecisionBudget,
     RenormTrace,
+    UnderflowError,
     direct_exponent,
     renorm_decision,
 )
@@ -120,7 +121,10 @@ def load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"bad config line: {line!r}")
                 key, _, value = line.partition("=")
-                cfg[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in OPTIONS:
+                    raise UsageError(f"unknown config key {key!r}")
+                cfg[key] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}")
     return cfg
@@ -555,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, ChartBoundaryError, DegeneratePairError,
-            NonUnimodularError) as exc:
+            NonUnimodularError, UnderflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

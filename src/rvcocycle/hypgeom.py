@@ -1,4 +1,4 @@
-"""Upper half-plane geometry and the product-type threshold formulas.
+"""Rotations and translations from geometric data, and product-type thresholds.
 
 The three threshold routines give, in closed form from the trace of a
 product (Beardon, The Geometry of Discrete Groups, 1983), the parameter
@@ -14,53 +14,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .cocycle import DegeneratePairError
-from .mat2 import (
-    BoundaryPoint,
-    IsometryClass,
-    Matrix2,
-    arcs_link,
-    boundary_action,
-    classify,
-    mul,
-    rotation,
-)
+from .mat2 import BoundaryPoint, Matrix2, mul, rotation
+
 
 class NoTransitionError(RuntimeError):
     """The product does not change type over the parameter range in question."""
 
 
-@dataclass(frozen=True)
-class EllipticData:
-    center: complex
-    angle: float  # geometric rotation angle in (0, 2*pi)
-
-
-@dataclass(frozen=True)
-class HyperbolicData:
-    repelling: BoundaryPoint
-    attracting: BoundaryPoint
-    translation_length: float
-
-
-@dataclass(frozen=True)
-class PairGeometry:
-    distance: float
-    crossing: bool
-
-
 # ---------------------------------------------------------------------------
-# Basic metric and constructors
-
-
-def hyp_distance(p: complex, q: complex) -> float:
-    """Hyperbolic distance between two points of the open upper half-plane."""
-    if p.imag <= 0 or q.imag <= 0:
-        raise ValueError("points must lie in the open upper half-plane")
-    t = 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
-    return math.acosh(t)
+# Constructors
 
 
 def move_i_to(center: complex) -> Matrix2:
@@ -76,11 +39,6 @@ def rotation_about(center: complex, angle: float) -> Matrix2:
     """Rotation of geometric angle `angle` about `center` (trace 2 cos(angle/2))."""
     p = move_i_to(center)
     return mul(mul(p, rotation(angle / 2.0)), p.inv())
-
-
-def axis_to_imaginary(rep: BoundaryPoint, att: BoundaryPoint) -> Matrix2:
-    """Matrix carrying (repelling, attracting) to (0, infinity)."""
-    return _frame(rep, att).inv()
 
 
 def _frame(rep: BoundaryPoint, att: BoundaryPoint) -> Matrix2:
@@ -100,80 +58,6 @@ def translation_between(rep: BoundaryPoint, att: BoundaryPoint,
     lam = math.exp(length / 2.0)
     q = _frame(rep, att)
     return mul(mul(q, Matrix2(lam, 0.0, 0.0, 1.0 / lam)), q.inv())
-
-
-def elliptic_data(m: Matrix2) -> EllipticData:
-    cls = classify(m)
-    if not cls.is_elliptic:
-        raise DegeneratePairError("matrix is not elliptic")
-    return EllipticData(center=cls.center, angle=(2.0 * cls.angle) % (2.0 * math.pi))
-
-
-def hyperbolic_data(m: Matrix2) -> HyperbolicData:
-    cls = classify(m)
-    if not cls.is_hyperbolic:
-        raise DegeneratePairError("matrix is not hyperbolic")
-    return HyperbolicData(
-        repelling=cls.repelling,
-        attracting=cls.attracting,
-        translation_length=cls.translation_length,
-    )
-
-
-def reconstruct(data: EllipticData | HyperbolicData) -> Matrix2:
-    """Matrix (up to sign) with the given geometric data."""
-    if isinstance(data, EllipticData):
-        return rotation_about(data.center, data.angle)
-    return translation_between(data.repelling, data.attracting,
-                               data.translation_length)
-
-
-# ---------------------------------------------------------------------------
-# Distances between the invariant objects of a pair
-
-
-def point_to_axis_distance(p: complex, rep: BoundaryPoint,
-                           att: BoundaryPoint) -> float:
-    """Distance from a half-plane point to the geodesic with given endpoints."""
-    g = axis_to_imaginary(rep, att)
-    z = g.mobius(p)
-    return math.asinh(abs(z.real) / z.imag)
-
-
-def axis_to_axis(rep_a: BoundaryPoint, att_a: BoundaryPoint,
-                 rep_b: BoundaryPoint, att_b: BoundaryPoint) -> tuple[float, bool]:
-    """(distance, crossing) for two geodesics given by their endpoints."""
-    if arcs_link(rep_a, att_a, rep_b, att_b):
-        return 0.0, True
-    g = axis_to_imaginary(rep_a, att_a)
-    p = boundary_action(g, rep_b).value
-    q = boundary_action(g, att_b).value
-    # Disjoint from the imaginary axis: both endpoints on one side.
-    lo, hi = sorted((abs(p), abs(q)))
-    if hi == math.inf or lo == 0.0:
-        # Shared endpoint with the first axis: asymptotic geodesics.
-        return 0.0, False
-    return math.acosh((lo + hi) / (hi - lo)), False
-
-
-def pair_geometry(a: Matrix2, b: Matrix2) -> PairGeometry:
-    """Type-dependent distance between the invariant objects of a and b."""
-    ca, cb = classify(a), classify(b)
-    if not (ca.is_elliptic or ca.is_hyperbolic):
-        raise DegeneratePairError(f"first matrix classified {ca.kind}")
-    if not (cb.is_elliptic or cb.is_hyperbolic):
-        raise DegeneratePairError(f"second matrix classified {cb.kind}")
-    if ca.is_elliptic and cb.is_elliptic:
-        return PairGeometry(hyp_distance(ca.center, cb.center), False)
-    if ca.is_elliptic:
-        d = point_to_axis_distance(ca.center, cb.repelling, cb.attracting)
-        return PairGeometry(d, False)
-    if cb.is_elliptic:
-        d = point_to_axis_distance(cb.center, ca.repelling, ca.attracting)
-        return PairGeometry(d, False)
-    dist, crossing = axis_to_axis(ca.repelling, ca.attracting,
-                                  cb.repelling, cb.attracting)
-    return PairGeometry(dist, crossing)
 
 
 # ---------------------------------------------------------------------------

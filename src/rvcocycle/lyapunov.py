@@ -72,6 +72,11 @@ DEFAULT_SAMPLES = 8
 AUDIT_START = 0.2137  # boundedness_implies_zero's orbit start
 
 
+class UnderflowError(ArithmeticError):
+    """An orbit vector of direct_exponent underflowed to zero: the start
+    vector lies on (or too near) a contracting direction of the letters."""
+
+
 @dataclass(frozen=True)
 class LyapunovEstimate:
     chi: float
@@ -354,15 +359,19 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
     unit, starts = _exact_points(alpha, rng.random(n_samples))
     levels = _level_table(p, alpha, n_iters, unit)
     logs = []
-    for y in starts:
-        v0, v1, log = 1.0, 0.0, 0.0
-        for m in _orbit_factors(levels, y, n_iters)[0]:
-            w0 = m.a * v0 + m.b * v1
-            w1 = m.c * v0 + m.d * v1
-            norm = math.hypot(w0, w1)
-            v0, v1 = w0 / norm, w1 / norm
-            log += m.log_scale + math.log(norm)
-        logs.append(log)
+    try:
+        for y in starts:
+            v0, v1, log = 1.0, 0.0, 0.0
+            for m in _orbit_factors(levels, y, n_iters)[0]:
+                w0 = m.a * v0 + m.b * v1
+                w1 = m.c * v0 + m.d * v1
+                norm = math.hypot(w0, w1)
+                v0, v1 = w0 / norm, w1 / norm
+                log += m.log_scale + math.log(norm)
+            logs.append(log)
+    except ZeroDivisionError:
+        raise UnderflowError(f"the orbit vector underflowed to zero within "
+                             f"{n_iters} steps") from None
     per = np.array(logs) / n_iters
     chi = max(float(per.mean()), 0.0)
     stderr = float(per.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0

@@ -231,14 +231,6 @@ def boundary_action(m: Matrix2, p: BoundaryPoint) -> BoundaryPoint:
     return BoundaryPoint(m.a * p.u + m.b * p.v, m.c * p.u + m.d * p.v)
 
 
-def circular_order(p: BoundaryPoint, q: BoundaryPoint, r: BoundaryPoint) -> int:
-    """+1 if (p, q, r) is positively oriented on the circle, -1 otherwise."""
-    a, b, c = p.angle(), q.angle(), r.angle()
-    if (b - a) % TWO_PI < (c - a) % TWO_PI:
-        return 1
-    return -1
-
-
 def arcs_link(p1: BoundaryPoint, p2: BoundaryPoint,
               q1: BoundaryPoint, q2: BoundaryPoint) -> bool:
     """True if the chord p1-p2 separates q1 from q2 on the circle."""

@@ -125,6 +125,17 @@ class TestConfig:
         assert code == 0
         assert json.loads(out)["type"] == "EE"
 
+    def test_unknown_key_is_a_usage_error(self, capsys, tmp_path):
+        # A misspelt max_steps would leave the default budget in force.
+        cfgfile = tmp_path / "cfg"
+        cfgfile.write_text("fixture = commuting-elliptic\nmax_step = 5\n")
+        code, out, err = run(capsys, "renorm", "--alpha", str(GOLDEN),
+                             "--config", str(cfgfile))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "max_step" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "classify", "--config", "/no/such/file",
                            "--fixture", "generic-elliptic")
@@ -151,6 +162,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "renorm", "--rep", "1,1,0,1,2,0,0,0.5",
                            "--alpha", str(GOLDEN))
         assert code == 1
+
+    def test_runtime_error_underflow(self, capsys):
+        # The chi audit of the first chart point underflows its orbit vector.
+        code, out, err = run(capsys, "scan", "--fixture", "commuting-hyperbolic",
+                             "--theta=-1.4:-0.2", "--grid", "12",
+                             "--chi-iters", "500")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_success(self, capsys):
         code, _, _ = run(capsys, "classify", "--fixture", "generic-elliptic")

@@ -2,9 +2,10 @@
 subprocess), and the coverage of its command matrix."""
 
 import importlib.util
+import json
 from pathlib import Path
 
-from rvcocycle.cli import COMMANDS
+from rvcocycle.cli import COMMANDS, main
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
 _spec = importlib.util.spec_from_file_location("cli_diff", _PATH)
@@ -46,3 +47,32 @@ def test_matrix_runs_every_command_once():
     for fmt in ("csv", "json"):
         for command in ("scan", "refine"):
             assert any(a[0] == command and a[-1] == fmt for a in cmds)
+
+
+def test_tracebacks_are_reported_with_their_side():
+    crash = b"Traceback (most recent call last):\n  ...\nZeroDivisionError\n"
+    base = {SCAN: (1, b"", crash), MCG: (1, b"", b"error: run too long\n")}
+    head = {SCAN: (1, b"", b"error: underflow\n"), MCG: (0, b"{}\n", crash)}
+    assert cli_diff.crashes(base, "base") == [
+        "rvcocycle scan --fixture generic-elliptic: traceback on the base side",
+    ]
+    assert cli_diff.crashes(head, "head") == [
+        "rvcocycle mcg --fixture commuting-elliptic --alpha 0.3: "
+        "traceback on the head side",
+    ]
+    # The stderr text is not compared.
+    assert cli_diff.differences(base, head) == [
+        "rvcocycle mcg --fixture commuting-elliptic --alpha 0.3: exit 1 -> 0",
+    ]
+
+
+def test_config_command_reads_the_config_file(tmp_path, monkeypatch, capsys):
+    (config,) = [a for a in cli_diff.matrix() if "--config" in a]
+    assert config[config.index("--config") + 1] == cli_diff.CONFIG_NAME
+    (tmp_path / cli_diff.CONFIG_NAME).write_text(cli_diff.CONFIG_TEXT)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(config)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # The fixture and the trace bound come from the file (the default bound
+    # gives "bounded"), the step budget from the flag that beats it.
+    assert doc["verdict"] == "undecided" and len(doc["steps"]) == 12

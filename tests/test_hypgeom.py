@@ -3,24 +3,13 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rvcocycle import cocycle
-
 from rvcocycle.hypgeom import (
-    DegeneratePairError,
     NoTransitionError,
-    axis_to_axis,
-    axis_to_imaginary,
-    elliptic_data,
     elliptic_product_threshold,
     hh_minus_canonical_pair,
     hh_minus_thresholds,
-    hyp_distance,
-    hyperbolic_data,
     mixed_product_interval,
     move_i_to,
-    pair_geometry,
-    point_to_axis_distance,
-    reconstruct,
     rotation_about,
     translation_between,
 )
@@ -28,30 +17,8 @@ from rvcocycle.mat2 import (
     BoundaryPoint,
     classify,
     diagonal,
-    identity,
     mul,
-    rotation,
 )
-
-
-class TestMetric:
-    def test_vertical_segment(self):
-        # Along the imaginary axis the distance is log(y2/y1).
-        assert hyp_distance(1j, 5j) == pytest.approx(math.log(5.0))
-
-    def test_symmetry(self):
-        p, q = 0.3 + 1.2j, -0.7 + 0.4j
-        assert hyp_distance(p, q) == pytest.approx(hyp_distance(q, p))
-
-    def test_isometry_invariance(self):
-        p, q = 0.3 + 1.2j, -0.7 + 0.4j
-        g = mul(rotation(0.8), move_i_to(2.0 + 3.0j))
-        assert hyp_distance(g.mobius(p), g.mobius(q)) == \
-            pytest.approx(hyp_distance(p, q))
-
-    def test_rejects_lower_half_plane(self):
-        with pytest.raises(ValueError):
-            hyp_distance(1j, 1.0 - 1j)
 
 
 class TestConstructors:
@@ -77,70 +44,6 @@ class TestConstructors:
         assert cls.translation_length == pytest.approx(0.9)
         assert cls.attracting.close_to(att, tol=1e-9)
         assert cls.repelling.close_to(rep, tol=1e-9)
-
-    def test_axis_to_imaginary(self):
-        rep = BoundaryPoint.from_value(-1.0)
-        att = BoundaryPoint.from_value(3.0)
-        g = axis_to_imaginary(rep, att)
-        assert g.mobius(complex(-1.0, 1e-9)).real == pytest.approx(0.0, abs=1e-6)
-
-    def test_reconstruct_roundtrip_elliptic(self):
-        m = rotation_about(0.5 + 2.0j, 1.3)
-        data = elliptic_data(m)
-        m2 = reconstruct(data)
-        for x, y in zip(m.entries(), m2.entries()):
-            assert x == pytest.approx(y, abs=1e-8)
-
-    def test_reconstruct_roundtrip_hyperbolic(self):
-        m = translation_between(BoundaryPoint.from_value(0.2),
-                                BoundaryPoint.from_value(-4.0), 1.7)
-        data = hyperbolic_data(m)
-        m2 = reconstruct(data)
-        for x, y in zip(m.entries(), m2.entries()):
-            assert x == pytest.approx(y, abs=1e-8)
-
-    def test_data_rejects_wrong_type(self):
-        # One class, so that callers catching the cocycle error catch these.
-        assert DegeneratePairError is cocycle.DegeneratePairError
-        with pytest.raises(DegeneratePairError):
-            elliptic_data(diagonal(2.0))
-        with pytest.raises(DegeneratePairError):
-            hyperbolic_data(rotation(1.0))
-
-
-class TestDistances:
-    def test_point_to_imaginary_axis(self):
-        # Point x + iy is at distance asinh(x/y) from the imaginary axis.
-        d = point_to_axis_distance(3.0 + 4.0j,
-                                   BoundaryPoint.from_value(0.0),
-                                   BoundaryPoint.infinity())
-        assert d == pytest.approx(math.asinh(0.75))
-
-    def test_crossing_axes(self):
-        d, crossing = axis_to_axis(
-            BoundaryPoint.from_value(0.0), BoundaryPoint.infinity(),
-            BoundaryPoint.from_value(-1.0), BoundaryPoint.from_value(1.0))
-        assert crossing and d == 0.0
-
-    def test_disjoint_axes(self):
-        # Imaginary axis vs the geodesic over [1, 4]: closest points i*2 and
-        # the apex; known closed form via acosh((lo+hi)/(hi-lo)).
-        d, crossing = axis_to_axis(
-            BoundaryPoint.from_value(0.0), BoundaryPoint.infinity(),
-            BoundaryPoint.from_value(1.0), BoundaryPoint.from_value(4.0))
-        assert not crossing
-        assert d == pytest.approx(math.acosh(5.0 / 3.0))
-
-    def test_pair_geometry_elliptic(self):
-        a = rotation_about(1j, 1.0)
-        b = rotation_about(3j, 1.0)
-        g = pair_geometry(a, b)
-        assert g.distance == pytest.approx(math.log(3.0))
-        assert not g.crossing
-
-    def test_pair_geometry_rejects_identity(self):
-        with pytest.raises(DegeneratePairError):
-            pair_geometry(identity(), rotation(1.0))
 
 
 # Wider than the lemma suite's draws, out to where the thresholds approach

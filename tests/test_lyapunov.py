@@ -24,6 +24,7 @@ from rvcocycle.lyapunov import (
     _level_table,
     _orbit_factors,
     StepRecord,
+    UnderflowError,
     bounded_prefix,
     boundedness_implies_zero,
     direct_exponent,
@@ -290,6 +291,14 @@ class TestDirectExponent:
             est = direct_exponent(CocyclePair(m, m), t, n_iters)
             want = math.log(2.0 * big) - math.log(2.0) / (2 * n_iters)
             assert est.chi == pytest.approx(want, abs=1e-9), n_iters
+
+    def test_underflow_is_a_typed_error(self):
+        # Chart theta = -1.4 of commuting-hyperbolic: e_1 lies on the
+        # contracting direction of both letters, and 200 steps shrink it
+        # below the smallest float.
+        p = CocyclePair(diagonal(0.5), diagonal(0.0625))
+        with pytest.raises(UnderflowError, match="underflowed"):
+            direct_exponent(p, Rotation2IET(0.7978837154828904), 200)
 
     def test_large_entries_stay_finite(self):
         # |v| passed 1e154 within a 32-step block and v.v overflowed to NaN.

@@ -10,7 +10,6 @@ from rvcocycle.mat2 import (
     NonUnimodularError,
     arcs_link,
     boundary_action,
-    circular_order,
     classify,
     diagonal,
     fixed_point_elliptic,
@@ -216,14 +215,6 @@ class TestBoundary:
         p = BoundaryPoint.from_value(0.5)
         img = boundary_action(m, p)
         assert img.value == pytest.approx((2 * 0.5 + 1) / (0.5 + 1))
-
-    def test_circular_order(self):
-        a = BoundaryPoint.from_value(0.0)
-        b = BoundaryPoint.from_value(-1.0)
-        c = BoundaryPoint.infinity()
-        # Increasing real values run clockwise to infinity; orientation fixed
-        # by the angle chart.
-        assert circular_order(a, b, c) == -circular_order(a, c, b)
 
     def test_link(self):
         p1 = BoundaryPoint.from_value(0.0)

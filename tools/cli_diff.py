@@ -5,10 +5,14 @@ print each command whose stdout or exit code differs.
 
 BASE and HEAD are the roots of two source checkouts.  Each command of
 matrix() runs as `python3 -m rvcocycle.cli ARGS` with PYTHONPATH set to the
-checkout's src/, one process at a time.  The matrix holds every command on
-the three fixtures at several angles, scan and refine as both CSV and JSON,
-and usage and runtime errors.  stdout must be byte-identical; stderr is not
-compared.  The exit code is 0 when no command differs, else 1.
+checkout's src/, one process at a time, in one temporary directory that
+holds the config file CONFIG_TEXT, so both checkouts read the same file.
+The matrix holds every command on the three fixtures at several angles,
+scan and refine as both CSV and JSON, one --config command, and usage and
+runtime errors.  stdout must be byte-identical; stderr is not compared,
+but each command whose stderr holds a Python traceback is reported with
+its side.  The exit code is 0 when no command differs and none crashes
+on the head side, else 1.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FIXTURES = ("commuting-hyperbolic", "commuting-elliptic", "generic-elliptic")
@@ -27,6 +32,11 @@ ALPHAS = (GOLDEN, "0.41421356237", "0.375", "0.5", "0.3", "0.953125")
 # Both charts, tan theta > 0 and < 0; "=" keeps argparse from reading a
 # leading "-" as an option.
 THETAS = ("--theta=0.05:1.5", "--theta=-1.4:-0.2")
+# The config command reads a comment, a dashed key, and a key its flag beats.
+CONFIG_NAME = "rvcocycle.cfg"
+CONFIG_TEXT = ("# a budget for renorm\nfixture = commuting-elliptic\n"
+               "max-steps = 20\ntrace_bound = 1\n")
+TRACEBACK = b"Traceback (most recent call last)"
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -57,6 +67,7 @@ def matrix() -> list[tuple[str, ...]]:
                              "--max-steps", "20", "--format", fmt))
     cmds += [
         ("verify-lemmas", "--draws", "10"),
+        ("renorm", "--config", CONFIG_NAME, "--alpha", GOLDEN, "--max-steps", "12"),
         # Usage errors (exit 2).
         ("classify",),
         ("classify", "--fixture", "nope"),
@@ -74,15 +85,16 @@ def matrix() -> list[tuple[str, ...]]:
     return cmds
 
 
-def run_all(checkout: Path, cmds: list[tuple[str, ...]]) -> dict:
-    """{args: (exit code, stdout)} for each command run in checkout."""
+def run_all(checkout: Path, cmds: list[tuple[str, ...]], cwd: Path) -> dict:
+    """{args: (exit code, stdout, stderr)} for each command run in checkout,
+    with cwd as the working directory."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = {}
     for args in cmds:
         proc = subprocess.run([sys.executable, "-m", "rvcocycle.cli", *args],
-                              cwd=checkout, env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.DEVNULL)
-        out[args] = (proc.returncode, proc.stdout)
+                              cwd=cwd, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE)
+        out[args] = (proc.returncode, proc.stdout, proc.stderr)
     return out
 
 
@@ -95,7 +107,7 @@ def differences(base: dict, head: dict) -> list[str]:
         if args not in base or args not in head:
             lines.append(f"{shown}: run on one side only")
             continue
-        (code_b, out_b), (code_h, out_h) = base[args], head[args]
+        (code_b, out_b), (code_h, out_h) = base[args][:2], head[args][:2]
         if code_b != code_h:
             lines.append(f"{shown}: exit {code_b} -> {code_h}")
         elif out_b != out_h:
@@ -106,18 +118,29 @@ def differences(base: dict, head: dict) -> list[str]:
     return lines
 
 
+def crashes(runs: dict, side: str) -> list[str]:
+    """One line per command of a run_all result whose stderr holds a
+    Python traceback, naming side."""
+    return [f"rvcocycle {' '.join(args)}: traceback on the {side} side"
+            for args, (_, _, err) in runs.items() if TRACEBACK in err]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="root of the baseline checkout")
     ap.add_argument("head", type=Path, help="root of the changed checkout")
     args = ap.parse_args(argv)
     cmds = matrix()
-    base, head = (run_all(p.resolve(), cmds) for p in (args.base, args.head))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / CONFIG_NAME).write_text(CONFIG_TEXT)
+        base, head = (run_all(p.resolve(), cmds, Path(tmp))
+                      for p in (args.base, args.head))
     lines = differences(base, head)
-    for line in lines:
+    head_crashes = crashes(head, "head")
+    for line in lines + crashes(base, "base") + head_crashes:
         print(line)
     print(f"{len(lines)} of {len(cmds)} commands differ")
-    return 1 if lines else 0
+    return 1 if lines or head_crashes else 0
 
 
 if __name__ == "__main__":
