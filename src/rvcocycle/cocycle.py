@@ -109,6 +109,10 @@ def degenerate(reason: str) -> PairType:
     return PairType("DEG", reason)
 
 
+# The pair types read off the two letters' kinds when one is elliptic.
+_ELLIPTIC_TYPES = {("E", "E"): EE, ("E", "H"): EH, ("H", "E"): HE}
+
+
 def _letter_kind(trace: float) -> str | None:
     """E or H by |trace| against the band of width EPS_TRACE around 2 (None
     in the band, the only place classify's identity test fires)."""
@@ -136,12 +140,12 @@ def _classify_letters(p: CocyclePair,
     if traces is None:
         traces = (p.A.trace, p.B.trace)
     kinds = _letter_kind(traces[0]), _letter_kind(traces[1])
-    for name, kind in zip("AB", kinds):
-        if kind is None:
-            reason = f"{name} is within eps of the parabolic locus"
-            return degenerate(reason), None, None
-    if kinds != ("H", "H"):
-        return {("E", "E"): EE, ("E", "H"): EH, ("H", "E"): HE}[kinds], None, None
+    ptype = _ELLIPTIC_TYPES.get(kinds)
+    if ptype is not None:
+        return ptype, None, None
+    if None in kinds:
+        name = "A" if kinds[0] is None else "B"
+        return degenerate(f"{name} is within eps of the parabolic locus"), None, None
     ca, cb = classify(p.A), classify(p.B)
     atts = (ca.attracting.angle(), cb.attracting.angle())
     reps = (ca.repelling.angle(), cb.repelling.angle())
@@ -213,8 +217,7 @@ def trace_coords(p: CocyclePair, c: float | None = None) -> TraceCoords:
         c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
                       ab.log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))
-    return TraceCoords(x=x, y=y, z=z, c=c, residual=residual,
-                       log_abs_z=ab.log_abs_trace())
+    return TraceCoords(x, y, z, c, residual, ab.log_abs_trace())
 
 
 def trace_bound(c: float) -> float:

@@ -14,13 +14,14 @@ induced interval after n accelerated steps has first-return times
 {q_n, q_n + q_{n-1}}.  Winners of successive accelerated steps alternate.
 
 Exact runs.  The decision path never takes an elementary step: run_steps
-and continued_fraction read the digits of the exact value Fraction(alpha)
-by integer Euclid, O(1) per digit.  A float alpha means its binary value,
-which is rational, so its expansion ends.  rauzy_step, accelerated_step,
-accelerated_digits and first_return_oracle walk the elementary induction
-one step at a time (in float arithmetic for a float alpha, within
-RATIONAL_TOL); they are kept as independent oracles for the digits and the
-return times.
+and continued_fraction read the digits of the exact value of alpha by
+integer Euclid on alpha.as_integer_ratio(), which a float and a Fraction
+both give without building a Fraction, O(1) per digit.  A float alpha
+means its binary value, which is rational, so its expansion ends.
+rauzy_step, accelerated_step, accelerated_digits and first_return_oracle
+walk the elementary induction one step at a time (in float arithmetic for a
+float alpha, within RATIONAL_TOL); they are kept as independent oracles for
+the digits and the return times.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def accelerated_digits(alpha: float | Fraction, n: int) -> list[int]:
 def _euclid(alpha: float | Fraction):
     """Yield (a_n, last) for the continued-fraction digits a_1, a_2, ... of
     the exact value of alpha, by integer Euclid on its numerator and
-    denominator; last is True for the final digit."""
-    x = Fraction(alpha)
-    p, q = x.numerator, x.denominator
+    denominator (alpha.as_integer_ratio(), for a float or a Fraction); last
+    is True for the final digit."""
+    p, q = alpha.as_integer_ratio()
     while p:
         a, r = divmod(q, p)
         p, q = r, p

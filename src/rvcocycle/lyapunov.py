@@ -422,7 +422,7 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
     (p, ...), taken one at a time and no further than the decision needs:
     spectrum.mcg_trajectory passes the runs it has walked, chained to the
     rest of the same generator."""
-    ptype, *letters = _classify_letters(p)
+    ptype, ca, cb = _classify_letters(p)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
     coords = trace_coords(p)
@@ -439,22 +439,21 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
         steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
                                 coords=coords, in_k_escort=_k_escort(coords)))
         return done(Verdict(kind="UniformlyHyperbolic", at_step=0,
-                            certificate=cone_certificate(p, letters)))
+                            certificate=cone_certificate(p, (ca, cb))))
 
     cur = p
     max_norm = 0.0
     try:
         for winner, run_len, cur in runs:
             coords = trace_coords(cur, kappa)
-            ptype, *letters = _classify_letters(cur, (coords.x, coords.y))
-            steps.append(StepRecord(index=len(steps) + 1, digit=run_len,
-                                    winner=winner, pair_type=ptype.code,
-                                    coords=coords, in_k_escort=_k_escort(coords)))
+            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+            steps.append(StepRecord(len(steps) + 1, run_len, winner, ptype.code,
+                                    coords, _k_escort(coords)))
             if ptype.is_degenerate:
                 raise DegeneratePairError(ptype.reason)
             if ptype.code == "HH+":
                 return done(Verdict(kind="UniformlyHyperbolic", at_step=len(steps),
-                                    certificate=cone_certificate(cur, letters)))
+                                    certificate=cone_certificate(cur, (ca, cb))))
             max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
             if len(steps) >= budget.max_accel_steps:
                 break

@@ -31,7 +31,7 @@ class NonUnimodularError(ValueError):
     """Raised when a matrix has determinant <= 0 or too far from 1."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Matrix2:
     """Real 2x2 matrix with determinant 1: e^log_scale * [[a, b], [c, d]].
 
@@ -46,7 +46,10 @@ class Matrix2:
     Matrices are values that nothing mutates after construction.  The class
     is slotted and not frozen: a frozen constructor sets each field through
     object.__setattr__, a large share of the cost of a product.  The check
-    accepts det within DET_TOL of 1 first, where the rest would change nothing.
+    lives in the hand-written __init__ (the dataclass writes none), which
+    tests det first and sets each field once: det within DET_TOL of 1, where
+    the rest would change nothing, costs one comparison.  There is no
+    __post_init__, which would cost every product a second call frame.
     """
 
     a: float
@@ -55,26 +58,30 @@ class Matrix2:
     d: float
     log_scale: float = 0.0
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __init__(self, a: float, b: float, c: float, d: float,
+                 log_scale: float = 0.0):
         det = a * d - b * c
-        if abs(det - 1.0) <= DET_TOL:  # false for an inf or nan entry
-            return
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        if not math.isfinite(scale):
-            raise NonUnimodularError("matrix entries are not finite")
-        # For entries of magnitude s the float determinant of a truly
-        # unimodular matrix carries cancellation noise of order s^2 * eps
-        # (and its computation overflows near s ~ 1e154): validate and
-        # renormalize only when the computed value is trustworthy.
-        noise = 16.0 * scale * scale * 2.220446049250313e-16
-        if noise >= 0.5 or self.log_scale:
-            return
-        if det <= 0.0:
-            raise NonUnimodularError(f"determinant {det} is not positive")
-        if abs(det - 1.0) > noise:
-            s = 1.0 / math.sqrt(det)
-            self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
+        if not abs(det - 1.0) <= DET_TOL:  # true for an inf or nan entry
+            scale = max(abs(a), abs(b), abs(c), abs(d))
+            if not math.isfinite(scale):
+                raise NonUnimodularError("matrix entries are not finite")
+            # For entries of magnitude s the float determinant of a truly
+            # unimodular matrix carries cancellation noise of order
+            # s^2 * eps (and its computation overflows near s ~ 1e154):
+            # validate and renormalize only when the computed value is
+            # trustworthy.
+            noise = 16.0 * scale * scale * 2.220446049250313e-16
+            if noise < 0.5 and not log_scale:
+                if det <= 0.0:
+                    raise NonUnimodularError(f"determinant {det} is not positive")
+                if abs(det - 1.0) > noise:
+                    s = 1.0 / math.sqrt(det)
+                    a, b, c, d = a * s, b * s, c * s, d * s
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.log_scale = log_scale
 
     @property
     def det(self) -> float:

@@ -250,6 +250,12 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     of the first n_steps runs, unless the input pair is degenerate
     (DegeneratePairError, as the decision raises before any run); past
     them it leaves the decision Undecided.
+
+    The growth log of a run is the largest of log |tr A|, log |tr B| and
+    log |tr AB| of the moved pair.  A run moves one letter and keeps the
+    other matrix, so it takes one log |tr| of a letter, for the moved one
+    (two at the first run); log |tr AB| comes from the decision's step
+    records where it has them.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -277,19 +283,26 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     mats = []
     norms = []
     growth: list[float] = []
+    log_a = log_b = None
     for i, (winner, run_len, cur) in enumerate(walked):
         if winner is Winner.BOTTOM:
             word.append(("a", run_len))
             a += run_len * c
             b += run_len * d
+            log_b = cur.B.log_abs_trace()
+            if log_a is None:
+                log_a = cur.A.log_abs_trace()
         else:
             word.append(("b", run_len))
             c += run_len * a
             d += run_len * b
+            log_a = cur.A.log_abs_trace()
+            if log_b is None:
+                log_b = cur.B.log_abs_trace()
         mats.append(((a, b), (c, d)))
         norms.append(a + b + c + d)
         z_log = z_logs[i] if i < len(z_logs) else cur.product().log_abs_trace()
-        growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(), z_log))
+        growth.append(max(log_a, log_b, z_log))
 
     # q_k aligned conservatively with the run index (the first run length is
     # a_1 - 1, so the true return denominator at run k is >= this q_k).

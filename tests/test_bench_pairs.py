@@ -1,6 +1,6 @@
 """The aggregation of tools/bench_pairs.py, on made-up runs (no
-subprocess): medians, quartiles, wins, failed share and the raw round
-margin."""
+subprocess): medians, quartiles, wins, failed share, the raw round
+margin and the rounds under the harness's reference period."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +19,7 @@ def result(rate, p50, rounds=(0.2, 0.3), failed=0, slowdown=1.0):
     return {"metrics": {"items_per_s": rate, "item_p50_ms": p50},
             "correct": True, "attempted": 100, "failed": failed,
             "median_slowdown": slowdown,
-            "round_s": {"min": min(rounds), "median": sum(rounds) / 2}}
+            "round_s": bench_pairs.round_summary(list(rounds))}
 
 
 def runs_of(pairs, workload="dichotomy"):
@@ -45,7 +45,8 @@ def test_medians_quartiles_and_wins():
     assert rate["base_iqr"] == 10.0
     p50 = got["metrics"]["item_p50_ms"]
     assert (p50["head_wins"], p50["base_wins"]) == (5, 0)
-    assert got["raw_round_s"]["head"] == {"min": 0.1, "median": 0.125}
+    assert got["raw_round_s"]["head"] == {"min": 0.1, "median": 0.125,
+                                          "rounds": 10, "short": 0}
     assert got["median_slowdown"] == {"base": 0.8, "head": 1.0}
     assert got["failed_share"] == {"base": 0.0, "head": 0.0}
     assert got["errors"] == {"base": 0, "head": 0}
@@ -70,3 +71,18 @@ def test_workloads_kept_apart():
     assert list(got) == ["bounded", "refine"]
     assert got["bounded"]["metrics"]["items_per_s"]["head_wins"] == 1
     assert got["refine"]["metrics"]["items_per_s"]["base_wins"] == 1
+
+
+def test_rounds_under_the_reference_period():
+    base = result(100.0, 2.0, rounds=(0.3, 0.5, 0.099))
+    pairs = [(base, result(120.0, 1.5, rounds=(0.05, 0.0999, 0.1, 0.12))),
+             (base, result(130.0, 1.4, rounds=(0.08, 0.2)))]
+    assert pairs[0][1]["round_s"] == pytest.approx(
+        {"min": 0.05, "median": 0.09995, "rounds": 4, "short": 2})
+    got = bench_pairs.summarize(runs_of(pairs, "bounded"), METRICS)["bounded"]
+    # The least round of all runs, the median of the runs' medians, and the
+    # rounds of all runs, short ones apart.
+    assert got["raw_round_s"] == {
+        "base": {"min": 0.099, "median": 0.3, "rounds": 6, "short": 2},
+        "head": pytest.approx({"min": 0.05, "median": 0.119975, "rounds": 6,
+                               "short": 3})}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,12 +55,43 @@ def reference_validate(a, b, c, d, log_scale=0.0):
     return a, b, c, d
 
 
+def reference_post_init(self):
+    """Matrix2.__post_init__ as it was, run after the dataclass __init__
+    had set every field: the check that Matrix2.__init__ now makes inline."""
+    a, b, c, d = self.a, self.b, self.c, self.d
+    det = a * d - b * c
+    if abs(det - 1.0) <= DET_TOL:  # false for an inf or nan entry
+        return
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if not math.isfinite(scale):
+        raise NonUnimodularError("matrix entries are not finite")
+    noise = 16.0 * scale * scale * 2.220446049250313e-16
+    if noise >= 0.5 or self.log_scale:
+        return
+    if det <= 0.0:
+        raise NonUnimodularError(f"determinant {det} is not positive")
+    if abs(det - 1.0) > noise:
+        s = 1.0 / math.sqrt(det)
+        self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
+
+
+@dataclass(slots=True)
+class ReferenceMatrix2:
+    a: float
+    b: float
+    c: float
+    d: float
+    log_scale: float = 0.0
+
+    __post_init__ = reference_post_init
+
+
 @st.composite
 def constructor_args(draw):
     """Entries with det within DET_TOL of 1, off by 1e-8 to 1e-1, or <= 0;
-    at sizes past 1.2e7, where the determinant's noise is >= 0.5; with an
-    inf or nan entry; and with a nonzero log_scale."""
-    size = draw(st.sampled_from([1.0, 1e3, 1.2e7, 1e40, 1e160]))
+    at sizes on both sides of 1.19e7, past which the determinant's noise is
+    >= 0.5; with an inf or nan entry; and with a nonzero log_scale."""
+    size = draw(st.sampled_from([1.0, 1e3, 2e6, 1.2e7, 1e40, 1e160]))
     a = draw(st.floats(1.0, 10.0)) * size * draw(st.sampled_from([1.0, -1.0]))
     b = draw(st.floats(-10.0, 10.0)) * size
     c = draw(st.floats(-10.0, 10.0))
@@ -132,6 +164,25 @@ class TestConstruction:
         m = Matrix2(*args)
         assert [x.hex() for x in m.entries()] == [x.hex() for x in expected]
         assert m.log_scale == args[4]
+
+    @settings(max_examples=1000)
+    @given(constructor_args())
+    def test_constructor_matches_post_init_reference(self, args):
+        try:
+            want = ReferenceMatrix2(*args)
+        except NonUnimodularError as exc:
+            with pytest.raises(NonUnimodularError) as got:
+                Matrix2(*args)
+            assert str(got.value) == str(exc)
+            return
+        m = Matrix2(*args)
+        assert [x.hex() for x in (*m.entries(), m.log_scale)] == \
+            [x.hex() for x in (want.a, want.b, want.c, want.d, want.log_scale)]
+
+    def test_keywords_default_and_repr(self):
+        m = Matrix2(d=0.5, c=0.0, b=0.0, a=2.0)
+        assert m == Matrix2(2.0, 0.0, 0.0, 0.5)
+        assert repr(m) == "Matrix2(a=2.0, b=0.0, c=0.0, d=0.5, log_scale=0.0)"
 
 
 class TestAlgebra:

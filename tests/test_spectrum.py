@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -505,3 +507,79 @@ class TestMCGWalksOnce:
             assert len(calls) == max(len(traj.twist_word), decision_runs)
             checked += 1
         assert checked > 100
+
+
+# Exact goldens of mcg_trajectory: every output bit, as float.hex strings
+# where TestDecisionGoldens allows 1e-12, so that a change meant to keep
+# the output keeps it bit for bit.  Recorded on x86-64 Linux with glibc: a
+# libm that rounds sin, cos or log differently moves them.
+TRAJECTORIES_PATH = Path(__file__).parent / "data" / "mcg_trajectories.json"
+TRAJECTORY_REPS = {"commuting-elliptic": commuting_elliptic,
+                   "generic-elliptic": generic_elliptic}
+TRAJECTORY_STEPS = 40
+TRAJECTORY_BUDGET = DecisionBudget(max_accel_steps=60)
+
+
+def trajectory_angles():
+    """8 generic angles, then 16 near-rational ones [0; a_1, N + u] with
+    N in 1000..3000, a_1 in 1..4 and u in (0.1, 0.9)."""
+    rng = random.Random(7)
+    angles = [rng.uniform(0.05, 0.95) for _ in range(8)]
+    for _ in range(16):
+        a1, big = rng.randint(1, 4), rng.randint(1000, 3000)
+        angles.append(float(from_digits([a1, big + Fraction(rng.uniform(0.1, 0.9))])))
+    return angles
+
+
+def trajectory_record(name, alpha):
+    """mcg_trajectory's output on one case, with every float as float.hex."""
+    traj, witness = mcg_trajectory(TRAJECTORY_REPS[name](), alpha,
+                                   TRAJECTORY_STEPS, TRAJECTORY_BUDGET)
+    record = {"fixture": name, "alpha": alpha.hex(),
+              "word": [list(w) for w in traj.twist_word],
+              "matrices": [[list(row) for row in m] for m in traj.matrices],
+              "q": list(traj.convergent_denominators)}
+    if isinstance(witness, HyperbolicityWitness):
+        record["witness"] = ["hyperbolic", witness.step_index, witness.mu.hex()]
+    else:
+        record["witness"] = ["bounded", witness.max_trace_norm.hex()]
+    record["growth"] = [g.hex() for g in witness.growth_log]
+    return record, traj
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(TRAJECTORIES_PATH.read_text())
+
+
+class TestTrajectoryGoldens:
+    def test_angles_are_the_recorded_ones(self, recorded):
+        assert [(r["fixture"], r["alpha"]) for r in recorded] == \
+            [(name, a.hex()) for name in TRAJECTORY_REPS for a in trajectory_angles()]
+
+    def test_cases_cover_both_witnesses_and_long_runs(self, recorded):
+        kinds = {(r["fixture"], r["witness"][0]) for r in recorded}
+        assert kinds == {("commuting-elliptic", "bounded"),
+                         ("generic-elliptic", "hyperbolic")}
+        # The decision of a hyperbolic case stops before the trajectory does,
+        # so its later growth entries form A B themselves.
+        assert any(r["witness"][1] < len(r["word"]) for r in recorded
+                   if r["witness"][0] == "hyperbolic")
+        near = [r for i, r in enumerate(recorded) if i % 24 >= 8]
+        assert all(max(n for _, n in r["word"]) >= 1000 for r in near)
+
+    @pytest.mark.parametrize("i", range(2 * 24))
+    def test_matches_recorded_bits(self, recorded, i):
+        want = recorded[i]
+        got, traj = trajectory_record(want["fixture"], float.fromhex(want["alpha"]))
+        assert got == want
+        assert list(traj.norms_l1) == [sum(map(sum, m)) for m in want["matrices"]]
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_spectrum.py rewrites the goldens;
+    # only for an intended change of mcg_trajectory's output.
+    records = [trajectory_record(name, alpha)[0]
+               for name in TRAJECTORY_REPS for alpha in trajectory_angles()]
+    TRAJECTORIES_PATH.write_text(
+        "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

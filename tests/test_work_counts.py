@@ -1,9 +1,10 @@
-"""Work-count guards: the 2x2 products that one bounded twist trajectory
-and one refine slope take, and the isometry classifications of one
-absorbing decision, counted (not timed) and held at or below the counts of
-the single walk of the induction.  A change that brings back a second walk,
-the identity product in Matrix2.power, the fixed points of elliptic
-letters, a second product per step for tr [A, B] or a second
+"""Work-count guards: the 2x2 products and the log |tr| reads that one
+bounded twist trajectory takes, the products of one refine slope, and the
+isometry classifications of one absorbing decision, counted (not timed)
+and held at or below the counts of the single walk of the induction.  A
+change that brings back a second walk, the identity product in
+Matrix2.power, the fixed points of elliptic letters, a second product per
+step for tr [A, B], a log |tr| of a letter that a run kept, or a second
 classification of an absorbing pair shows up here as a higher count.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
@@ -98,6 +99,25 @@ def test_bounded_trajectory_products(mul_calls):
                                    DecisionBudget(max_accel_steps=60))
     assert isinstance(witness, BoundedWitness) and len(traj.twist_word) == 32
     assert len(mul_calls) <= BOUNDED_MUL
+
+
+def test_bounded_trajectory_trace_logs(monkeypatch):
+    # Each walked run moves one letter and keeps the other matrix, so the
+    # growth log reads log |tr| of both letters once, then of the moved one.
+    # The decision's trace coordinates read log |tr AB| of the input pair
+    # and of each step's pair, which the growth log reuses.  Reading both
+    # letters of every run took 2 x 32 + 1 + 32.
+    log_abs_trace = Matrix2.log_abs_trace
+    calls = []
+    monkeypatch.setattr(Matrix2, "log_abs_trace",
+                        lambda m: calls.append(1) or log_abs_trace(m))
+    rep = Representation(rotation(1.0), rotation(math.sqrt(2.0)))
+    budget = DecisionBudget(max_accel_steps=60)
+    steps = len(renorm_decision(CocyclePair(rep.A, rep.B), BOUNDED_ALPHA,
+                                budget).steps)
+    calls.clear()
+    traj, _ = mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget)
+    assert len(calls) <= len(traj.twist_word) + 1 + (1 + steps)
 
 
 def test_refine_slope_products(mul_calls):

@@ -11,12 +11,15 @@ BENCHMARK.json's run_seconds.  Besides the run's end-to-end metrics, the
 tool reads the run's perfbench/out/result-*.json for the machine's median
 slowdown and the raw round times, whose minimum is the harness margin: the
 harness dies when a round and its checks take under its reference period.
+Each run also counts its rounds shorter than that period (REF_PERIOD_S),
+which only the checks between rounds keep alive.
 
 The summary goes to BENCH_<label>.json at the root of this repository: per
 workload and metric, each side's median and quartiles, the change of the
 median, and how many pairs each side won (ties count for neither side);
-each side's failed share, median slowdown and raw min/median round time;
-the machine; and every run.
+each side's failed share, median slowdown, raw min/median round time and
+its rounds in all and under the reference period; the machine; and every
+run.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 PAIRS = 10  # a claimed gain must win at least 9 of them
+# perfbench/workloads.py's REF_PERIOD_S: the harness takes no sample of the
+# machine's slowdown in a round and its checks shorter than this.
+REF_PERIOD_S = 0.1
+
+
+def round_summary(rounds: list[float]) -> dict:
+    """The raw round times of one run: least, median, how many rounds, and
+    how many of them were shorter than REF_PERIOD_S."""
+    return {"min": min(rounds), "median": statistics.median(rounds),
+            "rounds": len(rounds), "short": sum(r < REF_PERIOD_S for r in rounds)}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -54,11 +67,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     res = json.loads(lines[-1])
     detail = json.loads((checkout / "perfbench" / "out" /
                          f"result-{workload}-s{seed}-t0.json").read_text())
-    rounds = detail["round_s"]
     return {"metrics": {k: v["value"] for k, v in res["metrics"].items()},
             "correct": res["correct"], "attempted": res["attempted"],
             "failed": res["failed"], "median_slowdown": detail["median_slowdown"],
-            "round_s": {"min": min(rounds), "median": statistics.median(rounds)}}
+            "round_s": round_summary(detail["round_s"])}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -116,7 +128,9 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                 r["median_slowdown"] for r in res)
             entry.setdefault("raw_round_s", {})[side] = {
                 "min": min(r["round_s"]["min"] for r in res),
-                "median": statistics.median(r["round_s"]["median"] for r in res)}
+                "median": statistics.median(r["round_s"]["median"] for r in res),
+                "rounds": sum(r["round_s"]["rounds"] for r in res),
+                "short": sum(r["round_s"]["short"] for r in res)}
         out[workload] = entry
     return out
 

@@ -8,11 +8,11 @@ matrix() runs as `python3 -m rvcocycle.cli ARGS` with PYTHONPATH set to the
 checkout's src/, one process at a time, in one temporary directory that
 holds the config file CONFIG_TEXT, so both checkouts read the same file.
 The matrix holds every command on the three fixtures at several angles,
-scan and refine as both CSV and JSON, one --config command, and usage and
-runtime errors.  stdout must be byte-identical; stderr is not compared,
-but each command whose stderr holds a Python traceback is reported with
-its side.  The exit code is 0 when no command differs and none crashes
-on the head side, else 1.
+mcg at the bounded benchmark's trajectory length, scan and refine as both
+CSV and JSON, one --config command, and usage and runtime errors.  stdout
+must be byte-identical; stderr is not compared, but each command whose
+stderr holds a Python traceback is reported with its side.  The exit code
+is 0 when no command differs and none crashes on the head side, else 1.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ ALPHAS = (GOLDEN, "0.41421356237", "0.375", "0.5", "0.3", "0.953125")
 # Both charts, tan theta > 0 and < 0; "=" keeps argparse from reading a
 # leading "-" as an option.
 THETAS = ("--theta=0.05:1.5", "--theta=-1.4:-0.2")
+# A near-rational angle of the bounded benchmark's draw: 32 runs, one of
+# them long, walked as its trajectory is there (40 steps, budget 60).
+BOUNDED_ALPHA = "0.30769497215185276"
 # The config command reads a comment, a dashed key, and a key its flag beats.
 CONFIG_NAME = "rvcocycle.cfg"
 CONFIG_TEXT = ("# a budget for renorm\nfixture = commuting-elliptic\n"
@@ -55,6 +58,8 @@ def matrix() -> list[tuple[str, ...]]:
             ("renorm", *pair, "--alpha", GOLDEN, "--max-digit", "5"),
             ("mcg", *pair, "--alpha", GOLDEN, "--steps", "8", "--max-steps", "20"),
             ("mcg", *pair, "--alpha", "0.3", "--steps", "3"),
+            ("mcg", *pair, "--steps", "40", "--max-steps", "60",
+             "--alpha", BOUNDED_ALPHA),
             ("lyapunov", *pair, "--alpha", GOLDEN, "--iters", "2000"),
             ("lyapunov", *pair, "--alpha", "0.3", "--iters", "100000",
              "--samples", "3", "--seed", "5"),
