@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from . import hypgeom
 from .cocycle import (
     CocyclePair,
@@ -29,6 +27,7 @@ from .cocycle import (
 from .iet import BudgetExceededError, Rotation2IET
 from .lyapunov import (
     DecisionBudget,
+    Kind,
     RenormTrace,
     UnderflowError,
     direct_exponent,
@@ -51,7 +50,6 @@ from .spectrum import (
     mcg_trajectory,
     refine_spectrum,
     scan_grid,
-    verdict_code,
 )
 
 DET_TOL_CLI = 1e-6
@@ -254,21 +252,21 @@ def write(o, doc: dict | str) -> int:
 
 
 def fmt12(x: float) -> str:
-    """12 significant digits, trailing zeros kept."""
-    if isinstance(x, float) and math.isnan(x):
+    """x to 12 significant digits, written out with its trailing zeros so
+    columns stay aligned and output is byte-stable (zero with 12 after the
+    point); infinity prints as inf.000000000."""
+    x = float(x)
+    if math.isnan(x):
         return "nan"
-    s = np.format_float_positional(float(x), precision=12, unique=False,
-                                   fractional=False)
-    # numpy trims trailing zeros; pad back to a fixed significant-digit count
-    # so columns stay aligned and output is byte-stable.
-    sig = len(s.replace("-", "").replace(".", "").lstrip("0"))
-    if sig == 0:
-        return ("-" if s.startswith("-") else "") + "0." + "0" * 12
-    if sig < 12:
-        if "." not in s:
-            s += "."
-        s += "0" * (12 - sig)
-    return s
+    sign = "-" if math.copysign(1.0, x) < 0.0 else ""
+    if math.isinf(x):
+        return sign + "inf.000000000"
+    mantissa, _, exp = f"{abs(x):.11e}".partition("e")
+    digits, e = mantissa.replace(".", ""), int(exp) if x else -1
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    digits = digits.ljust(e + 1, "0")
+    return f"{sign}{digits[:e + 1]}.{digits[e + 1:]}"
 
 
 def scan_csv(result: ScanResult) -> str:
@@ -292,9 +290,10 @@ def _finite_or_null(x: float) -> float | None:
 def renorm_json_doc(trace: RenormTrace) -> dict:
     # finite_in and finite_out both print as "finite"; the certificate
     # carries the membership.
-    code = verdict_code(trace)
+    v = trace.verdict
+    finite = v.kind == Kind.FINITE_ORDER
     doc = {
-        "verdict": "finite" if code.startswith("finite") else code,
+        "verdict": "finite" if finite else v.code,
         "steps": [
             {
                 "n": s.index,
@@ -309,15 +308,14 @@ def renorm_json_doc(trace: RenormTrace) -> dict:
             for s in trace.steps
         ],
     }
-    v = trace.verdict
-    if v.kind == "UniformlyHyperbolic" and v.certificate is not None:
+    if v.certificate is not None:
         doc["certificate"] = {
             "arcLo": v.certificate.arc_lo,
             "arcHi": v.certificate.arc_hi,
             "mu": v.certificate.expansion_factor,
             "C": v.certificate.constant,
         }
-    elif v.kind == "FiniteOrder":
+    elif finite:
         doc["certificate"] = {"spectrumMember": bool(v.spectrum_member)}
     return doc
 

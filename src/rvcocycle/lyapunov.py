@@ -1,8 +1,6 @@
 """Direct Lyapunov-exponent estimation by orbit products, and the
 renormalization dichotomy: drive the matrix pair with the accelerated Rauzy
-moves of the base rotation until it either reaches the absorbing uniformly
-hyperbolic type (HH+ with a cone certificate), stays certified-bounded in
-trace norm, or the base terminates at a rational angle.
+moves of the base rotation until it reaches one of the verdicts of Kind.
 
 Move bookkeeping.  Elementary induction steps are grouped into maximal
 same-winner runs; a run of length N with Bottom winner applies tau1^N, with
@@ -13,16 +11,9 @@ They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
 budget outlasts its expansion (53 digits for the golden float).
 renorm_runs walks the moves, one tau_power per run, and each caller walks
-it once.  renorm_decision is _decide on a fresh renorm_runs generator.
-spectrum.mcg_trajectory walks first: it takes the runs of its trajectory
-off one generator, and _decide reads those runs and then the rest of the
-same generator, as far as the decision needs.  The orbit products read
-the runs of run_steps into their own table of levels, with the letters
-formed only as far as n-step orbits use them.
-
-Each step of a decision forms one product, AB, for z = tr AB.  The
-commutator trace c = tr [A, B] is taken once, from the input pair: the
-tau moves keep it exactly, since [A, B A] = [A, B].
+it once (_decide).  The orbit products read the runs of run_steps into
+their own table of levels, with the letters formed only as far as n-step
+orbits use them.
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
@@ -42,10 +33,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from functools import reduce
-
-import numpy as np
 
 from .cocycle import (
     CocyclePair,
@@ -114,24 +104,67 @@ class StepRecord:
     in_k_escort: bool       # pair or a one-step tau-preimage is in K
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Tagged outcome of a renormalization run.
+class _Text(str, Enum):
+    """Members equal their text and print as it, under str, f-strings and
+    json.dumps (Python 3.10 has no StrEnum); compare them with ==, not is."""
 
-    kind: "UniformlyHyperbolic" (some step reached HH+; certificate and
-    at_step set), "CertifiedBounded" (budget exhausted with every step's
-    traces below the bound; max_trace_norm set), "FiniteOrder" (rational
-    angle; last_pair and spectrum_member set), "Undecided" (budget_note
-    explains).
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+
+class Kind(_Text):
+    """What a renormalization run showed, and the Verdict fields it sets.
+
+    UNIFORMLY_HYPERBOLIC: a step reached HH+, with an invariant cone
+    (at_step, certificate).  CERTIFIED_BOUNDED: the step budget ran out
+    with every trace under the bound through at_step, observed and not
+    proved for later steps (max_trace_norm).  FINITE_ORDER: the expansion
+    of the angle ended (at_step, last_pair, spectrum_member).  UNDECIDED: a
+    budget stopped the run first (budget_note, its Reason).
     """
 
-    kind: str
+    UNIFORMLY_HYPERBOLIC = "UniformlyHyperbolic"
+    CERTIFIED_BOUNDED = "CertifiedBounded"
+    FINITE_ORDER = "FiniteOrder"
+    UNDECIDED = "Undecided"
+
+
+class Reason(_Text):
+    """Why a run is Undecided."""
+
+    MAX_DIGIT = "run length exceeded max_digit"
+    TRACE_BOUND = "trace bound exceeded without reaching HH+"
+
+
+_CODES = {Kind.UNIFORMLY_HYPERBOLIC: "hyperbolic", Kind.CERTIFIED_BOUNDED: "bounded",
+          Kind.UNDECIDED: "undecided"}
+
+
+def is_candidate(code: str) -> bool:
+    """Whether a verdict code leaves its slope a spectrum candidate: bounded,
+    or of finite order inside the spectrum."""
+    return code in ("bounded", "finite_in")
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a renormalization run; Kind says which fields are set."""
+
+    kind: Kind
     at_step: int | None = None
     certificate: ConeCertificate | None = None
     max_trace_norm: float | None = None
     spectrum_member: bool | None = None
     last_pair: CocyclePair | None = None
-    budget_note: str | None = None
+    budget_note: Reason | None = None
+
+    @property
+    def code(self) -> str:
+        """The verdict as scan, refine, renorm and mcg print it: hyperbolic,
+        bounded, finite_in, finite_out or undecided."""
+        if self.kind == Kind.FINITE_ORDER:
+            return "finite_in" if self.spectrum_member else "finite_out"
+        return _CODES[self.kind]
 
 
 @dataclass(frozen=True)
@@ -354,6 +387,7 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
         raise ValueError("n_iters must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    import numpy as np  # here only, off the CLI's import path
     rng = np.random.default_rng(seed)
     alpha = float(t.alpha)
     unit, starts = _exact_points(alpha, rng.random(n_samples))
@@ -401,16 +435,13 @@ def _k_escort(tc: TraceCoords) -> bool:
 
 def renorm_decision(p: CocyclePair, alpha: float | Fraction,
                     budget: DecisionBudget | None = None) -> RenormTrace:
-    """Run the accelerated renormalization of (alpha, p) and decide.
-
-    Returns UniformlyHyperbolic at the first HH+ pair (with its cone
-    certificate), FiniteOrder where the expansion of alpha ends (spectrum
-    membership decided by whether the moved matrix of the final step fails
-    to be hyperbolic: the first matrix for tau1, the second for tau2, and AB
-    when alpha = 1/2 terminates before the first step), CertifiedBounded
-    when the step budget exhausts with every recorded trace below the bound,
-    Undecided when a budget (steps, max_digit or trace bound) stops it.  The
-    trace carries the bound it applied.
+    """Run the accelerated renormalization of (alpha, p) and decide, as
+    Kind tells: UniformlyHyperbolic at the first HH+ pair, FiniteOrder where
+    the expansion of alpha ends, else CertifiedBounded or Undecided when a
+    budget stops it.  A finite order is in the spectrum when the moved
+    matrix of the final step is not hyperbolic: the first matrix for tau1,
+    the second for tau2, and AB when alpha = 1/2 ends before the first
+    step.  The trace carries the bound it applied.
     """
     if budget is None:
         budget = DecisionBudget()
@@ -438,7 +469,7 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
     if ptype.code == "HH+":
         steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
                                 coords=coords, in_k_escort=_k_escort(coords)))
-        return done(Verdict(kind="UniformlyHyperbolic", at_step=0,
+        return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=0,
                             certificate=cone_certificate(p, (ca, cb))))
 
     cur = p
@@ -452,7 +483,7 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
             if ptype.is_degenerate:
                 raise DegeneratePairError(ptype.reason)
             if ptype.code == "HH+":
-                return done(Verdict(kind="UniformlyHyperbolic", at_step=len(steps),
+                return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=len(steps),
                                     certificate=cone_certificate(cur, (ca, cb))))
             max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
             if len(steps) >= budget.max_accel_steps:
@@ -464,16 +495,14 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
                 # alpha = 1/2: period 2, whose return product BA has the trace of AB.
                 checked = cur.product()
             member = abs(checked.trace) <= 2.0
-            return done(Verdict(kind="FiniteOrder", at_step=len(steps), last_pair=cur,
+            return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps), last_pair=cur,
                                 spectrum_member=member))
     except BudgetExceededError:
-        return done(Verdict(kind="Undecided",
-                            budget_note="run length exceeded max_digit"))
+        return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
     if max_norm <= bound:
-        return done(Verdict(kind="CertifiedBounded", at_step=len(steps),
+        return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=len(steps),
                             max_trace_norm=max_norm))
-    return done(Verdict(kind="Undecided",
-                        budget_note="trace bound exceeded without reaching HH+"))
+    return done(Verdict(Kind.UNDECIDED, budget_note=Reason.TRACE_BOUND))
 
 
 def bounded_prefix(trace: RenormTrace, bound: float) -> int:
@@ -494,13 +523,11 @@ def exponent_lower_bound(trace: RenormTrace, alpha: float) -> float:
     0.0 when the bound is not computable (no certificate or too-deep step).
     """
     v = trace.verdict
-    if v.kind != "UniformlyHyperbolic" or v.certificate is None:
+    if v.kind != Kind.UNIFORMLY_HYPERBOLIC or v.certificate is None:
         return 0.0
     m = v.at_step + 1
-    cf = continued_fraction(alpha, max_digits=m + 2)
-    qs = cf.convergent_denominators
-    if m + 1 > len(qs) - 1:
-        m = len(qs) - 2
+    qs = continued_fraction(alpha, max_digits=m + 2).convergent_denominators
+    m = min(m, len(qs) - 2)
     if m < 1:
         return 0.0
     return math.log(v.certificate.expansion_factor) / (qs[m + 1] + qs[m])
@@ -522,7 +549,7 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     by mul.  The product's 2-norm, the largest singular value, is taken in
     closed form.
     """
-    if trace.verdict.kind != "CertifiedBounded":
+    if trace.verdict.kind != Kind.CERTIFIED_BOUNDED:
         raise ValueError("requires a CertifiedBounded renormalization trace")
     if n_check < 1:
         raise ValueError("n_check must be >= 1")

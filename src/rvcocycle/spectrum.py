@@ -28,10 +28,10 @@ from .cocycle import (
 from .iet import BudgetExceededError, Rotation2IET, Winner, continued_fraction
 from .lyapunov import (
     DecisionBudget,
-    RenormTrace,
     _decide,
     bounded_prefix,
     direct_exponent,
+    is_candidate,
     renorm_decision,
     renorm_runs,
 )
@@ -82,8 +82,7 @@ def chart_for(rep: Representation, theta: float) -> tuple[float, CocyclePair]:
 class ScanPoint:
     theta: float
     alpha: float          # nan for chart-boundary / degenerate points
-    verdict: str          # hyperbolic | bounded | finite_in | finite_out
-    #                       | undecided | degenerate
+    verdict: str          # Verdict.code, or degenerate
     chi: float            # nan when not estimated
     steps: int            # accelerated steps to decision (0 if immediate)
     mu_lower: float       # cone expansion factor, nan unless hyperbolic
@@ -105,41 +104,25 @@ class ScanResult:
     candidate_spectrum_points: tuple[ScanPoint, ...] = ()
 
 
-def verdict_code(trace: RenormTrace) -> str:
-    v = trace.verdict
-    if v.kind == "UniformlyHyperbolic":
-        return "hyperbolic"
-    if v.kind == "CertifiedBounded":
-        return "bounded"
-    if v.kind == "FiniteOrder":
-        return "finite_in" if v.spectrum_member else "finite_out"
-    return "undecided"
-
-
 def evaluate_slope(rep: Representation, theta: float,
                    budget: DecisionBudget | None = None,
                    chi_iters: int = 0) -> ScanPoint:
     """One scan point: chart, renormalization verdict, optional direct
     exponent estimate.  Chart boundaries and degenerate pairs yield a
     'degenerate' point instead of raising."""
+    alpha = math.nan  # until the chart gives it
     try:
         alpha, pair = chart_for(rep, theta)
-    except ChartBoundaryError:
-        return ScanPoint(theta, math.nan, "degenerate", math.nan, 0, math.nan)
-    try:
         trace = renorm_decision(pair, alpha, budget)
-    except DegeneratePairError:
+    except (ChartBoundaryError, DegeneratePairError):
         return ScanPoint(theta, alpha, "degenerate", math.nan, 0, math.nan)
-    code = verdict_code(trace)
+    v = trace.verdict
     chi = math.nan
     if chi_iters > 0:
         chi = direct_exponent(pair, Rotation2IET(alpha), chi_iters).chi
-    mu = math.nan
-    if code == "hyperbolic" and trace.verdict.certificate is not None:
-        mu = trace.verdict.certificate.expansion_factor
-    steps = trace.verdict.at_step if trace.verdict.at_step is not None \
-        else len(trace.steps)
-    return ScanPoint(theta=theta, alpha=alpha, verdict=code, chi=chi,
+    mu = v.certificate.expansion_factor if v.certificate is not None else math.nan
+    steps = v.at_step if v.at_step is not None else len(trace.steps)
+    return ScanPoint(theta=theta, alpha=alpha, verdict=v.code, chi=chi,
                      steps=steps, mu_lower=mu,
                      bounded_steps=bounded_prefix(trace, trace.trace_bound))
 
@@ -153,8 +136,7 @@ def scan_grid(rep: Representation, theta_lo: float, theta_hi: float,
     h = (theta_hi - theta_lo) / (n - 1)
     points = tuple(evaluate_slope(rep, theta_lo + i * h, budget, chi_iters)
                    for i in range(n))
-    candidates = tuple(p for p in points
-                       if p.verdict in ("bounded", "finite_in"))
+    candidates = tuple(p for p in points if is_candidate(p.verdict))
     return ScanResult(points=points, candidate_spectrum_points=candidates)
 
 
@@ -187,11 +169,8 @@ def refine_spectrum(rep: Representation, theta_lo: float, theta_hi: float,
             certified.append(CertifiedInterval(lo, hi, 3, pts[0].steps))
             return
         if d >= depth:
-            # Surviving pit: all three samples of an uncertifiable deepest
-            # interval are candidates (their bounded_steps field records how
-            # long each tracked a bounded orbit).  Samples on the shared
-            # boundary with a certified interval stay candidates; certified
-            # intervals certify their interior only.
+            # Samples shared with a certified interval stay candidates: an
+            # interval certifies its interior only.
             for p in pts:
                 candidates[p.theta] = p
             return
@@ -283,22 +262,19 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     mats = []
     norms = []
     growth: list[float] = []
-    log_a = log_b = None
     for i, (winner, run_len, cur) in enumerate(walked):
-        if winner is Winner.BOTTOM:
-            word.append(("a", run_len))
+        bottom = winner is Winner.BOTTOM
+        word.append(("a" if bottom else "b", run_len))
+        if bottom:
             a += run_len * c
             b += run_len * d
-            log_b = cur.B.log_abs_trace()
-            if log_a is None:
-                log_a = cur.A.log_abs_trace()
         else:
-            word.append(("b", run_len))
             c += run_len * a
             d += run_len * b
+        if i == 0 or not bottom:
             log_a = cur.A.log_abs_trace()
-            if log_b is None:
-                log_b = cur.B.log_abs_trace()
+        if i == 0 or bottom:
+            log_b = cur.B.log_abs_trace()
         mats.append(((a, b), (c, d)))
         norms.append(a + b + c + d)
         z_log = z_logs[i] if i < len(z_logs) else cur.product().log_abs_trace()
@@ -312,18 +288,14 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
                          norms_l1=tuple(norms),
                          convergent_denominators=tuple(qs))
 
+    # A candidate's witness is bounded, with no norm at finite order; any
+    # other verdict's is hyperbolic, with no mu unless it is certified.
     v = decision.verdict
-    if v.kind == "UniformlyHyperbolic":
-        mu = v.certificate.expansion_factor if v.certificate else math.nan
-        witness = HyperbolicityWitness(step_index=v.at_step, mu=mu,
-                                       growth_log=tuple(growth))
-    elif v.kind == "CertifiedBounded":
-        witness = BoundedWitness(max_trace_norm=v.max_trace_norm,
-                                 growth_log=tuple(growth))
-    elif v.kind == "FiniteOrder" and v.spectrum_member:
-        witness = BoundedWitness(max_trace_norm=math.nan,
-                                 growth_log=tuple(growth))
-    else:
-        witness = HyperbolicityWitness(step_index=len(word), mu=math.nan,
-                                       growth_log=tuple(growth))
-    return traj, witness
+    if is_candidate(v.code):
+        mt = v.max_trace_norm
+        return traj, BoundedWitness(max_trace_norm=math.nan if mt is None else mt,
+                                    growth_log=tuple(growth))
+    mu = v.certificate.expansion_factor if v.certificate else math.nan
+    step = v.at_step if v.code == "hyperbolic" else len(word)
+    return traj, HyperbolicityWitness(step_index=step, mu=mu,
+                                      growth_log=tuple(growth))

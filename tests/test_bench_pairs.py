@@ -1,6 +1,7 @@
 """The aggregation of tools/bench_pairs.py, on made-up runs (no
 subprocess): medians, quartiles, wins, failed share, the raw round
-margin and the rounds under the harness's reference period."""
+margin, the rounds under the harness's reference period, and the record
+of a failed run."""
 
 import importlib.util
 from pathlib import Path
@@ -86,3 +87,18 @@ def test_rounds_under_the_reference_period():
         "base": {"min": 0.099, "median": 0.3, "rounds": 6, "short": 2},
         "head": pytest.approx({"min": 0.05, "median": 0.119975, "rounds": 6,
                                "short": 3})}
+
+
+def test_failed_run_keeps_the_workload_traceback():
+    stderr = ("Traceback (most recent call last):\n"
+              '  File "perfbench/workloads.py", line 9, in <module>\n'
+              "ValueError: min() arg is an empty sequence\n"
+              "error: workload process exited with 1\n")
+    err = bench_pairs.run_error(1, stderr)["error"]
+    assert err.splitlines()[0] == "Traceback (most recent call last):"
+    assert "ValueError: min() arg is an empty sequence" in err
+    assert err.endswith("exited with 1")
+    long = "\n".join(f"line {i}" for i in range(100))
+    kept = bench_pairs.run_error(1, long)["error"].splitlines()
+    assert kept == [f"line {i}" for i in range(100 - bench_pairs.STDERR_TAIL, 100)]
+    assert bench_pairs.run_error(-9, "  \n") == {"error": "exit -9"}

@@ -90,6 +90,25 @@ class TestParsing:
         assert fmt12(float("nan")) == "nan"
         assert fmt12(2.0) == "2.00000000000"
         assert fmt12(0.0) == "0.000000000000"
+        assert fmt12(-0.0) == "-0.000000000000"
+        assert fmt12(math.inf) == "inf.000000000"
+        assert fmt12(-math.inf) == "-inf.000000000"
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(10**11, 10**13).map(lambda k: k / 2.0)))
+    def test_fmt12_matches_numpy(self, x):
+        # numpy's positional formatting to 12 significant digits, padded
+        # to 12 digits; the halves are exact ties at the 13th digit.
+        np = pytest.importorskip("numpy")
+        s = np.format_float_positional(x, precision=12, unique=False,
+                                       fractional=False)
+        sig = len(s.replace("-", "").replace(".", "").lstrip("0"))
+        if sig == 0:
+            s = s[:s.index("0")] + "0." + "0" * 12
+        elif sig < 12:
+            s = s + ("" if "." in s else ".") + "0" * (12 - sig)
+        assert fmt12(x) == s
 
 
 class TestConfig:

@@ -39,6 +39,7 @@ PAIRS = 10  # a claimed gain must win at least 9 of them
 # perfbench/workloads.py's REF_PERIOD_S: the harness takes no sample of the
 # machine's slowdown in a round and its checks shorter than this.
 REF_PERIOD_S = 0.1
+STDERR_TAIL = 40  # lines of a failed run's stderr that its record keeps
 
 
 def round_summary(rounds: list[float]) -> dict:
@@ -46,6 +47,14 @@ def round_summary(rounds: list[float]) -> dict:
     how many of them were shorter than REF_PERIOD_S."""
     return {"min": min(rounds), "median": statistics.median(rounds),
             "rounds": len(rounds), "short": sum(r < REF_PERIOD_S for r in rounds)}
+
+
+def run_error(returncode: int, stderr: str) -> dict:
+    """The record of a run that printed no result: the last STDERR_TAIL
+    lines of its stderr, which hold the workload's traceback ahead of
+    run.py's own last line, else its exit code."""
+    err = stderr.strip().splitlines()[-STDERR_TAIL:]
+    return {"error": "\n".join(err) if err else f"exit {returncode}"}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -62,8 +71,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
                           stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        err = proc.stderr.strip().splitlines()
-        return {"error": err[-1] if err else f"exit {proc.returncode}"}
+        return run_error(proc.returncode, proc.stderr)
     res = json.loads(lines[-1])
     detail = json.loads((checkout / "perfbench" / "out" /
                          f"result-{workload}-s{seed}-t0.json").read_text())

@@ -8,7 +8,8 @@ matrix() runs as `python3 -m rvcocycle.cli ARGS` with PYTHONPATH set to the
 checkout's src/, one process at a time, in one temporary directory that
 holds the config file CONFIG_TEXT, so both checkouts read the same file.
 The matrix holds every command on the three fixtures at several angles,
-mcg at the bounded benchmark's trajectory length, scan and refine as both
+mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
+angle whose orbits reach the one-piece last level, scan and refine as both
 CSV and JSON, one --config command, and usage and runtime errors.  stdout
 must be byte-identical; stderr is not compared, but each command whose
 stderr holds a Python traceback is reported with its side.  The exit code
@@ -64,6 +65,10 @@ def matrix() -> list[tuple[str, ...]]:
             ("lyapunov", *pair, "--alpha", "0.3", "--iters", "100000",
              "--samples", "3", "--seed", "5"),
         ]
+        if fx == "generic-elliptic":
+            # Orbits of 1e5 steps at the dyadic 0.375 reach the last level
+            # of the induction, of one piece, walked as one power.
+            cmds.append(("lyapunov", *pair, "--alpha", "0.375", "--iters", "100000"))
         for theta in THETAS:
             for fmt in ("csv", "json"):
                 cmds.append(("scan", *pair, theta, "--grid", "12",
