@@ -43,7 +43,8 @@ class DegeneratePairError(ValueError):
 
 @dataclass(slots=True)
 class CocyclePair:
-    """The pair (A, B); slotted and not frozen, as Matrix2: one per tau_power."""
+    """The pair (A, B); slotted and not frozen, as Matrix2: one per step of
+    a decision."""
 
     A: Matrix2
     B: Matrix2

@@ -169,7 +169,7 @@ def _euclid(alpha: float | Fraction):
         yield a, p == 0
 
 
-def run_steps(t: Rotation2IET, max_digit: int = MAX_DIGIT):
+def run_steps(t: Rotation2IET):
     """Generator of the maximal same-winner runs of the elementary
     induction: yields (winner, run_length).
 
@@ -182,15 +182,12 @@ def run_steps(t: Rotation2IET, max_digit: int = MAX_DIGIT):
     the step that would close a_n reaches the boundary of [0, 1] and ends
     the induction.
     Empty runs are dropped (a_1 = 1, and alpha = 1/2).  The generator stops
-    where the expansion ends and raises BudgetExceededError for a run longer
-    than max_digit.
+    where the expansion ends; a reader with a digit cap checks each run.
     """
     winner = Winner.BOTTOM
     first = True
     for a, last in _euclid(t.alpha):
         n = a - first - last
-        if n > max_digit:
-            raise BudgetExceededError("run length exceeds the digit cap")
         if n > 0:
             yield winner, n
         winner = winner.other

@@ -2,18 +2,16 @@
 renormalization dichotomy: drive the matrix pair with the accelerated Rauzy
 moves of the base rotation until it reaches one of the verdicts of Kind.
 
-Move bookkeeping.  Elementary induction steps are grouped into maximal
+The induction.  Elementary induction steps are grouped into maximal
 same-winner runs; a run of length N with Bottom winner applies tau1^N, with
 Top winner tau2^N.  Because the accelerated digit chart closes each digit
 with one step of the opposite letter, the run lengths are (a_1 - 1, a_2,
 a_3, ..., a_n - 1) where a_n are the continued-fraction digits of alpha.
 They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
-budget outlasts its expansion (53 digits for the golden float).
-renorm_runs walks the moves, one tau_power per run, and each caller walks
-it once (_decide).  The orbit products read the runs of run_steps into
-their own table of levels, with the letters formed only as far as n-step
-orbits use them.
+budget outlasts its expansion (53 digits for the golden float).  One table
+of the induction (_Induction) is walked once per (pair, alpha), as far as
+its readers ask: the decision, mcg_trajectory and the orbit products.
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
@@ -24,8 +22,9 @@ into I_{k+1}; then up, each level's part of the next longer letter that
 still fits.  Each is at most one power of a letter and one letter of the
 other kind, and each power is taken as its squares, so an orbit takes
 O(sum of log a_k) factors over those levels, whatever n and however close
-alpha is to a rational.  The level table is built once per call, with the
-pieces of each I_k and the orbit points as exact integers.
+alpha is to a rational.  Each call views the table in its own exact unit
+(_orbit_levels): the pieces of each I_k and the orbit points as integers,
+and the letters as _unit_letter copies.
 """
 
 from __future__ import annotations
@@ -44,19 +43,17 @@ from .cocycle import (
     TraceCoords,
     _classify_letters,
     cone_certificate,
-    tau_power,
     trace_bound,
     trace_coords,
 )
 from .iet import (
     MAX_DIGIT,
-    BudgetExceededError,
     Rotation2IET,
     Winner,
     continued_fraction,
     run_steps,
 )
-from .mat2 import ENTRY_LIMIT, EPS_TRACE, Matrix2, identity, mul
+from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, identity, mul
 
 DEFAULT_SAMPLES = 8
 AUDIT_START = 0.2137  # boundedness_implies_zero's orbit start
@@ -174,24 +171,8 @@ class RenormTrace:
     trace_bound: float | None = None  # the bound the decision applied
 
 
-def winner_move(w: Winner) -> int:
-    """Bottom winner applies tau1, Top winner tau2."""
-    return 1 if w is Winner.BOTTOM else 2
-
-
-def renorm_runs(p: CocyclePair, alpha: float | Fraction, max_digit: int):
-    """The accelerated renormalization of (alpha, p): yield (winner,
-    run_len, pair) for each run of iet.run_steps, where pair is p moved by
-    every run so far, one tau_power per run.  Stops where the expansion of
-    alpha ends; BudgetExceededError (a run past max_digit) propagates.
-    """
-    for winner, run_len in run_steps(Rotation2IET(alpha), max_digit):
-        p = tau_power(p, winner_move(winner), run_len)
-        yield winner, run_len, p
-
-
 # ---------------------------------------------------------------------------
-# Direct exponent
+# The induction
 
 
 def _unit_letter(m: Matrix2) -> Matrix2:
@@ -202,9 +183,80 @@ def _unit_letter(m: Matrix2) -> Matrix2:
                    m.log_scale + math.log(top))
 
 
+class _Induction:
+    """The accelerated Rauzy induction of (alpha, p), walked once into a
+    table that grows as far as its readers ask.  Level k holds runs[k], the
+    run (winner, length) into level k + 1, and letters[k], the pair (A_k,
+    B_k) that the first k runs move p to, as mul returns it: the letters of
+    cocycle.tau_power, bit for bit.  squares[k] holds the powers 2^e of the
+    letter of run k (A_k for Bottom, B_k for Top) that an orbit walk asked
+    for.  A reader with a digit cap checks a run before it asks for the
+    level past it.  An input letter that mul would scale is scaled once, or
+    its square could overflow.
+    """
+
+    def __init__(self, p: CocyclePair, alpha: float | Fraction):
+        self.alpha = alpha
+        self._runs = run_steps(Rotation2IET(alpha))
+        self.runs: list[tuple[Winner, int]] = []
+        self.letters = [tuple(m if m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
+                              <= NORM2_LIMIT else _unit_letter(m) for m in (p.A, p.B))]
+        self.squares: dict[int, list[Matrix2]] = {}
+
+    def run(self, k: int) -> tuple[Winner, int] | None:
+        """Run k, reading the runs before it first; None where the expansion
+        of alpha ends at level k or before."""
+        runs = self.runs
+        while len(runs) <= k:
+            run = next(self._runs, None)
+            if run is None:
+                return None
+            runs.append(run)
+        return runs[k]
+
+    def pair(self, k: int) -> tuple[Matrix2, Matrix2]:
+        """(A_k, B_k), forming the levels before it first: a Bottom run of r
+        moves B to B A^r, a Top run A to B^r A.  The power is the product of
+        the squares at the set bits of r in ascending order: those an orbit
+        walk formed, or else those Matrix2.power forms the same way.  Runs
+        0 to k - 1 must have been read."""
+        letters = self.letters
+        while len(letters) <= k:
+            j = len(letters) - 1
+            a, b = letters[j]
+            winner, run = self.runs[j]
+            bottom = winner is Winner.BOTTOM
+            power = a if bottom else b
+            if run > 1:
+                power = (power.power(run) if j not in self.squares
+                         else reduce(mul, _bits(self.powers(j, power, run), run)))
+            letters.append((a, mul(b, power)) if bottom else (mul(power, a), b))
+        return letters[k]
+
+    def powers(self, k: int, letter: Matrix2, cap: int) -> list[Matrix2]:
+        """squares[k], [letter, letter^2, ...] for the letter of run k (or
+        of the closing run and the last level where the expansion ends),
+        through the largest power 2^e <= cap and any asked for before."""
+        squares = self.squares.setdefault(k, [letter])
+        while 1 << len(squares) <= cap:
+            squares.append(mul(squares[-1], squares[-1]))
+        return squares
+
+
+def _bits(powers: list[Matrix2], i: int) -> list[Matrix2]:
+    """The squares whose product is the power i: one per set bit of i."""
+    if i < 2:  # most runs are short: no loop for a power of 0 or 1
+        return powers[:i]
+    return [powers[e] for e in range(i.bit_length()) if i >> e & 1]
+
+
+# ---------------------------------------------------------------------------
+# Direct exponent
+
+
 @dataclass(slots=True)
-class _Level:
-    """Level k of the Rauzy induction, for orbits of at most n steps.
+class _OrbitLevel:
+    """Level k of the induction as orbits of at most n steps walk it.
 
     The first return of the rotation to I_k = [0, size) takes the letter
     A_k on [0, split), moving a point by size - split, and B_k on [split,
@@ -226,77 +278,59 @@ class _Level:
     powers: list[Matrix2] = field(default_factory=list)
 
 
-def _squares(m: Matrix2 | None, cap: int) -> list[Matrix2]:
-    """[m, m^2, m^4, ...] through the largest power 2^e <= cap."""
-    powers = [m] if cap >= 1 else []
-    while powers and 1 << len(powers) <= cap:
-        powers.append(mul(powers[-1], powers[-1]))
-    return powers
+def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
+    """The levels of the induction that orbits of at most n steps reach,
+    with pieces in units of 1/unit (a multiple of the denominator of
+    alpha), through the first level where both letters are longer than n.
 
-
-def _bits(powers: list[Matrix2], i: int) -> list[Matrix2]:
-    """The squares whose product is the power i: one per set bit of i."""
-    if i < 2:  # most runs are short: no loop for a power of 0 or 1
-        return powers[:i]
-    return [powers[e] for e in range(i.bit_length()) if i >> e & 1]
-
-
-def _level_table(p: CocyclePair, alpha: float, n: int,
-                 unit: int) -> list[_Level]:
-    """The levels of the Rauzy induction of alpha that orbits of at most n
-    steps reach, with pieces in units of 1/unit (a multiple of the
-    denominator of alpha), through the first level where both letters are
-    longer than n.
-
-    Each run of run_steps (winner, r) moves the pieces, the lengths and the
-    letters: a Bottom run makes B A^r of B on the piece cut from A's, a Top
-    run B^r A of A.  The moved letter is a product of the run's squares,
-    formed only when it fits in n.  Where the expansion of alpha ends the
-    two pieces are equal and the return alternates A_k and B_k; one closing
-    Top run of 1 makes the last level, with one piece whose letter B_k A_k
-    returns every point to itself, walked as one power.
-
-    The products are taken on the letters as mul keeps them, unscaled
-    below ENTRY_LIMIT: a log scale folded back into the entries by exp
-    would cost each product a rounding of its log, and a deep letter the
-    sum of them.  The table holds them as _unit_letter matrices.
+    Each run (winner, r) of the table moves the pieces and the lengths: a
+    Bottom run makes B A^r of B on the piece cut from A's, a Top run B^r A
+    of A.  The table forms a moved letter, and the squares of a run's
+    letter, only as far as they fit in n; the levels hold them as
+    _unit_letter copies.  Where the expansion of alpha ends the two pieces
+    are equal and the return alternates A_k and B_k; one closing Top run of
+    1 makes the last level, with one piece whose letter B_k A_k returns
+    every point to itself, walked as one power.
     """
-    exact = Fraction(alpha)
-    a, b = (m if max(map(abs, m.entries())) <= ENTRY_LIMIT else _unit_letter(m)
-            for m in (p.A, p.B))
+    exact = Fraction(table.alpha)
     split = (exact.denominator - exact.numerator) * (unit // exact.denominator)
-    lv = _Level(split, unit, (1, 1), (_unit_letter(a), _unit_letter(b)))
+    a, b = table.pair(0)
+    lv = _OrbitLevel(split, unit, (1, 1), (_unit_letter(a), _unit_letter(b)))
     levels = [lv]
-    runs = run_steps(Rotation2IET(exact), exact.denominator)
     while lv.split < lv.size and min(lv.lengths) <= n:
-        winner, run = next(runs, (Winner.TOP, 1))
+        k = len(levels) - 1
+        step = table.run(k)
+        closing = step is None
+        winner, run = (Winner.TOP, 1) if closing else step
         len_a, len_b = lv.lengths
         bottom = winner is Winner.BOTTOM
-        squares = _squares(a if bottom else b,
-                           min(run, n // (len_a if bottom else len_b)))
+        cap = min(run, n // (len_a if bottom else len_b))
+        squares = table.powers(k, a if bottom else b, cap) if cap else []
         lv.winner, lv.run = winner, run
-        lv.powers = [_unit_letter(m) for m in squares]
+        lv.powers = [_unit_letter(m) for m in squares[:cap.bit_length()]]
         if bottom:
             cut, lengths = run * (lv.size - lv.split), (len_a, len_b + run * len_a)
-            b = None if lengths[1] > n else mul(b, reduce(mul, _bits(squares, run)))
+            b = None if lengths[1] > n else table.pair(k + 1)[1]
             letters = (lv.letters[0], None if b is None else _unit_letter(b))
-            lv = _Level(lv.split - cut, lv.size - cut, lengths, letters)
+            lv = _OrbitLevel(lv.split - cut, lv.size - cut, lengths, letters)
         else:
             cut, lengths = run * lv.split, (len_a + run * len_b, len_b)
-            a = None if lengths[0] > n else mul(reduce(mul, _bits(squares, run)), a)
+            a = (None if lengths[0] > n
+                 else mul(b, a) if closing else table.pair(k + 1)[0])
             letters = (None if a is None else _unit_letter(a), lv.letters[1])
-            lv = _Level(lv.split, lv.size - cut, lengths, letters)
+            lv = _OrbitLevel(lv.split, lv.size - cut, lengths, letters)
         levels.append(lv)
-    if lv.split == lv.size:
-        lv.powers = [_unit_letter(m) for m in _squares(a, n // lv.lengths[0])]
+    cap = n // lv.lengths[0]
+    if lv.split == lv.size and cap:
+        lv.powers = [_unit_letter(m) for m in table.powers(len(levels) - 1, a, cap)]
     return levels
 
 
-def _orbit_factors(levels: list[_Level], y: int,
+def _orbit_factors(levels: list[_OrbitLevel], y: int,
                    n: int) -> tuple[list[Matrix2], int]:
     """The factors of the n-step orbit product from y, in the order they
     act, and the point the orbit reaches; y and the levels as in
-    _level_table.
+    _orbit_levels.
 
     Down: at each level the orbit enters I_{k+1}, by A_k^j B_k after a
     Bottom run and by B_k^j after a Top run.  It stops at a level where the
@@ -387,11 +421,17 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
         raise ValueError("n_iters must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    return _exponent(_Induction(p, float(t.alpha)), n_iters, n_samples, seed)
+
+
+def _exponent(table: _Induction, n_iters: int, n_samples: int = DEFAULT_SAMPLES,
+              seed: int = 0) -> LyapunovEstimate:
+    """direct_exponent on the induction table of a float alpha, which
+    spectrum.evaluate_slope shares with its decision."""
     import numpy as np  # here only, off the CLI's import path
     rng = np.random.default_rng(seed)
-    alpha = float(t.alpha)
-    unit, starts = _exact_points(alpha, rng.random(n_samples))
-    levels = _level_table(p, alpha, n_iters, unit)
+    unit, starts = _exact_points(table.alpha, rng.random(n_samples))
+    levels = _orbit_levels(table, n_iters, unit)
     logs = []
     try:
         for y in starts:
@@ -443,20 +483,22 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     the second for tau2, and AB when alpha = 1/2 ends before the first
     step.  The trace carries the bound it applied.
     """
+    return _decide(_Induction(p, alpha), budget)
+
+
+def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
+    """renorm_decision on the induction table of (alpha, p), which
+    spectrum.evaluate_slope and mcg_trajectory read too.  Step k + 1 reads
+    run k and then the letters of level k + 1, no further than the decision
+    needs; a run past max_digit leaves it Undecided before its level is
+    formed."""
     if budget is None:
         budget = DecisionBudget()
-    return _decide(p, renorm_runs(p, alpha, budget.max_digit), budget)
-
-
-def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
-    """renorm_decision on the runs (winner, run_len, pair) of renorm_runs
-    (p, ...), taken one at a time and no further than the decision needs:
-    spectrum.mcg_trajectory passes the runs it has walked, chained to the
-    rest of the same generator."""
-    ptype, ca, cb = _classify_letters(p)
+    cur = CocyclePair(*table.pair(0))
+    ptype, ca, cb = _classify_letters(cur)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
-    coords = trace_coords(p)
+    coords = trace_coords(cur)
     kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
@@ -470,25 +512,12 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
         steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
                                 coords=coords, in_k_escort=_k_escort(coords)))
         return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=0,
-                            certificate=cone_certificate(p, (ca, cb))))
+                            certificate=cone_certificate(cur, (ca, cb))))
 
-    cur = p
     max_norm = 0.0
-    try:
-        for winner, run_len, cur in runs:
-            coords = trace_coords(cur, kappa)
-            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
-            steps.append(StepRecord(len(steps) + 1, run_len, winner, ptype.code,
-                                    coords, _k_escort(coords)))
-            if ptype.is_degenerate:
-                raise DegeneratePairError(ptype.reason)
-            if ptype.code == "HH+":
-                return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=len(steps),
-                                    certificate=cone_certificate(cur, (ca, cb))))
-            max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
-            if len(steps) >= budget.max_accel_steps:
-                break
-        else:
+    for k in range(budget.max_accel_steps):
+        run = table.run(k)
+        if run is None:
             if steps:
                 checked = cur.A if steps[-1].winner is Winner.BOTTOM else cur.B
             else:
@@ -497,8 +526,20 @@ def _decide(p: CocyclePair, runs, budget: DecisionBudget) -> RenormTrace:
             member = abs(checked.trace) <= 2.0
             return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps), last_pair=cur,
                                 spectrum_member=member))
-    except BudgetExceededError:
-        return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
+        winner, run_len = run
+        if run_len > budget.max_digit:
+            return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
+        cur = CocyclePair(*table.pair(k + 1))
+        coords = trace_coords(cur, kappa)
+        ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+        steps.append(StepRecord(k + 1, run_len, winner, ptype.code, coords,
+                                _k_escort(coords)))
+        if ptype.is_degenerate:
+            raise DegeneratePairError(ptype.reason)
+        if ptype.code == "HH+":
+            return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k + 1,
+                                certificate=cone_certificate(cur, (ca, cb))))
+        max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
     if max_norm <= bound:
         return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=len(steps),
                             max_trace_norm=max_norm))
@@ -558,9 +599,9 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     while n >= min(1000, n_check):
         checkpoints.append(n)
         n //= 2
-    alpha = float(t.alpha)
-    unit, (y,) = _exact_points(alpha, [AUDIT_START])
-    levels = _level_table(p, alpha, n_check, unit)
+    table = _Induction(p, float(t.alpha))
+    unit, (y,) = _exact_points(table.alpha, [AUDIT_START])
+    levels = _orbit_levels(table, n_check, unit)
     prod = identity()
     done = 0
     worst = -math.inf

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 from .cocycle import (
     CocyclePair,
@@ -25,15 +24,14 @@ from .cocycle import (
     mul,
     trace_coords,
 )
-from .iet import BudgetExceededError, Rotation2IET, Winner, continued_fraction
+from .iet import BudgetExceededError, Winner, continued_fraction
 from .lyapunov import (
     DecisionBudget,
     _decide,
+    _exponent,
+    _Induction,
     bounded_prefix,
-    direct_exponent,
     is_candidate,
-    renorm_decision,
-    renorm_runs,
 )
 from .mat2 import Matrix2
 
@@ -108,18 +106,20 @@ def evaluate_slope(rep: Representation, theta: float,
                    budget: DecisionBudget | None = None,
                    chi_iters: int = 0) -> ScanPoint:
     """One scan point: chart, renormalization verdict, optional direct
-    exponent estimate.  Chart boundaries and degenerate pairs yield a
-    'degenerate' point instead of raising."""
+    exponent estimate, both read off one table of the induction.  Chart
+    boundaries and degenerate pairs yield a 'degenerate' point instead of
+    raising."""
     alpha = math.nan  # until the chart gives it
     try:
         alpha, pair = chart_for(rep, theta)
-        trace = renorm_decision(pair, alpha, budget)
+        table = _Induction(pair, alpha)
+        trace = _decide(table, budget)
     except (ChartBoundaryError, DegeneratePairError):
         return ScanPoint(theta, alpha, "degenerate", math.nan, 0, math.nan)
     v = trace.verdict
     chi = math.nan
     if chi_iters > 0:
-        chi = direct_exponent(pair, Rotation2IET(alpha), chi_iters).chi
+        chi = _exponent(table, chi_iters).chi
     mu = v.certificate.expansion_factor if v.certificate is not None else math.nan
     steps = v.at_step if v.at_step is not None else len(trace.steps)
     return ScanPoint(theta=theta, alpha=alpha, verdict=v.code, chi=chi,
@@ -222,34 +222,34 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     along b, ((1, 0), (N, 1)), which adds N times row 1 to row 2.  The
     trajectory has min(n_steps, number of runs of alpha) steps.
 
-    The induction is walked once.  The trajectory takes the first n_steps
-    runs of one renorm_runs generator, and the decision (renorm_decision's)
-    reads those runs and then the rest of the same generator, as far as it
-    needs.  A run past max_digit raises BudgetExceededError when it is one
-    of the first n_steps runs, unless the input pair is degenerate
-    (DegeneratePairError, as the decision raises before any run); past
-    them it leaves the decision Undecided.
+    The induction is walked once: the trajectory and the decision read one
+    table of it.  The first n_steps runs are checked first, and one past
+    max_digit raises BudgetExceededError before any letter is formed,
+    unless the input pair is degenerate (DegeneratePairError, as the
+    decision raises before any run); past them a run past max_digit leaves
+    the decision Undecided.
 
     The growth log of a run is the largest of log |tr A|, log |tr B| and
-    log |tr AB| of the moved pair.  A run moves one letter and keeps the
-    other matrix, so it takes one log |tr| of a letter, for the moved one
-    (two at the first run); log |tr AB| comes from the decision's step
-    records where it has them.
+    log |tr AB| of the moved pair, the table's letters of the level the run
+    reaches.  A run moves one letter and keeps the other, so it takes one
+    log |tr| of a letter, for the moved one (two at the first run);
+    log |tr AB| comes from the decision's step records where it has them.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     pair = CocyclePair(rep.A, rep.B)
     if budget is None:
         budget = DecisionBudget()
-    runs = renorm_runs(pair, alpha, budget.max_digit)
-    try:
-        walked = list(islice(runs, n_steps))
-    except BudgetExceededError:
+    table = _Induction(pair, alpha)
+    table.run(n_steps - 1)
+    runs = table.runs[:n_steps]
+    if any(run > budget.max_digit for _, run in runs):
         ptype = classify_pair(pair)
         if ptype.is_degenerate:
-            raise DegeneratePairError(ptype.reason) from None
-        raise
-    decision = _decide(pair, chain(walked, runs), budget)
+            raise DegeneratePairError(ptype.reason)
+        raise BudgetExceededError("run length exceeds the digit cap")
+    table.pair(len(runs))
+    decision = _decide(table, budget)
 
     # log |tr AB| of the runs the decision took comes from their step
     # records, whose trace coordinates formed AB; the runs past the
@@ -262,7 +262,8 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     mats = []
     norms = []
     growth: list[float] = []
-    for i, (winner, run_len, cur) in enumerate(walked):
+    for i, ((winner, run_len), (letter_a, letter_b)) in enumerate(
+            zip(runs, table.letters[1:])):
         bottom = winner is Winner.BOTTOM
         word.append(("a" if bottom else "b", run_len))
         if bottom:
@@ -272,12 +273,13 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
             c += run_len * a
             d += run_len * b
         if i == 0 or not bottom:
-            log_a = cur.A.log_abs_trace()
+            log_a = letter_a.log_abs_trace()
         if i == 0 or bottom:
-            log_b = cur.B.log_abs_trace()
+            log_b = letter_b.log_abs_trace()
         mats.append(((a, b), (c, d)))
         norms.append(a + b + c + d)
-        z_log = z_logs[i] if i < len(z_logs) else cur.product().log_abs_trace()
+        z_log = (z_logs[i] if i < len(z_logs)
+                 else mul(letter_a, letter_b).log_abs_trace())
         growth.append(max(log_a, log_b, z_log))
 
     # q_k aligned conservatively with the run index (the first run length is

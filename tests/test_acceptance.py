@@ -41,7 +41,6 @@ from rvcocycle.lyapunov import (
     direct_exponent,
     exponent_lower_bound,
     renorm_decision,
-    winner_move,
 )
 from rvcocycle.mat2 import (
     BoundaryPoint,
@@ -53,6 +52,7 @@ from rvcocycle.mat2 import (
     spectral_radius,
 )
 from rvcocycle.spectrum import Representation, mcg_trajectory, refine_spectrum
+from reference_walk import winner_move
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -20,9 +20,11 @@ from rvcocycle.hypgeom import hh_minus_canonical_pair
 from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
     DecisionBudget,
+    _decide,
     _exact_points,
-    _level_table,
+    _Induction,
     _orbit_factors,
+    _orbit_levels,
     StepRecord,
     UnderflowError,
     bounded_prefix,
@@ -30,10 +32,9 @@ from rvcocycle.lyapunov import (
     direct_exponent,
     exponent_lower_bound,
     renorm_decision,
-    renorm_runs,
-    winner_move,
 )
 from rvcocycle.mat2 import Matrix2, diagonal, mul, rotation
+from reference_walk import renorm_runs, winner_move
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -203,10 +204,10 @@ def reference_audit(p, alpha, n_check, x0=0.2137):
 
 
 def level_table(p, alpha, n, xs=()):
-    """The level table of direct_exponent for n-step orbits from xs, and
-    the starts as exact points."""
+    """The levels of direct_exponent's orbit walk for n-step orbits from xs,
+    and the starts as exact points."""
     unit, starts = _exact_points(alpha, xs)
-    return _level_table(p, alpha, n, unit), unit, starts
+    return _orbit_levels(_Induction(p, alpha), n, unit), unit, starts
 
 
 def factor_words(levels):
@@ -560,6 +561,15 @@ class TestRenormDecision:
             assert trace.steps[-1].digit == digit
             assert v.certificate is not None and v.certificate.expansion_factor > 1.0
 
+    def test_entries_past_the_float_square_decide(self):
+        # The first square of a letter with an entry of 1e200 passes the
+        # float range unless the letter is scaled first; A is hyperbolic
+        # and B elliptic, and one Bottom run of 2 makes B A^2 hyperbolic.
+        p = CocyclePair(Matrix2(1e200, 0.0, 0.0, 1e-200), rotation(1.0))
+        v = renorm_decision(p, 0.3).verdict
+        assert (v.kind, v.at_step) == ("UniformlyHyperbolic", 1)
+        assert v.certificate is not None
+
     def test_steps_carry_the_input_commutator_trace(self):
         # The tau moves keep tr [A, B], so every step records the input
         # pair's c, while x, y, z and log |z| are the moved pair's own, as
@@ -605,6 +615,49 @@ class TestRenormDecision:
                 assert s.pair_type in TRANSITIONS[(prev_code, move)], \
                     f"{prev_code} --{move}--> {s.pair_type}"
                 prev_code = s.pair_type
+
+
+class TestInductionTable:
+    # A near-rational angle of the bounded benchmark's draw: 32 runs, one of
+    # them long.
+    BOUNDED_ALPHA = 0.30769497215185276
+
+    def test_letters_match_reference_walk(self):
+        # The decision and a 1e5-step orbit walk read one table, and the
+        # orbit walk goes deeper than the decision stops on most draws.
+        # Every letter the table forms is the pair moved by one tau_power
+        # per run, bit for bit, and every square the power of its letter.
+        budget = DecisionBudget(max_accel_steps=60)
+        cases = criterion6_draws(200) + [(commuting_elliptic(), self.BOUNDED_ALPHA)]
+        letters = 0
+        depths = []
+        for p, alpha in cases:
+            table = _Induction(p, alpha)
+            try:
+                _decide(table, budget)
+            except DegeneratePairError:
+                pass
+            decided = len(table.letters)
+            unit, _ = _exact_points(alpha, ())
+            _orbit_levels(table, 100_000, unit)
+            depths.append(len(table.letters) > decided)
+            walk = itertools.islice(renorm_runs(p, alpha, math.inf),
+                                    len(table.letters) - 1)
+            moved = [p] + [pair for _, _, pair in walk]
+            for k, (a, b) in enumerate(table.letters):
+                for got, want in ((a, moved[k].A), (b, moved[k].B)):
+                    assert (*got.entries(), got.log_scale) == \
+                        (*want.entries(), want.log_scale), (alpha, k)
+                    letters += 1
+            for k, squares in table.squares.items():
+                for e, m in enumerate(squares):
+                    want = squares[0].power(2**e)
+                    assert (*m.entries(), m.log_scale) == \
+                        (*want.entries(), want.log_scale), (alpha, k, e)
+        assert letters > 4000  # 4676
+        # The orbit walk formed deeper levels after 169 decisions, and read
+        # only levels the decision had formed after the other 32.
+        assert sum(depths) > 100 and len(depths) - sum(depths) > 10
 
 
 class TestExactDigits:
@@ -659,10 +712,6 @@ class TestExactDigits:
 
 
 class TestDerivedQuantities:
-    def test_winner_move(self):
-        assert winner_move(Winner.BOTTOM) == 1
-        assert winner_move(Winner.TOP) == 2
-
     def test_bounded_prefix(self):
         trace = renorm_decision(commuting_elliptic(), GOLDEN,
                                 DecisionBudget(max_accel_steps=30))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rvcocycle import lyapunov
+from rvcocycle import lyapunov, spectrum
 from rvcocycle.cocycle import (
     CocyclePair,
     DegeneratePairError,
@@ -21,7 +21,7 @@ from rvcocycle.iet import (
     continued_fraction,
     run_steps,
 )
-from rvcocycle.lyapunov import DecisionBudget, renorm_decision, renorm_runs
+from rvcocycle.lyapunov import DecisionBudget, renorm_decision
 from rvcocycle.mat2 import Matrix2, classify, diagonal, mul, rotation
 from rvcocycle.spectrum import (
     BoundedWitness,
@@ -35,6 +35,7 @@ from rvcocycle.spectrum import (
     refine_spectrum,
     scan_grid,
 )
+from reference_walk import renorm_runs
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -413,10 +414,20 @@ class TestMCG:
         with pytest.raises(ValueError):
             mcg_trajectory(generic_elliptic(), GOLDEN, 0)
 
+    def test_entries_past_the_float_square(self):
+        # A letter with an entry of 1e200 is scaled before its first
+        # square, which would pass the float range; B A^2 is hyperbolic.
+        rep = Representation(Matrix2(1e200, 0.0, 0.0, 1e-200), rotation(1.0))
+        traj, witness = mcg_trajectory(rep, 0.3, 3)
+        assert traj.twist_word == (("a", 2), ("b", 2), ("a", 1))
+        assert isinstance(witness, HyperbolicityWitness)
+        assert witness.step_index == 1 and witness.mu > 1.0
+        assert all(math.isfinite(g) for g in witness.growth_log)
+
 
 class TestMCGWalksOnce:
-    """mcg_trajectory takes the decision's runs from the walk it records,
-    so it must match the two-walk reference in every outcome."""
+    """mcg_trajectory and its decision read one table of the induction, so
+    it must match the two-walk reference in every outcome."""
 
     REPS = {"commuting-elliptic": commuting_elliptic,
             "generic-elliptic": generic_elliptic, "diagonal": diag_rep}
@@ -432,7 +443,7 @@ class TestMCGWalksOnce:
     def cases(self):
         for name, rep in self.REPS.items():
             for alpha in self.ALPHAS:
-                runs = [n for _, n in run_steps(Rotation2IET(alpha), 2**64)]
+                runs = [n for _, n in run_steps(Rotation2IET(alpha))]
                 # Caps that stop the walk at its largest runs, and just
                 # after the first 21 and 40 runs.
                 caps = sorted({n - 1 for n in runs if n > 1})[-3:] + [
@@ -489,22 +500,30 @@ class TestMCGWalksOnce:
                     == mcg_outcome(reference_mcg_trajectory, rep, alpha,
                                    n_steps, budget))
 
-    def test_one_tau_power_per_walked_run(self, monkeypatch):
-        calls = []
-        tau_power = lyapunov.tau_power
-        monkeypatch.setattr(lyapunov, "tau_power",
-                            lambda *a: calls.append(1) or tau_power(*a))
+    def test_one_level_per_walked_run(self, monkeypatch):
+        # The trajectory and the decision read one table: its levels are
+        # formed once, as far as the longer of the two walks, and no further.
+        tables = []
+
+        class Recorded(lyapunov._Induction):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(spectrum, "_Induction", Recorded)
         checked = 0
         for _, rep, alpha, n_steps, budget in self.cases():
             pair = CocyclePair(rep.A, rep.B)
             try:
                 steps = renorm_decision(pair, alpha, budget).steps
-                calls.clear()
+                tables.clear()
                 traj, _ = mcg_trajectory(rep, alpha, n_steps, budget)
             except (BudgetExceededError, DegeneratePairError):
                 continue
             decision_runs = sum(s.winner is not None for s in steps)
-            assert len(calls) == max(len(traj.twist_word), decision_runs)
+            (table,) = tables
+            walked = max(len(traj.twist_word), decision_runs)
+            assert len(table.letters) == 1 + walked
             checked += 1
         assert checked > 100
 

@@ -6,11 +6,13 @@ change that brings back a second walk, the identity product in
 Matrix2.power, the fixed points of elliptic letters, a second product per
 step for tr [A, B], a log |tr| of a letter that a run kept, or a second
 classification of an absorbing pair shows up here as a higher count.
+The induction is walked once per (pair, alpha): one run_steps call for a
+decision, a trajectory, an exponent, and a scan point that takes both.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
-products of its level table.  The cone certificate is a formula on the
-two letters and forms no product at all."""
+products of its levels.  The cone certificate is a formula on the two
+letters and forms no product at all."""
 
 import math
 import sys
@@ -18,14 +20,16 @@ import sys
 import numpy as np
 import pytest
 
-from rvcocycle import mat2
+from rvcocycle import iet, mat2
 from rvcocycle.cocycle import CocyclePair, cone_certificate
-from rvcocycle.iet import Winner
+from rvcocycle.iet import Rotation2IET, Winner
 from rvcocycle.lyapunov import (
     DecisionBudget,
     _exact_points,
-    _level_table,
+    _Induction,
     _orbit_factors,
+    _orbit_levels,
+    direct_exponent,
     renorm_decision,
 )
 from rvcocycle.mat2 import Matrix2, diagonal, rotation
@@ -46,6 +50,9 @@ BOUNDED_MUL = 119
 # with B A per step.
 REFINE_THETA = 1.2
 REFINE_MUL = 11
+# The same slope with a 2000-step exponent, which reads the decision's
+# table of the induction; 27 when the exponent walked it again.
+SLOPE_CHI_MUL = 24
 # An input pair that is HH+ at step 0: one classification per letter; 4
 # when the cone certificate classified the letters again, or when
 # mcg_trajectory classified the input pair before its decision did.
@@ -180,12 +187,50 @@ def test_orbit_walk_factors(mul_calls, alpha, n):
     p = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
     unit, starts = _exact_points(alpha, np.random.default_rng(0).random(8))
     mul_calls.clear()
-    levels = _level_table(p, alpha, n, unit)
+    table = _Induction(p, alpha)
+    levels = _orbit_levels(table, n, unit)
     assert len(mul_calls) <= TABLE_MUL
-    for lv in levels:
+    for k, lv in enumerate(levels):
         # Squares of the run's letter (A at a last level) while they fit in
-        # the run and in n; a last level has no run to bound them.
+        # the run and in n; a last level has no run to bound them.  The
+        # table, read by the orbit walk alone, forms no square past them.
         fits = n // lv.lengths[lv.winner is Winner.TOP]
-        assert len(lv.powers) == min(lv.run or fits, fits).bit_length()
+        formed = min(lv.run or fits, fits).bit_length()
+        assert len(lv.powers) == formed
+        if k < len(table.runs):
+            assert len(table.squares.get(k, [])) == formed
     for y in starts:
         assert len(_orbit_factors(levels, y, n)[0]) <= ORBIT_FACTORS
+
+
+def test_slope_with_exponent_products(mul_calls):
+    m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
+    rep = Representation(rotation(1.0), m @ rotation(0.9) @ m.inv())
+    mul_calls.clear()
+    point = evaluate_slope(rep, REFINE_THETA, DecisionBudget(max_accel_steps=40),
+                           chi_iters=2000)
+    assert point.verdict == "hyperbolic" and point.steps == 3
+    assert len(mul_calls) <= SLOPE_CHI_MUL
+
+
+def _walks():
+    """One call of each reader of the induction, on a pair and an angle."""
+    m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
+    rep = Representation(rotation(1.0), m @ rotation(0.9) @ m.inv())
+    pair = CocyclePair(rep.A, rep.B)
+    budget = DecisionBudget(max_accel_steps=40)
+    return {
+        "renorm_decision": lambda: renorm_decision(pair, GOLDEN, budget),
+        "mcg_trajectory": lambda: mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget),
+        "direct_exponent": lambda: direct_exponent(pair, Rotation2IET(0.3), 10**5),
+        "evaluate_slope": lambda: evaluate_slope(rep, REFINE_THETA, budget,
+                                                 chi_iters=2000),
+    }
+
+
+@pytest.mark.parametrize("reader", list(_walks()))
+def test_one_walk_of_the_induction(monkeypatch, reader):
+    walk = _walks()[reader]
+    calls = count_calls(monkeypatch, iet.run_steps)
+    walk()
+    assert len(calls) == 1

@@ -10,7 +10,8 @@ holds the config file CONFIG_TEXT, so both checkouts read the same file.
 The matrix holds every command on the three fixtures at several angles,
 mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
 angle whose orbits reach the one-piece last level, scan and refine as both
-CSV and JSON, one --config command, and usage and runtime errors.  stdout
+CSV and JSON, scan with exponents whose orbits walk the induction deeper
+than the decision, one --config command, and usage and runtime errors.  stdout
 must be byte-identical; stderr is not compared, but each command whose
 stderr holds a Python traceback is reported with its side.  The exit code
 is 0 when no command differs and none crashes on the head side, else 1.
@@ -69,6 +70,10 @@ def matrix() -> list[tuple[str, ...]]:
             # Orbits of 1e5 steps at the dyadic 0.375 reach the last level
             # of the induction, of one piece, walked as one power.
             cmds.append(("lyapunov", *pair, "--alpha", "0.375", "--iters", "100000"))
+        # Exponents of 1e5 steps walk deeper levels of the induction than
+        # the decision stops at, on the table the decision formed.
+        cmds.append(("scan", *pair, THETAS[0], "--grid", "12", "--chi-iters",
+                     "100000", "--format", "json"))
         for theta in THETAS:
             for fmt in ("csv", "json"):
                 cmds.append(("scan", *pair, theta, "--grid", "12",
