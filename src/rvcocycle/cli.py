@@ -322,8 +322,8 @@ def renorm_json_doc(trace: RenormTrace) -> dict:
 
 def scan_json_doc(result: ScanResult) -> dict:
     def pt(p: ScanPoint):
-        return {"theta": p.theta, "alpha": p.alpha, "verdict": p.verdict,
-                "chi": None if math.isnan(p.chi) else p.chi,
+        return {"theta": p.theta, "alpha": _finite_or_null(p.alpha),
+                "verdict": p.verdict, "chi": _finite_or_null(p.chi),
                 "steps": p.steps, "boundedSteps": p.bounded_steps}
     return {
         "points": [pt(p) for p in sorted(result.points, key=lambda q: q.theta)],

@@ -208,10 +208,19 @@ def trace_coords(p: CocyclePair, c: float | None = None) -> TraceCoords:
     """The trace coordinates of p from the one product AB.  c is the known
     commutator trace of p (a tau-image's is its source's); without it, c is
     computed directly from AB and BA."""
-    ab = mul(p.A, p.B)
-    x, y, z = p.A.trace, p.B.trace, ab.trace
+    return letter_coords(p.A, p.B, c)
+
+
+def letter_coords(a: Matrix2, b: Matrix2, c: float | None = None) -> TraceCoords:
+    """trace_coords of the pair (a, b), for a caller that holds its letters
+    and no CocyclePair.  An unscaled trace is read as a + d, without the
+    trace property's call."""
+    ab = mul(a, b)
+    x = a.trace if a.log_scale else a.a + a.d
+    y = b.trace if b.log_scale else b.a + b.d
+    z = ab.trace if ab.log_scale else ab.a + ab.d
     if c is None:
-        ba = mul(p.B, p.A)
+        ba = mul(b, a)
         # tr [A, B] = tr(AB adj(BA)), written out: the product itself would
         # go through the Matrix2 check, and cancellation can leave its float
         # determinant <= 0.

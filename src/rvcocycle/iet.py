@@ -183,14 +183,15 @@ def run_steps(t: Rotation2IET):
     the induction.
     Empty runs are dropped (a_1 = 1, and alpha = 1/2).  The generator stops
     where the expansion ends; a reader with a digit cap checks each run.
+    The winners alternate in two locals: no enum lookup per run.
     """
-    winner = Winner.BOTTOM
+    winner, other = Winner.BOTTOM, Winner.TOP
     first = True
     for a, last in _euclid(t.alpha):
         n = a - first - last
         if n > 0:
             yield winner, n
-        winner = winner.other
+        winner, other = other, winner
         first = False
 
 

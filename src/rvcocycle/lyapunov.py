@@ -43,8 +43,8 @@ from .cocycle import (
     TraceCoords,
     _classify_letters,
     cone_certificate,
+    letter_coords,
     trace_bound,
-    trace_coords,
 )
 from .iet import (
     MAX_DIGIT,
@@ -220,12 +220,12 @@ class _Induction:
         the squares at the set bits of r in ascending order: those an orbit
         walk formed, or else those Matrix2.power forms the same way.  Runs
         0 to k - 1 must have been read."""
-        letters = self.letters
+        letters, bottom_winner = self.letters, Winner.BOTTOM
         while len(letters) <= k:
             j = len(letters) - 1
             a, b = letters[j]
             winner, run = self.runs[j]
-            bottom = winner is Winner.BOTTOM
+            bottom = winner is bottom_winner
             power = a if bottom else b
             if run > 1:
                 power = (power.power(run) if j not in self.squares
@@ -491,14 +491,18 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     spectrum.evaluate_slope and mcg_trajectory read too.  Step k + 1 reads
     run k and then the letters of level k + 1, no further than the decision
     needs; a run past max_digit leaves it Undecided before its level is
-    formed."""
+    formed.  Runs and levels that a reader formed first (mcg_trajectory
+    forms its n_steps) are read off the table's lists.  A step builds a
+    CocyclePair only where a reader needs one: two letters that are both
+    hyperbolic or in the band, the certificate, and the last pair."""
     if budget is None:
         budget = DecisionBudget()
-    cur = CocyclePair(*table.pair(0))
+    a, b = table.pair(0)
+    cur = CocyclePair(a, b)
     ptype, ca, cb = _classify_letters(cur)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
-    coords = trace_coords(cur)
+    coords = letter_coords(a, b)
     kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
@@ -514,12 +518,16 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
         return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=0,
                             certificate=cone_certificate(cur, (ca, cb))))
 
+    runs, letters, record = table.runs, table.letters, steps.append
+    max_digit = budget.max_digit
     max_norm = 0.0
+    elliptic, hyperbolic = 2.0 - EPS_TRACE, 2.0 + EPS_TRACE
     for k in range(budget.max_accel_steps):
-        run = table.run(k)
+        run = runs[k] if k < len(runs) else table.run(k)
         if run is None:
+            cur = CocyclePair(a, b)
             if steps:
-                checked = cur.A if steps[-1].winner is Winner.BOTTOM else cur.B
+                checked = a if steps[-1].winner is Winner.BOTTOM else b
             else:
                 # alpha = 1/2: period 2, whose return product BA has the trace of AB.
                 checked = cur.product()
@@ -527,19 +535,30 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
             return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps), last_pair=cur,
                                 spectrum_member=member))
         winner, run_len = run
-        if run_len > budget.max_digit:
+        if run_len > max_digit:
             return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
-        cur = CocyclePair(*table.pair(k + 1))
-        coords = trace_coords(cur, kappa)
-        ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
-        steps.append(StepRecord(k + 1, run_len, winner, ptype.code, coords,
-                                _k_escort(coords)))
-        if ptype.is_degenerate:
-            raise DegeneratePairError(ptype.reason)
-        if ptype.code == "HH+":
+        a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
+        coords = letter_coords(a, b, kappa)
+        # A pair with an elliptic letter is typed by |x| and |y| at
+        # cocycle._letter_kind's thresholds; the rest by _classify_letters.
+        x, y = abs(coords.x), abs(coords.y)
+        if x < elliptic and y < elliptic:
+            code = "EE"
+        elif x < elliptic and y > hyperbolic:
+            code = "EH"
+        elif y < elliptic and x > hyperbolic:
+            code = "HE"
+        else:
+            cur = CocyclePair(a, b)
+            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+            if ptype.is_degenerate:
+                raise DegeneratePairError(ptype.reason)
+            code = ptype.code
+        record(StepRecord(k + 1, run_len, winner, code, coords, _k_escort(coords)))
+        if code == "HH+":
             return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k + 1,
                                 certificate=cone_certificate(cur, (ca, cb))))
-        max_norm = max(max_norm, abs(coords.x), abs(coords.y), abs(coords.z))
+        max_norm = max(max_norm, x, y, abs(coords.z))
     if max_norm <= bound:
         return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=len(steps),
                             max_trace_norm=max_norm))

@@ -262,9 +262,10 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     mats = []
     norms = []
     growth: list[float] = []
+    bottom_winner = Winner.BOTTOM
     for i, ((winner, run_len), (letter_a, letter_b)) in enumerate(
             zip(runs, table.letters[1:])):
-        bottom = winner is Winner.BOTTOM
+        bottom = winner is bottom_winner
         word.append(("a" if bottom else "b", run_len))
         if bottom:
             a += run_len * c

@@ -1,0 +1,38 @@
+"""The timing rounds and the aggregation of tools/ab_items.py, on made-up
+calls and timings (no subprocess, no checkout copied)."""
+
+import importlib.util
+import itertools
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "ab_items.py"
+_spec = importlib.util.spec_from_file_location("ab_items", _PATH)
+ab_items = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_items)
+
+
+def test_sum_of_per_item_minima_and_ratio():
+    times = {"base": [[3.0, 5.0, 1.0], [2.0, 6.0, 4.0]],
+             "head": [[1.0, 1.5, 2.0], [2.0, 0.5, 1.0]]}
+    res = ab_items.summarize(times)
+    # base: min 2 + 5 + 1; head: min 1 + 0.5 + 1.
+    assert res == {"base": 8.0, "head": 2.5, "ratio": 2.5 / 8.0}
+
+
+def test_one_round_takes_each_item_once():
+    res = ab_items.summarize({"base": [[0.25, 0.5]], "head": [[0.5, 0.5]]})
+    assert res["ratio"] == pytest.approx(4.0 / 3.0)
+
+
+def test_rounds_alternate_the_first_side():
+    order = []
+    calls = {side: [lambda s=side, i=i: order.append((s, i)) for i in range(2)]
+             for side in ab_items.SIDES}
+    ticks = itertools.count()
+    times = ab_items.time_rounds(calls, 3, clock=lambda: float(next(ticks)))
+    sides = [s for s, i in order if i == 0]
+    assert sides == ["base", "head", "head", "base", "base", "head"]
+    # Each call is timed on its own: one tick of the fake clock.
+    assert times == {side: [[1.0, 1.0]] * 3 for side in ab_items.SIDES}

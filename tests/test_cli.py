@@ -27,6 +27,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """text parsed as strict JSON, which has no NaN or Infinity."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 # Each command's numeric options; classify has none.
 NUMERIC_OPTIONS = {
     "renorm": ("alpha", "max_steps", "max_digit", "trace_bound"),
@@ -402,11 +409,7 @@ class TestRenorm:
         code, out, _ = run(capsys, "renorm", "--fixture", "generic-elliptic",
                            "--alpha", "0.6667870446192837")
         assert code == 0
-
-        def reject(name):
-            raise ValueError(f"non-strict JSON constant {name}")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         step2 = next(s for s in doc["steps"] if s["n"] == 2)
         assert step2["y"] is None
         assert math.isfinite(step2["x"])
@@ -456,9 +459,7 @@ class TestLyapunov:
                            "--iters", "1000")
         assert code == 0
 
-        def reject(name):
-            raise ValueError(f"non-strict JSON constant {name}")
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(out)
         assert doc["chi"] == pytest.approx(math.log(1e5), abs=1e-9)
 
     def test_ten_billion_steps(self, capsys):
@@ -519,6 +520,16 @@ class TestScan:
         for p in doc["candidateSpectrumPoints"]:
             assert p["verdict"] in ("bounded", "finite_in")
 
+    def test_json_degenerate_points_are_null(self, capsys):
+        # theta 0, pi/4 (slope 1) and pi/2 are chart boundaries.
+        code, out, _ = run(capsys, "scan", "--fixture", "generic-elliptic",
+                           "--theta", "0:1.5707963267948966", "--grid", "3",
+                           "--format", "json")
+        assert code == 0
+        doc = strict_json(out)
+        assert [p["verdict"] for p in doc["points"]] == ["degenerate"] * 3
+        assert [(p["alpha"], p["chi"]) for p in doc["points"]] == [(None, None)] * 3
+
 
 class TestRefine:
     def test_refine_json(self, capsys):
@@ -530,6 +541,16 @@ class TestRefine:
         assert doc["points"]
         for iv in doc["certifiedHyperbolicIntervals"]:
             assert iv["thetaLo"] < iv["thetaHi"]
+
+    def test_refine_json_boundary_is_null(self, capsys):
+        code, out, _ = run(capsys, "refine", "--fixture", "generic-elliptic",
+                           "--theta", "0:0.3", "--depth", "2",
+                           "--max-steps", "20", "--format", "json")
+        assert code == 0
+        first, *rest = strict_json(out)["points"]  # sorted by theta
+        assert (first["theta"], first["verdict"], first["alpha"]) == \
+            (0.0, "degenerate", None)
+        assert all(p["alpha"] is not None for p in rest)
 
 
 class TestMCG:

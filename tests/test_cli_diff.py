@@ -1,5 +1,6 @@
-"""The comparison of tools/cli_diff.py, on made-up outputs (no
-subprocess), and the coverage of its command matrix."""
+"""The comparison of tools/cli_diff.py and its crash and strict-JSON
+reports, on made-up outputs (no subprocess), and the coverage of its
+command matrix."""
 
 import importlib.util
 import json
@@ -64,6 +65,25 @@ def test_tracebacks_are_reported_with_their_side():
     assert cli_diff.differences(base, head) == [
         "rvcocycle mcg --fixture commuting-elliptic --alpha 0.3: exit 1 -> 0",
     ]
+
+
+def test_non_strict_json_is_reported_with_its_side():
+    renorm = ("renorm", "--fixture", "generic-elliptic", "--alpha", "0.3")
+    scan_csv = (*SCAN, "--format", "csv")
+    scan_json = (*SCAN, "--format", "json")
+    runs = {renorm: (0, b'{"x": NaN}\n', b""), scan_csv: (0, b"NaN,1\n", b""),
+            scan_json: (0, b'{"alpha": null}\n', b""), MCG: (1, b"", b"error\n")}
+    (line,) = cli_diff.non_strict_json(runs, "head")
+    assert line.startswith("rvcocycle renorm --fixture generic-elliptic "
+                           "--alpha 0.3: non-strict JSON on the head side")
+    runs[scan_json] = (0, b'{"alpha": Infinity}\n', b"")
+    assert len(cli_diff.non_strict_json(runs, "base")) == 2
+
+
+def test_matrix_holds_a_scan_of_chart_boundaries():
+    boundary = ("scan", "--fixture", "generic-elliptic", "--theta",
+                "0:1.5707963267948966", "--grid", "3", "--format", "json")
+    assert boundary in cli_diff.matrix()
 
 
 def test_config_command_reads_the_config_file(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from rvcocycle.cocycle import (
     CocyclePair,
     DegeneratePairError,
+    classify_pair,
     trace_bound,
     trace_coords,
 )
@@ -573,7 +574,8 @@ class TestRenormDecision:
     def test_steps_carry_the_input_commutator_trace(self):
         # The tau moves keep tr [A, B], so every step records the input
         # pair's c, while x, y, z and log |z| are the moved pair's own, as
-        # trace_coords reads them, bit for bit.
+        # trace_coords reads them, bit for bit, and its type is the moved
+        # pair's classify_pair type.
         budget = DecisionBudget(max_accel_steps=60)
         checked = 0
         for p, alpha in criterion6_draws(200):
@@ -589,6 +591,7 @@ class TestRenormDecision:
                 assert got.c == c
                 assert (got.x, got.y, got.z, got.log_abs_z) == \
                     (want.x, want.y, want.z, want.log_abs_z), (alpha, step.index)
+                assert step.pair_type == classify_pair(moved[step.index]).code
                 checked += 1
         assert checked > 900  # 963 step records over the 200 draws
 

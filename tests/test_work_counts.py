@@ -5,7 +5,8 @@ and held at or below the counts of the single walk of the induction.  A
 change that brings back a second walk, the identity product in
 Matrix2.power, the fixed points of elliptic letters, a second product per
 step for tr [A, B], a log |tr| of a letter that a run kept, or a second
-classification of an absorbing pair shows up here as a higher count.
+classification of an absorbing pair, or a classification of a pair with
+an elliptic letter, shows up here as a higher count.
 The induction is walked once per (pair, alpha): one run_steps call for a
 decision, a trajectory, an exponent, and a scan point that takes both.
 The values the walk builds per product and per step are slotted: a
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from rvcocycle import iet, mat2
+from rvcocycle import cocycle, iet, mat2
 from rvcocycle.cocycle import CocyclePair, cone_certificate
 from rvcocycle.iet import Rotation2IET, Winner
 from rvcocycle.lyapunov import (
@@ -46,6 +47,11 @@ from rvcocycle.spectrum import (
 # tr [A, B] took 151.
 BOUNDED_ALPHA = 0.30769497215185276
 BOUNDED_MUL = 119
+# The decision of commuting rotations classifies its letters once, for the
+# input pair: every later pair has an elliptic letter, which _decide types
+# by |tr A| and |tr B| alone.  One classification per step took 33 at
+# BOUNDED_ALPHA.
+ELLIPTIC_CLASSIFY = 1
 # A slope of the refine benchmark's range, absorbed at step 3; 22, then 14
 # with B A per step.
 REFINE_THETA = 1.2
@@ -99,6 +105,11 @@ def classify_calls(monkeypatch):
     return count_calls(monkeypatch, mat2.classify)
 
 
+@pytest.fixture
+def letter_classify_calls(monkeypatch):
+    return count_calls(monkeypatch, cocycle._classify_letters)
+
+
 def test_bounded_trajectory_products(mul_calls):
     rep = Representation(rotation(1.0), rotation(math.sqrt(2.0)))
     mul_calls.clear()
@@ -106,6 +117,21 @@ def test_bounded_trajectory_products(mul_calls):
                                    DecisionBudget(max_accel_steps=60))
     assert isinstance(witness, BoundedWitness) and len(traj.twist_word) == 32
     assert len(mul_calls) <= BOUNDED_MUL
+
+
+def test_bounded_trajectory_classifications(letter_classify_calls):
+    rep = Representation(rotation(1.0), rotation(math.sqrt(2.0)))
+    traj, witness = mcg_trajectory(rep, BOUNDED_ALPHA, 40,
+                                   DecisionBudget(max_accel_steps=60))
+    assert isinstance(witness, BoundedWitness) and len(traj.twist_word) == 32
+    assert len(letter_classify_calls) == ELLIPTIC_CLASSIFY
+
+
+def test_elliptic_decision_classifications(letter_classify_calls):
+    p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
+    trace = renorm_decision(p, BOUNDED_ALPHA, DecisionBudget(max_accel_steps=60))
+    assert len(trace.steps) == 32
+    assert len(letter_classify_calls) == ELLIPTIC_CLASSIFY
 
 
 def test_bounded_trajectory_trace_logs(monkeypatch):

@@ -11,15 +11,20 @@ The matrix holds every command on the three fixtures at several angles,
 mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
 angle whose orbits reach the one-piece last level, scan and refine as both
 CSV and JSON, scan with exponents whose orbits walk the induction deeper
-than the decision, one --config command, and usage and runtime errors.  stdout
-must be byte-identical; stderr is not compared, but each command whose
-stderr holds a Python traceback is reported with its side.  The exit code
-is 0 when no command differs and none crashes on the head side, else 1.
+than the decision, a scan of chart boundaries only, one --config command,
+and usage and runtime errors.  stdout must be byte-identical; stderr is not
+compared, but each command whose stderr holds a Python traceback is
+reported with its side, and so is each command that exits 0 with a JSON
+document on stdout (--format json, and every classify, renorm, lyapunov
+and mcg) that is not strict JSON, which has no NaN or Infinity.  The exit
+code is 0 when no command differs and none crashes or prints non-strict
+JSON on the head side, else 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +47,8 @@ CONFIG_NAME = "rvcocycle.cfg"
 CONFIG_TEXT = ("# a budget for renorm\nfixture = commuting-elliptic\n"
                "max-steps = 20\ntrace_bound = 1\n")
 TRACEBACK = b"Traceback (most recent call last)"
+# The commands whose stdout is always one JSON document.
+JSON_COMMANDS = ("classify", "renorm", "lyapunov", "mcg")
 
 
 def matrix() -> list[tuple[str, ...]]:
@@ -81,6 +88,9 @@ def matrix() -> list[tuple[str, ...]]:
                 cmds.append(("refine", *pair, theta, "--depth", "4",
                              "--max-steps", "20", "--format", fmt))
     cmds += [
+        # theta 0, pi/4 and pi/2 are chart boundaries: degenerate points.
+        ("scan", "--fixture", "generic-elliptic", "--theta", "0:1.5707963267948966",
+         "--grid", "3", "--format", "json"),
         ("verify-lemmas", "--draws", "10"),
         ("renorm", "--config", CONFIG_NAME, "--alpha", GOLDEN, "--max-steps", "12"),
         # Usage errors (exit 2).
@@ -140,6 +150,30 @@ def crashes(runs: dict, side: str) -> list[str]:
             for args, (_, _, err) in runs.items() if TRACEBACK in err]
 
 
+def prints_json(args: tuple[str, ...]) -> bool:
+    """Whether the command's stdout is one JSON document."""
+    return args[0] in JSON_COMMANDS or any(
+        args[i:i + 2] == ("--format", "json") for i in range(len(args)))
+
+
+def _reject(name: str):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def non_strict_json(runs: dict, side: str) -> list[str]:
+    """One line per command of a run_all result that exits 0 with a JSON
+    document on stdout that strict JSON does not parse, naming side."""
+    lines = []
+    for args, (code, out, _) in runs.items():
+        if code == 0 and prints_json(args):
+            try:
+                json.loads(out, parse_constant=_reject)
+            except ValueError as exc:
+                lines.append(f"rvcocycle {' '.join(args)}: "
+                             f"non-strict JSON on the {side} side ({exc})")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="root of the baseline checkout")
@@ -151,11 +185,12 @@ def main(argv=None) -> int:
         base, head = (run_all(p.resolve(), cmds, Path(tmp))
                       for p in (args.base, args.head))
     lines = differences(base, head)
-    head_crashes = crashes(head, "head")
-    for line in lines + crashes(base, "base") + head_crashes:
+    head_faults = crashes(head, "head") + non_strict_json(head, "head")
+    base_faults = crashes(base, "base") + non_strict_json(base, "base")
+    for line in lines + base_faults + head_faults:
         print(line)
     print(f"{len(lines)} of {len(cmds)} commands differ")
-    return 1 if lines or head_crashes else 0
+    return 1 if lines or head_faults else 0
 
 
 if __name__ == "__main__":
