@@ -29,7 +29,6 @@ from .lyapunov import (
     DecisionBudget,
     Kind,
     RenormTrace,
-    UnderflowError,
     direct_exponent,
     renorm_decision,
 )
@@ -557,7 +556,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BudgetExceededError, ChartBoundaryError, DegeneratePairError,
-            NonUnimodularError, UnderflowError) as exc:
+            NonUnimodularError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

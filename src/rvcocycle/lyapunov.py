@@ -23,13 +23,15 @@ still fits.  Each is at most one power of a letter and one letter of the
 other kind, and each power is taken as its squares, so an orbit takes
 O(sum of log a_k) factors over those levels, whatever n and however close
 alpha is to a rational.  Each call views the table in its own exact unit
-(_orbit_levels): the pieces of each I_k and the orbit points as integers,
-and the letters as _unit_letter copies.
+(_orbit_levels): the pieces of each I_k and the orbit points as integers.
+The factors are the table's own letters and squares, and _orbit_product
+multiplies them into rho_n(x), whose norm gives chi.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,15 +55,11 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
-from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, identity, mul
+from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, mul
 
 DEFAULT_SAMPLES = 8
 AUDIT_START = 0.2137  # boundedness_implies_zero's orbit start
-
-
-class UnderflowError(ArithmeticError):
-    """An orbit vector of direct_exponent underflowed to zero: the start
-    vector lies on (or too near) a contracting direction of the letters."""
+_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0)  # _orbit_product's start: entries, log
 
 
 @dataclass(frozen=True)
@@ -262,8 +260,8 @@ class _OrbitLevel:
     A_k on [0, split), moving a point by size - split, and B_k on [split,
     size), moving it by -split; lengths are |A_k| and |B_k| in base steps.
     Positions and pieces are exact integers in one unit for alpha and the
-    orbit starts.  letters holds A_k and B_k as _unit_letter matrices, None
-    for a letter longer than n.  winner and run give the run into level
+    orbit starts.  letters holds the table's A_k and B_k, None for a letter
+    longer than n.  winner and run give the run into level
     k + 1 (None and 0 at the last level), and powers[e] is the run's
     repeated letter to the power 2^e (A_k for Bottom, B_k for Top, A_k at a
     last level of one piece), for each 2^e <= min(run, n // its length).
@@ -286,8 +284,8 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
     Each run (winner, r) of the table moves the pieces and the lengths: a
     Bottom run makes B A^r of B on the piece cut from A's, a Top run B^r A
     of A.  The table forms a moved letter, and the squares of a run's
-    letter, only as far as they fit in n; the levels hold them as
-    _unit_letter copies.  Where the expansion of alpha ends the two pieces
+    letter, only as far as they fit in n; the levels hold the table's own
+    matrices.  Where the expansion of alpha ends the two pieces
     are equal and the return alternates A_k and B_k; one closing Top run of
     1 makes the last level, with one piece whose letter B_k A_k returns
     every point to itself, walked as one power.
@@ -295,7 +293,7 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
     exact = Fraction(table.alpha)
     split = (exact.denominator - exact.numerator) * (unit // exact.denominator)
     a, b = table.pair(0)
-    lv = _OrbitLevel(split, unit, (1, 1), (_unit_letter(a), _unit_letter(b)))
+    lv = _OrbitLevel(split, unit, (1, 1), (a, b))
     levels = [lv]
     while lv.split < lv.size and min(lv.lengths) <= n:
         k = len(levels) - 1
@@ -307,22 +305,20 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
         cap = min(run, n // (len_a if bottom else len_b))
         squares = table.powers(k, a if bottom else b, cap) if cap else []
         lv.winner, lv.run = winner, run
-        lv.powers = [_unit_letter(m) for m in squares[:cap.bit_length()]]
+        lv.powers = squares[:cap.bit_length()]
         if bottom:
             cut, lengths = run * (lv.size - lv.split), (len_a, len_b + run * len_a)
             b = None if lengths[1] > n else table.pair(k + 1)[1]
-            letters = (lv.letters[0], None if b is None else _unit_letter(b))
-            lv = _OrbitLevel(lv.split - cut, lv.size - cut, lengths, letters)
+            lv = _OrbitLevel(lv.split - cut, lv.size - cut, lengths, (lv.letters[0], b))
         else:
             cut, lengths = run * lv.split, (len_a + run * len_b, len_b)
             a = (None if lengths[0] > n
                  else mul(b, a) if closing else table.pair(k + 1)[0])
-            letters = (None if a is None else _unit_letter(a), lv.letters[1])
-            lv = _OrbitLevel(lv.split, lv.size - cut, lengths, letters)
+            lv = _OrbitLevel(lv.split, lv.size - cut, lengths, (a, lv.letters[1]))
         levels.append(lv)
     cap = n // lv.lengths[0]
     if lv.split == lv.size and cap:
-        lv.powers = [_unit_letter(m) for m in table.powers(len(levels) - 1, a, cap)]
+        lv.powers = table.powers(len(levels) - 1, a, cap)[:cap.bit_length()]
     return levels
 
 
@@ -406,16 +402,38 @@ def _exact_points(alpha: float, xs: Iterable[float]) -> tuple[int, list[int]]:
     return unit, [num * (unit // q) for num, q in ratios]
 
 
+def _orbit_product(levels: list[_OrbitLevel], y: int, n: int,
+                   prod: tuple[float, ...] = _IDENTITY
+                   ) -> tuple[float, tuple[float, ...], int]:
+    """log ||rho_n(y) prod||, rho_n(y) prod and the point the orbit reaches;
+    y and the levels as in _orbit_levels.  A product is four entries, scaled
+    to a largest |entry| of 1 after each factor (of entries at most 2^500),
+    and the log of the scale.  The 2-norm is taken in closed form."""
+    factors, y = _orbit_factors(levels, y, n)
+    p0, p1, p2, p3, log = prod
+    for m in factors:
+        a, b, c, d = m.a, m.b, m.c, m.d
+        q0 = a * p0 + b * p2
+        q1 = a * p1 + b * p3
+        q2 = c * p0 + d * p2
+        q3 = c * p1 + d * p3
+        top = max(abs(q0), abs(q1), abs(q2), abs(q3))
+        p0, p1, p2, p3 = q0 / top, q1 / top, q2 / top, q3 / top
+        log += m.log_scale + math.log(top)
+    norm = (math.hypot(p0 + p3, p1 - p2) + math.hypot(p0 - p3, p1 + p2)) / 2.0
+    return log + math.log(norm), (p0, p1, p2, p3, log), y
+
+
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
                     n_samples: int = DEFAULT_SAMPLES,
                     seed: int = 0) -> LyapunovEstimate:
-    """Estimate chi as log|rho_n(x) e_1| / n along orbits of the rotation
-    from n_samples random starting points.  Each orbit product is the walk
-    of _orbit_factors through every level of the Rauzy induction with
-    return times up to n, O(sum of log a_k) factors whatever n; each factor
-    is applied to the orbit vector, which is then renormalized.  Negative
-    round-off estimates are clipped at 0 (exponents of determinant-1
-    cocycles are nonnegative).
+    """Estimate chi as log ||rho_n(x)|| / n, the mean over orbits of the
+    rotation from n_samples random starting points (random.Random(seed)),
+    with its standard error.  Each orbit product is the walk of
+    _orbit_factors through every level of the Rauzy induction with return
+    times up to n, O(sum of log a_k) factors whatever n, multiplied by
+    _orbit_product.  Negative round-off estimates are clipped at 0
+    (exponents of determinant-1 cocycles are nonnegative).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -428,28 +446,14 @@ def _exponent(table: _Induction, n_iters: int, n_samples: int = DEFAULT_SAMPLES,
               seed: int = 0) -> LyapunovEstimate:
     """direct_exponent on the induction table of a float alpha, which
     spectrum.evaluate_slope shares with its decision."""
-    import numpy as np  # here only, off the CLI's import path
-    rng = np.random.default_rng(seed)
-    unit, starts = _exact_points(table.alpha, rng.random(n_samples))
+    rng = random.Random(seed)
+    unit, starts = _exact_points(table.alpha, [rng.random() for _ in range(n_samples)])
     levels = _orbit_levels(table, n_iters, unit)
-    logs = []
-    try:
-        for y in starts:
-            v0, v1, log = 1.0, 0.0, 0.0
-            for m in _orbit_factors(levels, y, n_iters)[0]:
-                w0 = m.a * v0 + m.b * v1
-                w1 = m.c * v0 + m.d * v1
-                norm = math.hypot(w0, w1)
-                v0, v1 = w0 / norm, w1 / norm
-                log += m.log_scale + math.log(norm)
-            logs.append(log)
-    except ZeroDivisionError:
-        raise UnderflowError(f"the orbit vector underflowed to zero within "
-                             f"{n_iters} steps") from None
-    per = np.array(logs) / n_iters
-    chi = max(float(per.mean()), 0.0)
-    stderr = float(per.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return LyapunovEstimate(chi=chi, n_iters=n_iters,
+    per = [_orbit_product(levels, y, n_iters)[0] / n_iters for y in starts]
+    mean = math.fsum(per) / n_samples
+    var = math.fsum((x - mean) ** 2 for x in per) / max(n_samples - 1, 1)
+    stderr = math.sqrt(var / n_samples)
+    return LyapunovEstimate(chi=max(mean, 0.0), n_iters=n_iters,
                             sample_points=n_samples, stderr=stderr)
 
 
@@ -599,15 +603,12 @@ def exponent_lower_bound(trace: RenormTrace, alpha: float) -> float:
 
 def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
                              trace: RenormTrace, n_check: int) -> float:
-    """Direct norm-growth audit for a CertifiedBounded run: accumulate the
-    full 2x2 orbit product up to n_check and return the maximum over the
-    checkpoints n_check, n_check/2, n_check/4, ... (down to 1000) of
+    """Direct norm-growth audit for a CertifiedBounded run: the maximum over
+    the checkpoints n_check, n_check/2, n_check/4, ... (down to 1000) of
     log||product_n|| / n, on the orbit from AUDIT_START.  Bounded
-    renormalization predicts decay to 0.  The factors come from
-    _orbit_factors on one level table, each stretch between checkpoints
-    walked on from the exact point the last one reached, and are multiplied
-    by mul.  The product's 2-norm, the largest singular value, is taken in
-    closed form.
+    renormalization predicts decay to 0.  The products come from
+    _orbit_product on one level table, each stretch between checkpoints
+    walked on from the exact point and the product the last one reached.
     """
     if trace.verdict.kind != Kind.CERTIFIED_BOUNDED:
         raise ValueError("requires a CertifiedBounded renormalization trace")
@@ -621,15 +622,11 @@ def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
     table = _Induction(p, float(t.alpha))
     unit, (y,) = _exact_points(table.alpha, [AUDIT_START])
     levels = _orbit_levels(table, n_check, unit)
-    prod = identity()
+    prod = _IDENTITY
     done = 0
     worst = -math.inf
     for k in reversed(checkpoints):
-        factors, y = _orbit_factors(levels, y, k - done)
-        for m in factors:
-            prod = mul(m, prod)
+        log_norm, prod, y = _orbit_product(levels, y, k - done, prod)
         done = k
-        a, b, c, d = prod.entries()
-        nrm = (math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0
-        worst = max(worst, (prod.log_scale + math.log(nrm)) / k)
+        worst = max(worst, log_norm / k)
     return worst

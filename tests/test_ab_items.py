@@ -36,3 +36,12 @@ def test_rounds_alternate_the_first_side():
     assert sides == ["base", "head", "head", "base", "base", "head"]
     # Each call is timed on its own: one tick of the fake clock.
     assert times == {side: [[1.0, 1.0]] * 3 for side in ab_items.SIDES}
+
+
+def test_round_sums_least_and_median():
+    times = {"base": [[3.0, 5.0, 1.0], [2.0, 6.0, 4.0], [1.0, 1.0, 1.0]],
+             "head": [[1.0, 1.5, 2.0], [2.0, 0.5, 1.0]]}
+    # base rounds sum to 9, 12 and 3; head rounds to 4.5 and 3.5.  The
+    # least round sum need not be a sum of the per-item minima.
+    assert ab_items.round_sums(times) == {"base": (3.0, 9.0), "head": (3.5, 4.0)}
+    assert ab_items.summarize(times)["head"] == 2.5

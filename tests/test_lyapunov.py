@@ -27,7 +27,6 @@ from rvcocycle.lyapunov import (
     _orbit_factors,
     _orbit_levels,
     StepRecord,
-    UnderflowError,
     bounded_prefix,
     boundedness_implies_zero,
     direct_exponent,
@@ -149,15 +148,16 @@ def mp_maps_arc_inside(m, lo, hi, dps):
 
 
 def reference_exponent(p, alpha, n_iters, n_samples, seed):
-    """The per-step estimate: v -> rho(x) v along each orbit, renormalized
-    every 32 steps.  Returns (chi, stderr) as direct_exponent does."""
-    rng = np.random.default_rng(seed)
+    """The per-step estimate: the orbit product rho_n(x) = rho(x_{n-1}) ...
+    rho(x_0) from each start drawn by random.Random(seed), renormalized
+    every 32 steps, and log of its 2-norm over n.  Returns (chi, stderr) as
+    direct_exponent does."""
+    rng = random.Random(seed)
     split = 1.0 - alpha
-    x = rng.random(n_samples)
-    at = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]]).T
-    bt = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]]).T
-    v = np.zeros((n_samples, 2))
-    v[:, 0] = 1.0
+    x = np.array([rng.random() for _ in range(n_samples)])
+    a = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]])
+    b = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]])
+    prod = np.broadcast_to(np.eye(2), (n_samples, 2, 2))
     logsum = np.zeros(n_samples)
     done = 0
     while done < n_iters:
@@ -165,13 +165,13 @@ def reference_exponent(p, alpha, n_iters, n_samples, seed):
         xs = (x[None, :] + np.arange(block)[:, None] * alpha) % 1.0
         in_a = xs <= split
         for j in range(block):
-            v = np.where(in_a[j][:, None], v @ at, v @ bt)
+            prod = np.where(in_a[j][:, None, None], a @ prod, b @ prod)
         x = (x + block * alpha) % 1.0
-        norms = np.sqrt(np.sum(v * v, axis=1))
-        logsum += np.log(norms)
-        v /= norms[:, None]
+        top = np.abs(prod).max(axis=(1, 2))
+        logsum += np.log(top)
+        prod = prod / top[:, None, None]
         done += block
-    per = logsum / n_iters
+    per = (logsum + np.log(np.linalg.norm(prod, 2, axis=(1, 2)))) / n_iters
     stderr = per.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return max(float(per.mean()), 0.0), float(stderr)
 
@@ -288,19 +288,26 @@ class TestDirectExponent:
         big = 1e100
         m = Matrix2(big, big, big, big + 1.0 / big)
         for n_iters in (4097, 1500):
-            # The entries are [[1, 1], [1, 1]] to float precision, so
-            # |m^n e_1| = sqrt(2) (2 big)^n / 2.
+            # The entries are [[1, 1], [1, 1]] to float precision, whose
+            # square is twice itself, so ||m^n|| = (2 big)^n.
             est = direct_exponent(CocyclePair(m, m), t, n_iters)
-            want = math.log(2.0 * big) - math.log(2.0) / (2 * n_iters)
+            want = math.log(2.0 * big)
             assert est.chi == pytest.approx(want, abs=1e-9), n_iters
 
-    def test_underflow_is_a_typed_error(self):
-        # Chart theta = -1.4 of commuting-hyperbolic: e_1 lies on the
-        # contracting direction of both letters, and 200 steps shrink it
-        # below the smallest float.
+    def test_contracted_start_vector_reads_the_exponent(self):
+        # Chart theta = -1.4 of commuting-hyperbolic: both letters contract
+        # e_1, which read chi = 0 at 100 steps and underflowed to zero by
+        # 500 when each orbit applied its product to e_1.  The letters are
+        # diagonal, so ||rho_n|| = 2^(n_A) 16^(n_B) and chi is
+        # alpha ln 16 + (1 - alpha) ln 2, at least ln 2.
         p = CocyclePair(diagonal(0.5), diagonal(0.0625))
-        with pytest.raises(UnderflowError, match="underflowed"):
-            direct_exponent(p, Rotation2IET(0.7978837154828904), 200)
+        alpha = 0.7978837154828904
+        want = alpha * math.log(16.0) + (1.0 - alpha) * math.log(2.0)
+        for n_iters in (100, 500, 10**5):
+            est = direct_exponent(p, Rotation2IET(alpha), n_iters)
+            assert est.chi >= math.log(2.0), n_iters
+            # n_B is the floor or the ceiling of alpha n.
+            assert est.chi == pytest.approx(want, abs=math.log(8.0) / n_iters)
 
     def test_large_entries_stay_finite(self):
         # |v| passed 1e154 within a 32-step block and v.v overflowed to NaN.
@@ -423,18 +430,27 @@ class TestInducedWalk:
                     assert min(off, 1.0 - off) <= 1e-9, (alpha, n, x0)
 
     def test_factor_contract(self):
-        # Every factor is a letter divided by its largest |entry|, with a
-        # finite log.  At alpha = 0.3 the 1e7 steps took about 1.4e6 rows
-        # per start through one induced level; the walk keeps O(levels).
+        # Every factor is a letter or a square of the level table itself,
+        # with entries of at most 2^500 (mul's limit) and a finite log.  At
+        # alpha = 0.3 the 1e7 steps took about 1.4e6 rows per start through
+        # one induced level; the walk keeps O(levels).
         x = np.random.default_rng(0).random(8)
         huge = CocyclePair(diagonal(1e200), rotation(1.0))
         cases = [(generic_elliptic(), 0.3, 10**7), (huge, GOLDEN, 4097),
                  (generic_elliptic(), 0.5004, 65537)]
         for p, alpha, n in cases:
-            levels, _, starts = level_table(p, alpha, n, x)
+            table = _Induction(p, alpha)
+            unit, starts = _exact_points(alpha, x)
+            levels = _orbit_levels(table, n, unit)
+            own = {id(m) for pair in table.letters for m in pair}
+            own |= {id(m) for squares in table.squares.values() for m in squares}
+            # A closing Top run's letter B_k A_k, formed where the
+            # expansion of alpha ends, is the one factor outside the table.
+            own.add(id(levels[-1].letters[0]))
             for y in starts:
                 for m in _orbit_factors(levels, y, n)[0]:
-                    assert max(map(abs, m.entries())) == 1.0, (alpha, n)
+                    assert id(m) in own, (alpha, n)
+                    assert max(map(abs, m.entries())) <= 2.0**500, (alpha, n)
                     assert math.isfinite(m.log_scale), (alpha, n)
         tracemalloc.start()
         est = direct_exponent(generic_elliptic(), Rotation2IET(0.3), 10**7)
@@ -444,22 +460,21 @@ class TestInducedWalk:
         assert peak < 8 * 2**20, peak
 
     def test_unipotent_factors_keep_their_small_entries(self):
-        # A factor of k steps of u = [[1, 1], [0, 1]] is [[1, k], [0, 1]],
-        # scaled to [[1/k, 1], [0, 1/k]].  Coordinates that mix the entries,
-        # such as the Cayley pair ((a + d) + i(b - c), (a - d) - i(b + c)) /
-        # 2, get that diagonal from cancelling terms, with an error near
-        # 5e-6 of 1/k at this length (and 1e-6 of n in the step count);
-        # products on the entries keep both at round-off.
+        # A factor of k steps of u = [[1, 1], [0, 1]] is the table's own
+        # [[1, k], [0, 1]], exact in floats: coordinates that mix the
+        # entries, such as the Cayley pair ((a + d) + i(b - c), (a - d) -
+        # i(b + c)) / 2, or a copy scaled to [[1/k, 1], [0, 1/k]], would
+        # carry an error near 5e-6 of 1/k at this length (and 1e-6 of n in
+        # the step count).
         u = Matrix2(1.0, 1.0, 0.0, 1.0)
         alpha, n = 0.32877074292244746, 299188
         levels, _, (y,) = level_table(CocyclePair(u, u), alpha, n, [0.125])
-        total = 0.0
+        total = 0
         for m in _orbit_factors(levels, y, n)[0]:
-            k = math.exp(m.log_scale)
-            assert m.b == 1.0 and m.c == 0.0
-            assert abs(m.a * k - 1.0) <= 1e-9 and abs(m.d * k - 1.0) <= 1e-9
-            total += k
-        assert abs(total - n) <= 1e-9 * n
+            assert (m.a, m.c, m.d, m.log_scale) == (1.0, 0.0, 1.0, 0.0)
+            assert m.b == int(m.b) >= 1
+            total += int(m.b)
+        assert total == n
 
     def test_hundred_million_steps(self):
         # Criterion 7's pairs at 1e8 steps: the golden float's 39 levels

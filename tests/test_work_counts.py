@@ -12,8 +12,9 @@ decision, a trajectory, an exponent, and a scan point that takes both.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
-products of its levels.  The cone certificate is a formula on the two
-letters and forms no product at all."""
+products of its levels.  Its orbit products, and the boundedness audit's,
+are four floats multiplied in place, with no mul per factor.  The cone
+certificate is a formula on the two letters and forms no product at all."""
 
 import math
 import sys
@@ -30,6 +31,7 @@ from rvcocycle.lyapunov import (
     _Induction,
     _orbit_factors,
     _orbit_levels,
+    boundedness_implies_zero,
     direct_exponent,
     renorm_decision,
 )
@@ -227,6 +229,21 @@ def test_orbit_walk_factors(mul_calls, alpha, n):
             assert len(table.squares.get(k, [])) == formed
     for y in starts:
         assert len(_orbit_factors(levels, y, n)[0]) <= ORBIT_FACTORS
+
+
+def test_boundedness_audit_products(mul_calls):
+    # The audit multiplies its factors in place, so its only products are
+    # the level table's letters and squares: 20, where a mul per factor
+    # took 79.
+    p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
+    m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
+    audited = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
+    trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
+    assert trace.verdict.kind == "CertifiedBounded"
+    mul_calls.clear()
+    rate = boundedness_implies_zero(audited, Rotation2IET(GOLDEN), trace, 20000)
+    assert math.isfinite(rate)
+    assert len(mul_calls) <= TABLE_MUL
 
 
 def test_slope_with_exponent_products(mul_calls):

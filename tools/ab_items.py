@@ -14,7 +14,10 @@ compared by repr: every float in a repr round-trips, so equal reprs mean
 equal bits.  Then each round times every item once per side, BASE first
 in even rounds and HEAD first in odd ones, with a garbage collection before
 each side's pass.  The summary is each side's sum over the items of the
-item's least time, and their ratio head / base.
+item's least time, and their ratio head / base; beside it, each side's
+least and median round sum, the sum of its item times in one round.  A
+benchmark harness that needs rounds of some least length reads the raw
+round sums, not the per-item minima.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import importlib
 import math
 import random
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -140,6 +144,13 @@ def summarize(times: dict[str, list[list[float]]]) -> dict:
     return {**sums, "ratio": sums["head"] / sums["base"]}
 
 
+def round_sums(times: dict[str, list[list[float]]]) -> dict[str, tuple[float, float]]:
+    """{side: (least, median)} of the side's round sums, each the sum of
+    its item times in one round."""
+    totals = {side: [sum(row) for row in rows] for side, rows in times.items()}
+    return {side: (min(t), statistics.median(t)) for side, t in totals.items()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, help="root of the baseline checkout")
@@ -158,12 +169,16 @@ def main(argv=None) -> int:
                  for side in SIDES}
         outs = {side: [repr(call()) for call in calls[side]] for side in SIDES}
         differ = sum(b != h for b, h in zip(*outs.values()))
-        res = summarize(time_rounds(calls, args.rounds))
+        times = time_rounds(calls, args.rounds)
+    res, rounds = summarize(times), round_sums(times)
     n = len(calls["head"])
     print(f"{args.workload}: {n} items, {args.rounds} rounds, "
           f"{differ} of {n} outputs differ")
     print(f"sum of per-item minima: base {res['base']:.6f} s, "
           f"head {res['head']:.6f} s, head/base {res['ratio']:.4f}")
+    for side in SIDES:
+        least, median = rounds[side]
+        print(f"round sum, {side}: least {least:.6f} s, median {median:.6f} s")
     return 1 if differ else 0
 
 

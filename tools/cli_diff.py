@@ -11,14 +11,15 @@ The matrix holds every command on the three fixtures at several angles,
 mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
 angle whose orbits reach the one-piece last level, scan and refine as both
 CSV and JSON, scan with exponents whose orbits walk the induction deeper
-than the decision, a scan of chart boundaries only, one --config command,
-and usage and runtime errors.  stdout must be byte-identical; stderr is not
-compared, but each command whose stderr holds a Python traceback is
-reported with its side, and so is each command that exits 0 with a JSON
-document on stdout (--format json, and every classify, renorm, lyapunov
-and mcg) that is not strict JSON, which has no NaN or Infinity.  The exit
-code is 0 when no command differs and none crashes or prints non-strict
-JSON on the head side, else 1.
+than the decision, a scan of chart boundaries only, exponents of letters
+that contract e_1, one --config command, and usage and runtime errors.
+stdout must be byte-identical; stderr is not compared, but each command
+whose stderr holds a Python traceback is reported with its side, and so
+is each command that exits 0 with a JSON document on stdout (--format
+json, and every classify, renorm, lyapunov and mcg) that is not strict
+JSON, which has no NaN or Infinity.  The exit code is 0 when no command
+differs and none crashes or prints non-strict JSON on the head side,
+else 1.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ def matrix() -> list[tuple[str, ...]]:
         # theta 0, pi/4 and pi/2 are chart boundaries: degenerate points.
         ("scan", "--fixture", "generic-elliptic", "--theta", "0:1.5707963267948966",
          "--grid", "3", "--format", "json"),
+        # At chart theta = -1.4 of commuting-hyperbolic both letters,
+        # diag(0.5, 2) and diag(0.0625, 16), contract e_1 (alpha = 0.7979):
+        # chi is alpha ln 16 + (1 - alpha) ln 2, and an orbit vector started
+        # at e_1 read 0 at 100 steps and underflowed to zero by 500.
+        ("scan", "--fixture", "commuting-hyperbolic", "--theta=-1.4:-0.2",
+         "--grid", "4", "--chi-iters", "100"),
+        ("scan", "--fixture", "commuting-hyperbolic", "--theta=-1.4:-0.2",
+         "--grid", "12", "--chi-iters", "500"),
+        ("lyapunov", "--rep", "0.5,0,0,2,0.0625,0,0,16",
+         "--alpha", "0.7978837154828904", "--iters", "500"),
         ("verify-lemmas", "--draws", "10"),
         ("renorm", "--config", CONFIG_NAME, "--alpha", GOLDEN, "--max-steps", "12"),
         # Usage errors (exit 2).
