@@ -114,7 +114,7 @@ class Kind(_Text):
     (at_step, certificate).  CERTIFIED_BOUNDED: the step budget ran out
     with every trace under the bound through at_step, observed and not
     proved for later steps (max_trace_norm).  FINITE_ORDER: the expansion
-    of the angle ended (at_step, last_pair, spectrum_member).  UNDECIDED: a
+    of the angle ended (at_step, spectrum_member).  UNDECIDED: a
     budget stopped the run first (budget_note, its Reason).
     """
 
@@ -150,7 +150,6 @@ class Verdict:
     certificate: ConeCertificate | None = None
     max_trace_norm: float | None = None
     spectrum_member: bool | None = None
-    last_pair: CocyclePair | None = None
     budget_note: Reason | None = None
 
     @property
@@ -433,7 +432,9 @@ def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
     _orbit_factors through every level of the Rauzy induction with return
     times up to n, O(sum of log a_k) factors whatever n, multiplied by
     _orbit_product.  Negative round-off estimates are clipped at 0
-    (exponents of determinant-1 cocycles are nonnegative).
+    (exponents of determinant-1 cocycles are nonnegative).  stderr is the
+    spread over the starting points only: it leaves out the O(1/n) gap
+    between log ||rho_n(x)|| / n and chi.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -498,7 +499,7 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     formed.  Runs and levels that a reader formed first (mcg_trajectory
     forms its n_steps) are read off the table's lists.  A step builds a
     CocyclePair only where a reader needs one: two letters that are both
-    hyperbolic or in the band, the certificate, and the last pair."""
+    hyperbolic or in the band, and the certificate."""
     if budget is None:
         budget = DecisionBudget()
     a, b = table.pair(0)
@@ -529,14 +530,13 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     for k in range(budget.max_accel_steps):
         run = runs[k] if k < len(runs) else table.run(k)
         if run is None:
-            cur = CocyclePair(a, b)
             if steps:
                 checked = a if steps[-1].winner is Winner.BOTTOM else b
             else:
                 # alpha = 1/2: period 2, whose return product BA has the trace of AB.
-                checked = cur.product()
+                checked = mul(a, b)
             member = abs(checked.trace) <= 2.0
-            return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps), last_pair=cur,
+            return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps),
                                 spectrum_member=member))
         winner, run_len = run
         if run_len > max_digit:

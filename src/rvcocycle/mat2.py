@@ -1,4 +1,5 @@
-"""2x2 unimodular matrix kernel: products, isometry types, boundary action.
+"""2x2 unimodular matrix kernel: products, isometry types, and the boundary
+fixed points of hyperbolic matrices.
 
 Matrices act on the upper half-plane by Mobius transformations and on its
 boundary circle RP^1.  Boundary points are stored projectively as (u : v)
@@ -8,7 +9,6 @@ is computed in the angle chart t = 2*atan2(v, u) mod 2*pi.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -130,10 +130,6 @@ class Matrix2:
         """The entries, without the factor e^log_scale."""
         return (self.a, self.b, self.c, self.d)
 
-    def mobius(self, z: complex) -> complex:
-        """Action on a point of the upper half-plane."""
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
 
 def identity() -> Matrix2:
     return Matrix2(1.0, 0.0, 0.0, 1.0)
@@ -160,8 +156,11 @@ def _scaled(a: float, b: float, c: float, d: float, log_scale: float) -> Matrix2
         raise NonUnimodularError("product entries are not finite or all zero")
     total = log_scale + math.log(size)
     if total <= LOG_SCALE_LIMIT:
-        f = math.exp(log_scale)
-        return Matrix2(a * f, b * f, c * f, d * f)
+        if log_scale < LOG_FLOAT_MAX:
+            f = math.exp(log_scale)
+            return Matrix2(a * f, b * f, c * f, d * f)
+        f = math.exp(total)  # e^log_scale alone is past the float range
+        return Matrix2(a / size * f, b / size * f, c / size * f, d / size * f)
     return Matrix2(a / size, b / size, c / size, d / size, total)
 
 
@@ -209,33 +208,9 @@ class BoundaryPoint:
     def from_value(cls, x: float) -> "BoundaryPoint":
         return cls(x, 1.0)
 
-    @classmethod
-    def infinity(cls) -> "BoundaryPoint":
-        return cls(1.0, 0.0)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.v == 0.0
-
-    @property
-    def value(self) -> float:
-        """Affine coordinate; +inf for the point at infinity."""
-        if self.v == 0.0:
-            return math.inf
-        return self.u / self.v
-
     def angle(self) -> float:
         """Position on the circle RP^1 ~ S^1, in [0, 2*pi)."""
         return (2.0 * math.atan2(self.v, self.u)) % TWO_PI
-
-    def close_to(self, other: "BoundaryPoint", tol: float = 1e-8) -> bool:
-        """Distance in the projective (angle) metric below tol."""
-        da = abs(self.angle() - other.angle()) % TWO_PI
-        return min(da, TWO_PI - da) <= tol
-
-
-def boundary_action(m: Matrix2, p: BoundaryPoint) -> BoundaryPoint:
-    return BoundaryPoint(m.a * p.u + m.b * p.v, m.c * p.u + m.d * p.v)
 
 
 def arcs_link(p1: BoundaryPoint, p2: BoundaryPoint,
@@ -257,34 +232,16 @@ class IsometryClass:
     """Tagged classification of an element of SL(2,R) acting on H.
 
     kind is one of "elliptic", "hyperbolic", "parabolic-band" (trace within
-    eps of +-2, reported as indeterminate), "identity".
+    EPS_TRACE of +-2, reported as indeterminate), "identity".
     """
 
     kind: str
-    # elliptic: rotation parameter theta in (0, 2*pi), trace = 2 cos(theta),
-    # oriented so that theta = arg(c*z0 + d) at the fixed point z0.
-    angle: float | None = None
-    center: complex | None = None
-    # hyperbolic
-    translation_length: float | None = None
-    attracting: BoundaryPoint | None = None
+    attracting: BoundaryPoint | None = None  # fixed points, hyperbolic only
     repelling: BoundaryPoint | None = None
-
-    @property
-    def is_elliptic(self) -> bool:
-        return self.kind == "elliptic"
 
     @property
     def is_hyperbolic(self) -> bool:
         return self.kind == "hyperbolic"
-
-    @property
-    def is_indeterminate(self) -> bool:
-        return self.kind == "parabolic-band"
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == "identity"
 
 
 def fixed_points_hyperbolic(m: Matrix2) -> tuple[BoundaryPoint, BoundaryPoint]:
@@ -316,44 +273,22 @@ def fixed_points_hyperbolic(m: Matrix2) -> tuple[BoundaryPoint, BoundaryPoint]:
     return rep, att
 
 
-def fixed_point_elliptic(m: Matrix2) -> complex:
-    """The fixed point in the open upper half-plane of an elliptic matrix."""
-    # c z^2 + (d - a) z - b = 0
-    if m.c == 0.0:
-        raise ValueError("elliptic matrix must have c != 0")
-    disc = (m.d - m.a) ** 2 + 4.0 * m.b * m.c  # = tr^2 - 4 det < 0
-    root = cmath.sqrt(complex(disc, 0.0))
-    z = ((m.a - m.d) + root) / (2.0 * m.c)
-    if z.imag < 0:
-        z = ((m.a - m.d) - root) / (2.0 * m.c)
-    return z
-
-
-def classify(m: Matrix2, eps: float = EPS_TRACE) -> IsometryClass:
-    """Trace trichotomy with an indeterminate band of width eps around |tr| = 2.
+def classify(m: Matrix2) -> IsometryClass:
+    """Trace trichotomy, with an indeterminate band of width EPS_TRACE at |tr| = 2.
 
     The band exists because parabolic / finite-order inputs are excluded by
     assumption but cannot be ruled out in floating point; callers treat
     "parabolic-band" as a non-generic input signal.
     """
-    tr = m.trace
+    tr = abs(m.trace)
     off = max(abs(m.b), abs(m.c), abs(m.a - m.d))
-    if off <= eps and abs(abs(tr) - 2.0) <= eps:
+    if off <= EPS_TRACE and abs(tr - 2.0) <= EPS_TRACE:
         return IsometryClass(kind="identity")
-    if abs(tr) < 2.0 - eps:
-        z0 = fixed_point_elliptic(m)
-        mu = m.c * z0 + m.d
-        theta = math.atan2(mu.imag, mu.real) % TWO_PI
-        return IsometryClass(kind="elliptic", angle=theta, center=z0)
-    if abs(tr) > 2.0 + eps:
+    if tr < 2.0 - EPS_TRACE:
+        return IsometryClass(kind="elliptic")
+    if tr > 2.0 + EPS_TRACE:
         rep, att = fixed_points_hyperbolic(m)
-        length = 2.0 * math.acosh(abs(tr) / 2.0)
-        return IsometryClass(
-            kind="hyperbolic",
-            translation_length=length,
-            attracting=att,
-            repelling=rep,
-        )
+        return IsometryClass(kind="hyperbolic", attracting=att, repelling=rep)
     return IsometryClass(kind="parabolic-band")
 
 

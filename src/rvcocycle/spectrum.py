@@ -51,10 +51,6 @@ class Representation:
     def c(self) -> float:
         return trace_coords(CocyclePair(self.A, self.B)).c
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.c <= 2.0
-
 
 def chart_for(rep: Representation, theta: float) -> tuple[float, CocyclePair]:
     """Map a slope angle to (alpha, pair)."""

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 from rvcocycle.cli import COMMANDS, main
+from rvcocycle.hypgeom import hh_minus_canonical_pair
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
 _spec = importlib.util.spec_from_file_location("cli_diff", _PATH)
@@ -96,3 +97,14 @@ def test_config_command_reads_the_config_file(tmp_path, monkeypatch, capsys):
     # The fixture and the trace bound come from the file (the default bound
     # gives "bounded"), the step budget from the flag that beats it.
     assert doc["verdict"] == "undecided" and len(doc["steps"]) == 12
+
+
+def test_matrix_classifies_two_hyperbolic_letters(capsys):
+    a, b = hh_minus_canonical_pair(0.7, 1.2, 0.9)
+    assert cli_diff.HH_PAIRS[1] == ",".join(map(repr, (*a.entries(), *b.entries())))
+    types = []
+    for rep in cli_diff.HH_PAIRS:
+        assert ("renorm", "--rep", rep, "--alpha", cli_diff.GOLDEN) in cli_diff.matrix()
+        assert main(["classify", "--rep", rep]) == 0
+        types.append(json.loads(capsys.readouterr().out)["type"])
+    assert types == ["HH+", "HH-"]

@@ -24,13 +24,13 @@ from rvcocycle.mat2 import (
     TWO_PI,
     Matrix2,
     arcs_link,
-    boundary_action,
     classify,
     diagonal,
     mul,
     rotation,
     spectral_radius,
 )
+from reference_isometry import boundary_action
 
 
 def random_pair(rng, scale=2.0):
@@ -45,16 +45,16 @@ def random_pair(rng, scale=2.0):
 def reference_classify_pair(p, eps=1e-9):
     """classify_pair as it was: both letters through classify, fixed
     points included, whatever their types."""
-    ca = classify(p.A, eps)
-    cb = classify(p.B, eps)
+    ca = classify(p.A)
+    cb = classify(p.B)
     for name, c in (("A", ca), ("B", cb)):
-        if c.is_indeterminate or c.is_identity:
+        if c.kind in ("parabolic-band", "identity"):
             return "DEG", f"{name} is within eps of the parabolic locus"
-    if ca.is_elliptic and cb.is_elliptic:
+    if ca.kind == "elliptic" and cb.kind == "elliptic":
         return "EE", None
-    if ca.is_elliptic:
+    if ca.kind == "elliptic":
         return "EH", None
-    if cb.is_elliptic:
+    if cb.kind == "elliptic":
         return "HE", None
     atts = (ca.attracting.angle(), cb.attracting.angle())
     reps = (ca.repelling.angle(), cb.repelling.angle())

@@ -19,12 +19,13 @@ from rvcocycle.mat2 import (
     diagonal,
     mul,
 )
+from reference_isometry import close_to, mobius
 
 
 class TestConstructors:
     def test_move_i_to(self):
         m = move_i_to(2.0 + 3.0j)
-        assert m.mobius(1j) == pytest.approx(2.0 + 3.0j)
+        assert mobius(m, 1j) == pytest.approx(2.0 + 3.0j)
 
     @given(st.floats(min_value=-3, max_value=3),
            st.floats(min_value=0.1, max_value=5),
@@ -32,7 +33,7 @@ class TestConstructors:
     def test_rotation_about_fixes_center(self, x, y, angle):
         c = complex(x, y)
         m = rotation_about(c, angle)
-        assert abs(m.mobius(c) - c) < 1e-7
+        assert abs(mobius(m, c) - c) < 1e-7
         assert m.trace == pytest.approx(2.0 * math.cos(angle / 2.0), abs=1e-9)
 
     def test_translation_between(self):
@@ -41,9 +42,9 @@ class TestConstructors:
         m = translation_between(rep, att, 0.9)
         cls = classify(m)
         assert cls.is_hyperbolic
-        assert cls.translation_length == pytest.approx(0.9)
-        assert cls.attracting.close_to(att, tol=1e-9)
-        assert cls.repelling.close_to(rep, tol=1e-9)
+        assert 2.0 * math.acosh(abs(m.trace) / 2.0) == pytest.approx(0.9)
+        assert close_to(cls.attracting, att, tol=1e-9)
+        assert close_to(cls.repelling, rep, tol=1e-9)
 
 
 # Wider than the lemma suite's draws, out to where the thresholds approach

@@ -33,7 +33,7 @@ from rvcocycle.lyapunov import (
     exponent_lower_bound,
     renorm_decision,
 )
-from rvcocycle.mat2 import Matrix2, diagonal, mul, rotation
+from rvcocycle.mat2 import Matrix2, NonUnimodularError, diagonal, mul, rotation
 from reference_walk import renorm_runs, winner_move
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -50,6 +50,13 @@ def commuting_elliptic():
 def generic_elliptic():
     m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
     return CocyclePair(rotation(1.0), mul(mul(m, rotation(0.9)), m.inv()))
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def random_unimodular(rng):
@@ -320,6 +327,22 @@ class TestDirectExponent:
         est = direct_exponent(huge, Rotation2IET(0.3), 1000)
         assert est.chi == pytest.approx(math.log(1e200), abs=1e-9)
 
+    def test_scaled_letters_whose_product_fits(self):
+        # Letters of 1e-160 and 1e160 pass 2^500 and are scaled.  The logs
+        # of scale of two of them add past the float range while the
+        # product they scale fits.  The letters are diagonal, so chi is
+        # ln(1e160) |1 - 2 alpha|.
+        alpha = 0.3819660112501051
+        p = CocyclePair(diagonal(1e-160), diagonal(1e160))
+        est = direct_exponent(p, Rotation2IET(alpha), 1000)
+        want = math.log(1e160) * abs(1.0 - 2.0 * alpha)
+        assert est.chi == pytest.approx(want, rel=1e-3)
+        # At 1e+-200 the scaled letters lose their small entries to
+        # underflow, and a product of two of them is all zero.
+        p = CocyclePair(diagonal(1e-200), diagonal(1e200))
+        with pytest.raises(NonUnimodularError):
+            direct_exponent(p, Rotation2IET(alpha), 1000)
+
 
 class TestInducedWalk:
     def test_matches_per_step_reference(self):
@@ -536,7 +559,25 @@ class TestRenormDecision:
         v = trace.verdict
         assert v.kind == "FiniteOrder"
         assert v.spectrum_member in (True, False)
-        assert v.last_pair is not None
+
+    # F_1200 / F_1201, a Fibonacci ratio: its expansion is 1200 runs of 1.
+    # The letters of two commuting rotations stay rotations, and the moved B
+    # of step 552 has |tr| within EPS_TRACE of 2.
+    DEEP_FIBONACCI = Fraction(fibonacci(1200), fibonacci(1201))
+
+    def test_deep_fibonacci_run_is_bounded(self):
+        v = renorm_decision(commuting_elliptic(), self.DEEP_FIBONACCI,
+                            DecisionBudget(max_accel_steps=551)).verdict
+        assert (v.kind, v.at_step) == ("CertifiedBounded", 551)
+
+    @pytest.mark.xfail(strict=True, raises=DegeneratePairError,
+                       reason="a float trace of a rotation reaches the "
+                              "parabolic band at step 552 (ROADMAP item 4: "
+                              "interval arithmetic at adaptive precision)")
+    def test_deeper_fibonacci_run_is_bounded(self):
+        v = renorm_decision(commuting_elliptic(), self.DEEP_FIBONACCI,
+                            DecisionBudget(max_accel_steps=1000)).verdict
+        assert (v.kind, v.at_step) == ("CertifiedBounded", 1000)
 
     def test_degenerate_input_raises(self):
         p = CocyclePair(Matrix2(1.0, 1.0, 0.0, 1.0), rotation(1.0))

@@ -161,10 +161,6 @@ class TestRepresentation:
         assert diag_rep().c == pytest.approx(2.0)
         assert generic_elliptic().c > 2.0
 
-    def test_degeneracy_flag(self):
-        assert diag_rep().is_degenerate
-        assert not generic_elliptic().is_degenerate
-
 
 class TestChart:
     def test_small_angle(self):

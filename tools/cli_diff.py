@@ -12,7 +12,8 @@ mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
 angle whose orbits reach the one-piece last level, scan and refine as both
 CSV and JSON, scan with exponents whose orbits walk the induction deeper
 than the decision, a scan of chart boundaries only, exponents of letters
-that contract e_1, one --config command, and usage and runtime errors.
+that contract e_1, classify and renorm on an HH+ and an HH- pair, one
+--config command, and usage and runtime errors.
 stdout must be byte-identical; stderr is not compared, but each command
 whose stderr holds a Python traceback is reported with its side, and so
 is each command that exits 0 with a JSON document on stdout (--format
@@ -47,6 +48,12 @@ BOUNDED_ALPHA = "0.30769497215185276"
 CONFIG_NAME = "rvcocycle.cfg"
 CONFIG_TEXT = ("# a budget for renorm\nfixture = commuting-elliptic\n"
                "max-steps = 20\ntrace_bound = 1\n")
+# Pairs of two hyperbolic letters, which no fixture is: an HH+ pair, and
+# hypgeom.hh_minus_canonical_pair(0.7, 1.2, 0.9), an HH- pair.
+HH_PAIRS = ("2,0,0,0.5,2,1,1,1",
+            "1.4190675485932571,0.0,0.0,0.7046880897187136,"
+            "0.2730856374184304,0.6535355505571933,-0.6535355505571931,"
+            "2.097844799066104")
 TRACEBACK = b"Traceback (most recent call last)"
 # The commands whose stdout is always one JSON document.
 JSON_COMMANDS = ("classify", "renorm", "lyapunov", "mcg")
@@ -88,6 +95,9 @@ def matrix() -> list[tuple[str, ...]]:
                              "--chi-iters", "500", "--format", fmt))
                 cmds.append(("refine", *pair, theta, "--depth", "4",
                              "--max-steps", "20", "--format", fmt))
+    for rep in HH_PAIRS:
+        cmds.append(("classify", "--rep", rep))
+        cmds.append(("renorm", "--rep", rep, "--alpha", GOLDEN))
     cmds += [
         # theta 0, pi/4 and pi/2 are chart boundaries: degenerate points.
         ("scan", "--fixture", "generic-elliptic", "--theta", "0:1.5707963267948966",
