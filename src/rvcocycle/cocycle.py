@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 
 from .mat2 import (
+    DET_TOL,
     EPS_TRACE,
     LOG_FLOAT_MAX,
+    NORM2_LIMIT,
     IsometryClass,
     Matrix2,
     NonUnimodularError,
@@ -214,20 +216,40 @@ def trace_coords(p: CocyclePair, c: float | None = None) -> TraceCoords:
 def letter_coords(a: Matrix2, b: Matrix2, c: float | None = None) -> TraceCoords:
     """trace_coords of the pair (a, b), for a caller that holds its letters
     and no CocyclePair.  An unscaled trace is read as a + d, without the
-    trace property's call."""
-    ab = mul(a, b)
+    trace property's call.  AB is formed as an object only where mul would
+    change its entries: for two unscaled letters whose product passes mul's
+    norm test and has det within DET_TOL of 1, mul returns the entries as
+    they are, so z and its log are read off them, the same bits."""
     x = a.trace if a.log_scale else a.a + a.d
     y = b.trace if b.log_scale else b.a + b.d
-    z = ab.trace if ab.log_scale else ab.a + ab.d
+    fits = False
+    if not (a.log_scale or b.log_scale):
+        a1, b1, c1, d1 = a.a, a.b, a.c, a.d
+        a2, b2, c2, d2 = b.a, b.b, b.c, b.d
+        p = a1 * a2 + b1 * c2
+        q = a1 * b2 + b1 * d2
+        r = c1 * a2 + d1 * c2
+        s = c1 * b2 + d1 * d2
+        fits = (p * p + q * q + r * r + s * s <= NORM2_LIMIT
+                and abs(p * s - q * r - 1.0) <= DET_TOL)
+    if fits:
+        log_scale = 0.0
+        z = p + s
+        log_abs_z = math.log(abs(z)) if z else -math.inf
+    else:
+        ab = mul(a, b)
+        p, q, r, s, log_scale = ab.a, ab.b, ab.c, ab.d, ab.log_scale
+        z = ab.trace if log_scale else p + s
+        log_abs_z = ab.log_abs_trace()
     if c is None:
         ba = mul(b, a)
         # tr [A, B] = tr(AB adj(BA)), written out: the product itself would
         # go through the Matrix2 check, and cancellation can leave its float
         # determinant <= 0.
-        c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
-                      ab.log_scale + ba.log_scale)
+        c = times_exp(p * ba.d + s * ba.a - q * ba.c - r * ba.b,
+                      log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))
-    return TraceCoords(x, y, z, c, residual, ab.log_abs_trace())
+    return TraceCoords(x, y, z, c, residual, log_abs_z)
 
 
 def trace_bound(c: float) -> float:

@@ -545,20 +545,23 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
         coords = letter_coords(a, b, kappa)
         # A pair with an elliptic letter is typed by |x| and |y| at
         # cocycle._letter_kind's thresholds; the rest by _classify_letters.
+        # An EE pair has two elliptic letters, so it is in K itself.
         x, y = abs(coords.x), abs(coords.y)
         if x < elliptic and y < elliptic:
-            code = "EE"
-        elif x < elliptic and y > hyperbolic:
-            code = "EH"
-        elif y < elliptic and x > hyperbolic:
-            code = "HE"
+            code, escort = "EE", True
         else:
-            cur = CocyclePair(a, b)
-            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
-            if ptype.is_degenerate:
-                raise DegeneratePairError(ptype.reason)
-            code = ptype.code
-        record(StepRecord(k + 1, run_len, winner, code, coords, _k_escort(coords)))
+            if x < elliptic and y > hyperbolic:
+                code = "EH"
+            elif y < elliptic and x > hyperbolic:
+                code = "HE"
+            else:
+                cur = CocyclePair(a, b)
+                ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+                if ptype.is_degenerate:
+                    raise DegeneratePairError(ptype.reason)
+                code = ptype.code
+            escort = _k_escort(coords)
+        record(StepRecord(k + 1, run_len, winner, code, coords, escort))
         if code == "HH+":
             return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k + 1,
                                 certificate=cone_certificate(cur, (ca, cb))))

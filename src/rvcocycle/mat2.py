@@ -48,8 +48,10 @@ class Matrix2:
     object.__setattr__, a large share of the cost of a product.  The check
     lives in the hand-written __init__ (the dataclass writes none), which
     tests det first and sets each field once: det within DET_TOL of 1, where
-    the rest would change nothing, costs one comparison.  There is no
-    __post_init__, which would cost every product a second call frame.
+    the rest would change nothing, costs one comparison.  mul makes that
+    test itself and builds such a product with no __init__ frame at all.
+    There is no __post_init__, which would cost every product a second call
+    frame.
     """
 
     a: float
@@ -135,7 +137,16 @@ def identity() -> Matrix2:
     return Matrix2(1.0, 0.0, 0.0, 1.0)
 
 
+# A Matrix2 with no __init__ call, for mul to fill in.
+_new_matrix = object.__new__
+
+
 def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
+    """m1 m2, unscaled while its entries stay within 2^500 (a squared
+    Frobenius norm of at most 2^1000), else scaled by _scaled.  An unscaled
+    product whose det is within DET_TOL of 1, which the constructor would
+    store as it is, is built without the constructor's call; any other goes
+    through its check."""
     a1, b1, c1, d1 = m1.a, m1.b, m1.c, m1.d
     a2, b2, c2, d2 = m2.a, m2.b, m2.c, m2.d
     a = a1 * a2 + b1 * c2
@@ -145,6 +156,14 @@ def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
     log_scale = m1.log_scale + m2.log_scale
     if log_scale or not a * a + b * b + c * c + d * d <= NORM2_LIMIT:
         return _scaled(a, b, c, d, log_scale)
+    if abs(a * d - b * c - 1.0) <= DET_TOL:
+        m = _new_matrix(Matrix2)
+        m.a = a
+        m.b = b
+        m.c = c
+        m.d = d
+        m.log_scale = 0.0
+        return m
     return Matrix2(a, b, c, d)
 
 

@@ -24,7 +24,7 @@ from .cocycle import (
     mul,
     trace_coords,
 )
-from .iet import BudgetExceededError, Winner, continued_fraction
+from .iet import BudgetExceededError, Winner
 from .lyapunov import (
     DecisionBudget,
     _decide,
@@ -190,7 +190,7 @@ class MCGTrajectory:
     twist_word: tuple[tuple[str, int], ...]    # (generator, power) per step
     matrices: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     norms_l1: tuple[int, ...]
-    convergent_denominators: tuple[int, ...]   # q_k aligned with step k
+    convergent_denominators: tuple[int, ...]   # q_0, ..., q_len(twist_word)
 
 
 @dataclass(frozen=True)
@@ -225,11 +225,17 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     decision raises before any run); past them a run past max_digit leaves
     the decision Undecided.
 
+    The convergent denominators q_0, ..., q_m of alpha (m the trajectory's
+    length) are read off phi, whose entries are continuants of the digits:
+    no second walk of the expansion.
+
     The growth log of a run is the largest of log |tr A|, log |tr B| and
     log |tr AB| of the moved pair, the table's letters of the level the run
     reaches.  A run moves one letter and keeps the other, so it takes one
     log |tr| of a letter, for the moved one (two at the first run);
     log |tr AB| comes from the decision's step records where it has them.
+    The integer work (word, matrices, norms, denominators) and the growth
+    log are two loops.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -247,42 +253,59 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     table.pair(len(runs))
     decision = _decide(table, budget)
 
-    # log |tr AB| of the runs the decision took comes from their step
-    # records, whose trace coordinates formed AB; the runs past the
-    # decision's last form it here.
-    z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
     # phi = ((a, b), (c, d)); its entries stay nonnegative, so its l1 norm
-    # is their sum.
+    # is their sum.  Its entries are continuants of the digits a_1, a_2, ...
+    # of alpha: the row that run k updates sums to q_{k+1} when a_1 >= 2 (its
+    # first run is a_1 - 1), and to q_{k+2} when a_1 = 1 (the runs start at
+    # a_2, and q_1 = 1).  The last run of the expansion, a_n - 1, leaves its
+    # row at q_n - q_{n-1}; with a_1 = 1 that row is past the last q taken.
     a, b, c, d = 1, 0, 0, 1
     word: list[tuple[str, int]] = []
     mats = []
     norms = []
-    growth: list[float] = []
+    rows = [1]
     bottom_winner = Winner.BOTTOM
-    for i, ((winner, run_len), (letter_a, letter_b)) in enumerate(
-            zip(runs, table.letters[1:])):
-        bottom = winner is bottom_winner
-        word.append(("a" if bottom else "b", run_len))
-        if bottom:
+    for winner, run_len in runs:
+        if winner is bottom_winner:
             a += run_len * c
             b += run_len * d
+            word.append(("a", run_len))
+            rows.append(a + b)
         else:
             c += run_len * a
             d += run_len * b
-        if i == 0 or not bottom:
-            log_a = letter_a.log_abs_trace()
-        if i == 0 or bottom:
-            log_b = letter_b.log_abs_trace()
+            word.append(("b", run_len))
+            rows.append(c + d)
         mats.append(((a, b), (c, d)))
         norms.append(a + b + c + d)
-        z_log = (z_logs[i] if i < len(z_logs)
-                 else mul(letter_a, letter_b).log_abs_trace())
+    if runs and runs[0][0] is not bottom_winner:
+        qs = [1, *rows[:-1]]
+    else:
+        qs = rows
+        if runs and table.run(len(runs)) is None:
+            qs[-1] += qs[-2]
+
+    # The growth log.  A run moves one letter and keeps the other, so it
+    # takes the log |tr| of the moved letter (of both at the first run).
+    # log |tr AB| of the runs the decision took comes from their step
+    # records, whose trace coordinates read tr AB; the runs past the
+    # decision's last form AB here.
+    z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
+    for letter_a, letter_b in table.letters[len(z_logs) + 1:len(runs) + 1]:
+        z_logs.append(mul(letter_a, letter_b).log_abs_trace())
+    growth: list[float] = []
+    if runs:
+        letter_a, letter_b = table.letters[1]
+        log_a, log_b = letter_a.log_abs_trace(), letter_b.log_abs_trace()
+        growth.append(max(log_a, log_b, z_logs[0]))
+    for (winner, _), (letter_a, letter_b), z_log in zip(
+            runs[1:], table.letters[2:], z_logs[1:]):
+        if winner is bottom_winner:
+            log_b = letter_b.log_abs_trace()
+        else:
+            log_a = letter_a.log_abs_trace()
         growth.append(max(log_a, log_b, z_log))
 
-    # q_k aligned conservatively with the run index (the first run length is
-    # a_1 - 1, so the true return denominator at run k is >= this q_k).
-    cf = continued_fraction(alpha, max_digits=len(word) + 2)
-    qs = cf.convergent_denominators[:len(word) + 1]
     traj = MCGTrajectory(twist_word=tuple(word), matrices=tuple(mats),
                          norms_l1=tuple(norms),
                          convergent_denominators=tuple(qs))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from rvcocycle.cli import COMMANDS, main
 from rvcocycle.hypgeom import hh_minus_canonical_pair
+from rvcocycle.iet import Rotation2IET, run_steps
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "cli_diff.py"
 _spec = importlib.util.spec_from_file_location("cli_diff", _PATH)
@@ -108,3 +109,12 @@ def test_matrix_classifies_two_hyperbolic_letters(capsys):
         assert main(["classify", "--rep", rep]) == 0
         types.append(json.loads(capsys.readouterr().out)["type"])
     assert types == ["HH+", "HH-"]
+
+
+def test_matrix_holds_trajectories_ending_on_the_last_run():
+    # One with a_1 >= 2 (3/8) and one with a_1 = 1 (61/64), each as many
+    # steps as its expansion has runs.
+    for alpha, steps in (("0.375", "3"), ("0.953125", "2")):
+        assert ("mcg", "--fixture", "generic-elliptic", "--alpha", alpha,
+                "--steps", steps) in cli_diff.matrix()
+        assert len(list(run_steps(Rotation2IET(float(alpha))))) == int(steps)

@@ -11,6 +11,7 @@ from rvcocycle.cocycle import (
     classify_pair,
     cone_certificate,
     k_membership,
+    letter_coords,
     short_words,
     tau1,
     tau2,
@@ -21,14 +22,17 @@ from rvcocycle.cocycle import (
 from rvcocycle.hypgeom import hh_minus_canonical_pair, rotation_about
 from rvcocycle.lyapunov import exponent_lower_bound, renorm_decision
 from rvcocycle.mat2 import (
+    DET_TOL,
     TWO_PI,
     Matrix2,
+    NonUnimodularError,
     arcs_link,
     classify,
     diagonal,
     mul,
     rotation,
     spectral_radius,
+    times_exp,
 )
 from reference_isometry import boundary_action
 
@@ -210,6 +214,80 @@ class TestTraceCoords:
             bound = trace_bound(tc.c)
             assert max(abs(tc.x), abs(tc.y), abs(tc.z)) <= bound + 1e-9
             checked += 1
+
+
+def off_unimodular(t, k, off):
+    """diag(2^k, 2^-k) R(t) with its first row times 1 + off: det 1 + off."""
+    s, co, si = 2.0 ** k, math.cos(t), math.sin(t)
+    return Matrix2(s * co * (1.0 + off), -s * si * (1.0 + off), si / s, co / s)
+
+
+@st.composite
+def letters(draw):
+    """off_unimodular letters with det within DET_TOL of 1, so a product's
+    det lands on either side of it; entries up to 2^260, so a product's
+    entries reach past 2^500; some scaled, their entries over the largest
+    one and its log in log_scale."""
+    m = off_unimodular(draw(st.floats(0.0, TWO_PI)),
+                       draw(st.floats(0.0, 3.0) | st.floats(240.0, 260.0)),
+                       draw(st.floats(-DET_TOL, DET_TOL)))
+    if draw(st.booleans()):
+        top = max(abs(e) for e in m.entries())
+        m = Matrix2(m.a / top, m.b / top, m.c / top, m.d / top, math.log(top))
+    return m
+
+
+def hexes(*xs):
+    return [x.hex() for x in xs]
+
+
+class TestLetterCoords:
+    """letter_coords reads z off the entries of AB where mul would return
+    them as they are; z, its log and c must be mul's bits everywhere."""
+
+    def check_against_mul(self, a, b):
+        ab, ba = mul(a, b), mul(b, a)
+        c = times_exp(ab.a * ba.d + ab.d * ba.a - ab.b * ba.c - ab.c * ba.b,
+                      ab.log_scale + ba.log_scale)
+        tc = letter_coords(a, b)
+        assert hexes(tc.z, tc.log_abs_z, tc.c) == \
+            hexes(ab.trace, ab.log_abs_trace(), c)
+        tc = letter_coords(a, b, 2.5)
+        assert hexes(tc.z, tc.log_abs_z) == hexes(ab.trace, ab.log_abs_trace())
+        return ab
+
+    @settings(max_examples=500)
+    @given(letters(), letters())
+    def test_matches_mul(self, a, b):
+        self.check_against_mul(a, b)
+
+    def test_det_just_past_tolerance(self):
+        # det (1 + 0.9e-9)^2 is past DET_TOL: mul's constructor rescales the
+        # product, so its trace is not the raw a + d.
+        a = off_unimodular(1.0, 0.5, 0.9 * DET_TOL)
+        b = off_unimodular(2.0, 1.5, 0.9 * DET_TOL)
+        ab = self.check_against_mul(a, b)
+        raw = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
+        assert ab.trace != raw
+
+    def test_entries_near_the_scaling_limit(self):
+        # Products just inside and just past 2^500.
+        for k in (249.0, 249.9, 250.0, 250.1, 251.0):
+            a, b = off_unimodular(0.3, k, 0.0), off_unimodular(0.2, k, 0.0)
+            self.check_against_mul(a, b)
+
+    def test_bad_products_raise(self):
+        # A NaN product (inf - inf) and one with det -1, from letters the
+        # constructor keeps unchecked (entries past its noise limit).
+        nan_pair = (Matrix2(1e300, 1e300, 0.0, 1e-300),
+                    Matrix2(1e300, 0.0, -1e300, 1e-300))
+        negative = (Matrix2(1e8, 0.0, 0.0, -1e-8), Matrix2(1e-8, 0.0, 0.0, 1e8))
+        for a, b in (nan_pair, negative):
+            with pytest.raises(NonUnimodularError):
+                mul(a, b)
+            for c in (None, 2.5):
+                with pytest.raises(NonUnimodularError):
+                    letter_coords(a, b, c)
 
 
 class TestMembership:

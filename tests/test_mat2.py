@@ -122,6 +122,22 @@ def unimodular():
         .map(lambda t: Matrix2(*t))
 
 
+def reference_mul(m1, m2):
+    """mul as it was for two unscaled letters whose product stays within
+    2^500: the product through the constructor."""
+    return Matrix2(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+                   m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+
+
+@st.composite
+def near_unimodular(draw):
+    """Entries with det within DET_TOL of 1, which the constructor keeps, so
+    that a product's det lands on either side of DET_TOL."""
+    a = draw(st.floats(0.1, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
+    b, c = draw(entries()), draw(entries())
+    return Matrix2(a, b, c, (1.0 + draw(st.floats(-DET_TOL, DET_TOL)) + b * c) / a)
+
+
 class TestConstruction:
     def test_identity(self):
         m = identity()
@@ -188,6 +204,13 @@ class TestAlgebra:
     @given(unimodular(), unimodular())
     def test_product_det(self, m1, m2):
         assert abs(mul(m1, m2).det - 1.0) < 1e-6
+
+    @settings(max_examples=500)
+    @given(near_unimodular(), near_unimodular())
+    def test_product_matches_constructor(self, m1, m2):
+        got, want = mul(m1, m2), reference_mul(m1, m2)
+        assert [x.hex() for x in (*got.entries(), got.log_scale)] == \
+            [x.hex() for x in (*want.entries(), want.log_scale)]
 
     @given(unimodular())
     def test_inverse(self, m):

@@ -406,6 +406,41 @@ class TestMCG:
             assert len(witness.growth_log) == min(40, exact_run_count(1.0 / x))
             assert max(witness.growth_log) <= limit, f"alpha={1.0 / x!r}"
 
+    # (alpha, n_steps): 3/8 = [0; 2, 1, 2] ends on its third run, a_3 - 1;
+    # 61/64 = [0; 1, 20, 3] has a_1 = 1 and ends on its second run; 1/2
+    # has no run; 1/3 and 2/7 have a_1 >= 2 and end within n_steps.
+    DENOMINATOR_CASES = [(0.375, 3), (0.375, 2), (0.953125, 2), (0.953125, 1),
+                         (0.5, 4), (Fraction(1, 3), 1), (Fraction(2, 7), 5),
+                         (Fraction(61, 64), 40), (GOLDEN, 1), (GOLDEN, 40),
+                         (0.4142135623730951, 1), (0.4142135623730951, 80)]
+
+    @pytest.mark.parametrize("alpha, n_steps", DENOMINATOR_CASES)
+    def test_denominators_read_off_the_twists(self, alpha, n_steps):
+        traj, _ = mcg_trajectory(diag_rep(), alpha, n_steps)
+        n = len(traj.twist_word)
+        want = continued_fraction(alpha, max_digits=n + 2).convergent_denominators
+        assert traj.convergent_denominators == want[:n + 1]
+
+    def test_denominators_on_random_angles(self):
+        rng = random.Random(27)
+        budget = DecisionBudget(max_digit=10**18)
+        angles = [rng.random() for _ in range(150)] + [
+            Fraction(rng.randint(1, 999), 1000) for _ in range(150)]
+        ends, first_ones = 0, 0
+        for alpha in angles:
+            runs = [n for _, n in run_steps(Rotation2IET(alpha))]
+            first_ones += alpha > 0.5
+            for n_steps in (1, 2, 3, 7, len(runs) - 1, len(runs), len(runs) + 1):
+                if n_steps < 1:
+                    continue
+                traj, _ = mcg_trajectory(diag_rep(), alpha, n_steps, budget)
+                n = len(traj.twist_word)
+                ends += n == len(runs)
+                want = continued_fraction(alpha, max_digits=n + 2)
+                assert traj.convergent_denominators == \
+                    want.convergent_denominators[:n + 1], (alpha, n_steps)
+        assert ends > 300 and first_ones > 100
+
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             mcg_trajectory(generic_elliptic(), GOLDEN, 0)

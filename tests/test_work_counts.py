@@ -4,11 +4,13 @@ isometry classifications of one absorbing decision, counted (not timed)
 and held at or below the counts of the single walk of the induction.  A
 change that brings back a second walk, the identity product in
 Matrix2.power, the fixed points of elliptic letters, a second product per
-step for tr [A, B], a log |tr| of a letter that a run kept, or a second
+step for tr [A, B], a product per step for a tr AB that mul would return
+unchanged, a log |tr| of a letter that a run kept, or a second
 classification of an absorbing pair, or a classification of a pair with
 an elliptic letter, shows up here as a higher count.
 The induction is walked once per (pair, alpha): one run_steps call for a
-decision, a trajectory, an exponent, and a scan point that takes both.
+decision, a trajectory, an exponent, and a scan point that takes both,
+and one Euclid walk of alpha for a trajectory and its denominators.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
@@ -45,10 +47,12 @@ from rvcocycle.spectrum import (
 
 # A near-rational angle of the bounded benchmark's draw: 32 runs, one of
 # them long.  Two walks with the old power took 396 products, forming A B
-# again for each run's growth log took 183, and B A for each step's
-# tr [A, B] took 151.
+# again for each run's growth log took 183, B A for each step's tr [A, B]
+# took 151, and A B for each step's tr A B took 119: a step forms A B only
+# where mul would rescale it, 6 products whose det lands past DET_TOL.
 BOUNDED_ALPHA = 0.30769497215185276
-BOUNDED_MUL = 119
+BOUNDED_MUL = 92
+PAST_DET_TOL = 6
 # The decision of commuting rotations classifies its letters once, for the
 # input pair: every later pair has an elliptic letter, which _decide types
 # by |tr A| and |tr B| alone.  One classification per step took 33 at
@@ -139,9 +143,10 @@ def test_elliptic_decision_classifications(letter_classify_calls):
 def test_bounded_trajectory_trace_logs(monkeypatch):
     # Each walked run moves one letter and keeps the other matrix, so the
     # growth log reads log |tr| of both letters once, then of the moved one.
-    # The decision's trace coordinates read log |tr AB| of the input pair
-    # and of each step's pair, which the growth log reuses.  Reading both
-    # letters of every run took 2 x 32 + 1 + 32.
+    # The decision's trace coordinates read log |tr AB| of each step's pair,
+    # which the growth log reuses, off the entries of A B except where mul
+    # rescales it.  Reading both letters of every run took 2 x 32 + 1 + 32,
+    # and an AB product per step 32 + 1 + 33.
     log_abs_trace = Matrix2.log_abs_trace
     calls = []
     monkeypatch.setattr(Matrix2, "log_abs_trace",
@@ -152,7 +157,20 @@ def test_bounded_trajectory_trace_logs(monkeypatch):
                                 budget).steps)
     calls.clear()
     traj, _ = mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget)
-    assert len(calls) <= len(traj.twist_word) + 1 + (1 + steps)
+    assert steps == len(traj.twist_word)
+    assert len(calls) <= len(traj.twist_word) + 1 + PAST_DET_TOL
+
+
+def test_trajectory_walks_euclid_once(monkeypatch):
+    # The twist matrices' rows are the convergent denominators q_k, so the
+    # trajectory reads them off its one walk of alpha's expansion; running
+    # continued_fraction for them took a second.
+    calls = count_calls(monkeypatch, iet._euclid)
+    rep = Representation(rotation(1.0), rotation(math.sqrt(2.0)))
+    for alpha, n_steps in ((BOUNDED_ALPHA, 40), (0.375, 3), (0.953125, 2)):
+        calls.clear()
+        mcg_trajectory(rep, alpha, n_steps, DecisionBudget(max_accel_steps=60))
+        assert len(calls) == 1
 
 
 def test_refine_slope_products(mul_calls):

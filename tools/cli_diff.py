@@ -8,8 +8,9 @@ matrix() runs as `python3 -m rvcocycle.cli ARGS` with PYTHONPATH set to the
 checkout's src/, one process at a time, in one temporary directory that
 holds the config file CONFIG_TEXT, so both checkouts read the same file.
 The matrix holds every command on the three fixtures at several angles,
-mcg at the bounded benchmark's trajectory length, lyapunov at a dyadic
-angle whose orbits reach the one-piece last level, scan and refine as both
+mcg at the bounded benchmark's trajectory length and at exactly the
+length of two expansions, lyapunov at a dyadic angle whose orbits reach
+the one-piece last level, scan and refine as both
 CSV and JSON, scan with exponents whose orbits walk the induction deeper
 than the decision, a scan of chart boundaries only, exponents of letters
 that contract e_1, classify and renorm on an HH+ and an HH- pair, one
@@ -85,6 +86,11 @@ def matrix() -> list[tuple[str, ...]]:
             # Orbits of 1e5 steps at the dyadic 0.375 reach the last level
             # of the induction, of one piece, walked as one power.
             cmds.append(("lyapunov", *pair, "--alpha", "0.375", "--iters", "100000"))
+            # Trajectories exactly as long as the expansion, so their last
+            # q_n is the last twist's row plus q_(n-1): 3/8 = [0; 2, 1, 2]
+            # (a_1 >= 2) and 61/64 = [0; 1, 20, 3] (a_1 = 1).
+            cmds += [("mcg", *pair, "--alpha", "0.375", "--steps", "3"),
+                     ("mcg", *pair, "--alpha", "0.953125", "--steps", "2")]
         # Exponents of 1e5 steps walk deeper levels of the induction than
         # the decision stops at, on the table the decision formed.
         cmds.append(("scan", *pair, THETAS[0], "--grid", "12", "--chi-iters",
