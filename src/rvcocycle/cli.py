@@ -43,7 +43,6 @@ from .mat2 import (
 from .spectrum import (
     ChartBoundaryError,
     HyperbolicityWitness,
-    Representation,
     ScanPoint,
     ScanResult,
     mcg_trajectory,
@@ -58,7 +57,7 @@ class UsageError(Exception):
     pass
 
 
-def parse_fixture(name: str) -> tuple[Matrix2, Matrix2]:
+def parse_fixture(name: str) -> CocyclePair:
     # generic-elliptic: two non-commuting elliptics with commutator trace
     # well above 2, the standard Cantor-spectrum test representation.
     m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
@@ -71,10 +70,10 @@ def parse_fixture(name: str) -> tuple[Matrix2, Matrix2]:
     if name not in table:
         raise UsageError(f"unknown fixture {name!r}; choose from "
                          + ", ".join(sorted(table)))
-    return table[name]
+    return CocyclePair(*table[name])
 
 
-def parse_rep(spec: str) -> tuple[Matrix2, Matrix2]:
+def parse_rep(spec: str) -> CocyclePair:
     parts = spec.split(",")
     if len(parts) != 8:
         raise UsageError("--rep needs 8 comma-separated reals (A row-major, then B)")
@@ -93,7 +92,7 @@ def parse_rep(spec: str) -> tuple[Matrix2, Matrix2]:
             raise UsageError(f"matrix {'A' if i == 0 else 'B'} has determinant "
                              f"{det}, expected 1")
         mats.append(Matrix2(a, b, c, d))
-    return mats[0], mats[1]
+    return CocyclePair(*mats)
 
 
 def parse_theta_range(spec: str) -> tuple[float, float]:
@@ -221,7 +220,7 @@ def given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def get_pair(o) -> tuple[Matrix2, Matrix2]:
+def get_pair(o) -> CocyclePair:
     if o.rep is not None and o.fixture is not None:
         raise UsageError("give --rep or --fixture, not both")
     if o.rep is None and o.fixture is None:
@@ -343,12 +342,13 @@ def scan_json_doc(result: ScanResult) -> dict:
 
 def cmd_classify(o) -> int:
     """pair type and trace coordinates"""
-    pair = CocyclePair(*get_pair(o))
+    pair = get_pair(o)
     t = classify_pair(pair)
     tc = trace_coords(pair)
-    km = k_membership(pair)
-    doc = {"type": t.code, "x": tc.x, "y": tc.y, "z": tc.z, "c": tc.c,
-           "residual": tc.residual, "inK": km.in_k,
+    km = k_membership(tc)
+    coords = {name: _finite_or_null(getattr(tc, name))
+              for name in ("x", "y", "z", "c", "residual")}
+    doc = {"type": t.code, **coords, "inK": km.in_k,
            "ellipticWitnesses": sorted(km.elliptic_witnesses)}
     if t.reason:
         doc["reason"] = t.reason
@@ -357,13 +357,13 @@ def cmd_classify(o) -> int:
 
 def cmd_renorm(o) -> int:
     """renormalization trace as JSON"""
-    trace = renorm_decision(CocyclePair(*get_pair(o)), o.alpha, get_budget(o))
+    trace = renorm_decision(get_pair(o), o.alpha, get_budget(o))
     return write(o, renorm_json_doc(trace))
 
 
 def cmd_lyapunov(o) -> int:
     """direct exponent estimate"""
-    est = direct_exponent(CocyclePair(*get_pair(o)), Rotation2IET(o.alpha),
+    est = direct_exponent(get_pair(o), Rotation2IET(o.alpha),
                           n_iters=o.iters, **given(n_samples=o.samples, seed=o.seed))
     return write(o, {"chi": est.chi, "nIters": est.n_iters,
                      "samplePoints": est.sample_points, "stderr": est.stderr})
@@ -371,22 +371,19 @@ def cmd_lyapunov(o) -> int:
 
 def cmd_scan(o) -> int:
     """grid scan over slope angles"""
-    result = scan_grid(Representation(*get_pair(o)), *o.theta, o.grid,
-                       get_budget(o), o.chi_iters)
+    result = scan_grid(get_pair(o), *o.theta, o.grid, get_budget(o), o.chi_iters)
     return write(o, scan_csv(result) if o.format == "csv" else scan_json_doc(result))
 
 
 def cmd_refine(o) -> int:
     """adaptive spectrum refinement"""
-    result = refine_spectrum(Representation(*get_pair(o)), *o.theta, o.depth,
-                             get_budget(o))
+    result = refine_spectrum(get_pair(o), *o.theta, o.depth, get_budget(o))
     return write(o, scan_csv(result) if o.format == "csv" else scan_json_doc(result))
 
 
 def cmd_mcg(o) -> int:
     """twist trajectory along a slope"""
-    traj, witness = mcg_trajectory(Representation(*get_pair(o)), o.alpha,
-                                   o.steps, get_budget(o))
+    traj, witness = mcg_trajectory(get_pair(o), o.alpha, o.steps, get_budget(o))
     if isinstance(witness, HyperbolicityWitness):
         wdoc = {"kind": "hyperbolic", "stepIndex": witness.step_index,
                 "mu": None if math.isnan(witness.mu) else witness.mu}

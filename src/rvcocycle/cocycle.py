@@ -45,14 +45,18 @@ class DegeneratePairError(ValueError):
 
 @dataclass(slots=True)
 class CocyclePair:
-    """The pair (A, B); slotted and not frozen, as Matrix2: one per step of
-    a decision."""
+    """The pair (A, B).  A representation of the once-punctured torus's
+    fundamental group is its pair of generators, so this is also
+    spectrum.Representation.  Slotted and not frozen, as Matrix2: one per
+    step of a decision."""
 
     A: Matrix2
     B: Matrix2
 
-    def product(self) -> Matrix2:
-        return mul(self.A, self.B)
+    @property
+    def c(self) -> float:
+        """tr [A, B], kept by every tau move."""
+        return trace_coords(self).c
 
 
 def tau1(p: CocyclePair) -> CocyclePair:
@@ -269,15 +273,13 @@ class KMembership:
     elliptic_witnesses: frozenset[str]  # subset of {"A", "B", "AB"}
 
 
-def k_membership(p: CocyclePair) -> KMembership:
-    """Membership in the compact set of pairs with at least two elliptic
-    matrices among A, B and AB (strict trace test, tolerance EPS_TRACE)."""
-    witnesses = set()
-    for name, m in (("A", p.A), ("B", p.B), ("AB", p.product())):
-        if abs(m.trace) < 2.0 - EPS_TRACE:
-            witnesses.add(name)
-    return KMembership(in_k=len(witnesses) >= 2,
-                       elliptic_witnesses=frozenset(witnesses))
+def k_membership(tc: TraceCoords) -> KMembership:
+    """Membership of the pair with trace coordinates tc in the compact set of
+    pairs with at least two elliptic matrices among A, B and AB (strict
+    trace test, tolerance EPS_TRACE)."""
+    witnesses = frozenset(name for name, t in (("A", tc.x), ("B", tc.y), ("AB", tc.z))
+                          if abs(t) < 2.0 - EPS_TRACE)
+    return KMembership(in_k=len(witnesses) >= 2, elliptic_witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -483,8 +483,8 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     """Run the accelerated renormalization of (alpha, p) and decide, as
     Kind tells: UniformlyHyperbolic at the first HH+ pair, FiniteOrder where
     the expansion of alpha ends, else CertifiedBounded or Undecided when a
-    budget stops it.  A finite order is in the spectrum when the moved
-    matrix of the final step is not hyperbolic: the first matrix for tau1,
+    budget stops it.  A finite order is in the spectrum when the matrix
+    that the final step kept is not hyperbolic: the first for tau1,
     the second for tau2, and AB when alpha = 1/2 ends before the first
     step.  The trace carries the bound it applied.
     """
@@ -530,14 +530,14 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     for k in range(budget.max_accel_steps):
         run = runs[k] if k < len(runs) else table.run(k)
         if run is None:
+            # The kept letter's trace, read off the last step's coordinates.
             if steps:
-                checked = a if steps[-1].winner is Winner.BOTTOM else b
+                kept = coords.x if steps[-1].winner is Winner.BOTTOM else coords.y
             else:
-                # alpha = 1/2: period 2, whose return product BA has the trace of AB.
-                checked = mul(a, b)
-            member = abs(checked.trace) <= 2.0
+                # alpha = 1/2: period 2, whose return product BA has tr AB.
+                kept = coords.z
             return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps),
-                                spectrum_member=member))
+                                spectrum_member=abs(kept) <= 2.0))
         winner, run_len = run
         if run_len > max_digit:
             return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))

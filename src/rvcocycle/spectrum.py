@@ -2,6 +2,10 @@
 grid and adaptive scanning for the set of slopes with zero exponent, and
 mapping-class-group twist trajectories with divergence measurement.
 
+A representation rho of the once-punctured torus's fundamental group, a
+free group on a and b, is its pair of generators (A, B) = (rho(a), rho(b)):
+a CocyclePair, here named Representation.
+
 Chart convention.  A slope angle theta (mod pi) with theta in (0, pi/2)
 gives the rotation by alpha = frac(tan theta); the integer part k of the
 slope is absorbed into the pair as the twist normalization (A, B A^k).
@@ -15,14 +19,13 @@ verdicts must agree between the two even though the matrices differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cocycle import (
     CocyclePair,
     DegeneratePairError,
     classify_pair,
     mul,
-    trace_coords,
 )
 from .iet import BudgetExceededError, Winner
 from .lyapunov import (
@@ -33,7 +36,6 @@ from .lyapunov import (
     bounded_prefix,
     is_candidate,
 )
-from .mat2 import Matrix2
 
 CHART_TOL = 1e-12
 
@@ -42,14 +44,7 @@ class ChartBoundaryError(ValueError):
     """The slope is vertical or horizontal: no chart covers it."""
 
 
-@dataclass(frozen=True)
-class Representation:
-    A: Matrix2
-    B: Matrix2
-
-    @property
-    def c(self) -> float:
-        return trace_coords(CocyclePair(self.A, self.B)).c
+Representation = CocyclePair
 
 
 def chart_for(rep: Representation, theta: float) -> tuple[float, CocyclePair]:
@@ -229,6 +224,9 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     length) are read off phi, whose entries are continuants of the digits:
     no second walk of the expansion.
 
+    rep is the pair (A, B) of the representation, a CocyclePair, and the
+    induction starts from it as it is.
+
     The growth log of a run is the largest of log |tr A|, log |tr B| and
     log |tr AB| of the moved pair, the table's letters of the level the run
     reaches.  A run moves one letter and keeps the other, so it takes one
@@ -239,14 +237,13 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    pair = CocyclePair(rep.A, rep.B)
     if budget is None:
         budget = DecisionBudget()
-    table = _Induction(pair, alpha)
+    table = _Induction(rep, alpha)
     table.run(n_steps - 1)
     runs = table.runs[:n_steps]
     if any(run > budget.max_digit for _, run in runs):
-        ptype = classify_pair(pair)
+        ptype = classify_pair(rep)
         if ptype.is_degenerate:
             raise DegeneratePairError(ptype.reason)
         raise BudgetExceededError("run length exceeds the digit cap")

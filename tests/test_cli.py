@@ -67,8 +67,8 @@ def invalid_numeric_options(draw):
 
 class TestParsing:
     def test_parse_rep_ok(self):
-        a, b = parse_rep(DIAG_REP)
-        assert a.a == 2.0 and b.d == 0.5
+        p = parse_rep(DIAG_REP)
+        assert p.A.a == 2.0 and p.B.d == 0.5
 
     def test_parse_rep_wrong_count(self):
         with pytest.raises(UsageError):
@@ -369,6 +369,18 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--rep", DIAG_REP)
         assert code == 0
         assert json.loads(out)["type"] == "HH+"
+
+    def test_strict_json_past_the_float_range(self, capsys):
+        # Entries inside the 2^500 limit whose Fricke residual overflows:
+        # z^2 and xyz are both inf, and their difference NaN, which
+        # strict JSON has no word for.
+        code, out, _ = run(capsys, "classify", "--rep",
+                           "1e100,0,0,1e-100,1e100,1,0,1e-100")
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["type"] == "HH+"
+        assert doc["x"] == doc["y"] == 1e100
+        assert doc["residual"] is None
 
 
 class TestRenorm:

@@ -118,3 +118,17 @@ def test_matrix_holds_trajectories_ending_on_the_last_run():
         assert ("mcg", "--fixture", "generic-elliptic", "--alpha", alpha,
                 "--steps", steps) in cli_diff.matrix()
         assert len(list(run_steps(Rotation2IET(float(alpha))))) == int(steps)
+
+
+def test_matrix_holds_scaled_letters(capsys):
+    # Letters inside the CLI's limit whose products are stored scaled: each
+    # command ends without a traceback, and classify prints strict JSON
+    # although its Fricke residual is past the float range.  The renorm
+    # command exits 1 on a product that underflows to zero (ROADMAP item 4).
+    classify, renorm = cli_diff.SCALED_COMMANDS
+    for args in cli_diff.SCALED_COMMANDS:
+        assert args in cli_diff.matrix()
+    assert main(list(classify)) == 0
+    out = capsys.readouterr().out
+    assert cli_diff.non_strict_json({classify: (0, out, "")}, "head") == []
+    assert main(list(renorm)) in (0, 1)

@@ -207,7 +207,7 @@ class TestTraceCoords:
         checked = 0
         while checked < 200:
             p = random_pair(rng)
-            km = k_membership(p)
+            km = k_membership(trace_coords(p))
             if not km.in_k:
                 continue
             tc = trace_coords(p)
@@ -293,20 +293,20 @@ class TestLetterCoords:
 class TestMembership:
     def test_two_rotations(self):
         p = CocyclePair(rotation(1.0), rotation(0.7))
-        km = k_membership(p)
+        km = k_membership(trace_coords(p))
         assert km.in_k
         assert {"A", "B"} <= km.elliptic_witnesses
 
     def test_two_translations(self):
         p = CocyclePair(diagonal(2.0), diagonal(3.0))
-        assert not k_membership(p).in_k
+        assert not k_membership(trace_coords(p)).in_k
 
     def test_product_witness(self):
         # A and AB elliptic, B hyperbolic.
         a = rotation(1.2)
         b = mul(a.inv(), rotation_about(0.3 + 1.0j, 2.0))
         p = CocyclePair(a, b)
-        km = k_membership(p)
+        km = k_membership(trace_coords(p))
         if abs(b.trace) > 2:
             assert "AB" in km.elliptic_witnesses
 

@@ -108,7 +108,7 @@ def reference_mcg_trajectory(rep, alpha, n_steps, budget=None):
         mats.append(phi)
         norms.append(_l1(phi))
         growth.append(max(cur.A.log_abs_trace(), cur.B.log_abs_trace(),
-                          cur.product().log_abs_trace()))
+                          mul(cur.A, cur.B).log_abs_trace()))
         if len(word) >= n_steps:
             break
     cf = continued_fraction(alpha, max_digits=len(word) + 2)
@@ -160,6 +160,14 @@ class TestRepresentation:
     def test_commutator_trace(self):
         assert diag_rep().c == pytest.approx(2.0)
         assert generic_elliptic().c > 2.0
+
+    def test_is_the_cocycle_pair(self):
+        # A representation is its pair of generators: one type for both.
+        assert Representation is CocyclePair
+
+    def test_commutator_trace_reads_trace_coords(self):
+        for rep in (diag_rep(), generic_elliptic(), commuting_elliptic()):
+            assert rep.c == trace_coords(rep).c
 
 
 class TestChart:

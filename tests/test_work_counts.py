@@ -1,13 +1,14 @@
 """Work-count guards: the 2x2 products and the log |tr| reads that one
-bounded twist trajectory takes, the products of one refine slope, and the
-isometry classifications of one absorbing decision, counted (not timed)
-and held at or below the counts of the single walk of the induction.  A
-change that brings back a second walk, the identity product in
-Matrix2.power, the fixed points of elliptic letters, a second product per
-step for tr [A, B], a product per step for a tr AB that mul would return
-unchanged, a log |tr| of a letter that a run kept, or a second
-classification of an absorbing pair, or a classification of a pair with
-an elliptic letter, shows up here as a higher count.
+bounded twist trajectory takes, the products of one refine slope and of
+one classify command, and the isometry classifications of one absorbing
+decision, counted (not timed) and held at or below the counts of the
+single walk of the induction.  A change that brings back a second walk,
+the identity product in Matrix2.power, the fixed points of elliptic
+letters, a second product per step for tr [A, B], a product per step for
+a tr AB that mul would return unchanged, a log |tr| of a letter that a run
+kept, a second A B for the K membership that the trace coordinates already
+read, a second classification of an absorbing pair, or a classification
+of a pair with an elliptic letter, shows up here as a higher count.
 The induction is walked once per (pair, alpha): one run_steps call for a
 decision, a trajectory, an exponent, and a scan point that takes both,
 and one Euclid walk of alpha for a trajectory and its denominators.
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from rvcocycle import cocycle, iet, mat2
+from rvcocycle import cli, cocycle, iet, mat2
 from rvcocycle.cocycle import CocyclePair, cone_certificate
 from rvcocycle.iet import Rotation2IET, Winner
 from rvcocycle.lyapunov import (
@@ -62,6 +63,10 @@ ELLIPTIC_CLASSIFY = 1
 # with B A per step.
 REFINE_THETA = 1.2
 REFINE_MUL = 11
+# The classify command on a fixture: two products build generic-elliptic's
+# B (all three fixtures are built), and B A gives tr [A, B].  Forming A B
+# again for K membership took 4.
+CLASSIFY_MUL = 3
 # The same slope with a 2000-step exponent, which reads the decision's
 # table of the induction; 27 when the exponent walked it again.
 SLOPE_CHI_MUL = 24
@@ -180,6 +185,14 @@ def test_refine_slope_products(mul_calls):
     point = evaluate_slope(rep, REFINE_THETA, DecisionBudget(max_accel_steps=40))
     assert point.verdict == "hyperbolic" and point.steps == 3
     assert len(mul_calls) <= REFINE_MUL
+
+
+@pytest.mark.parametrize("fixture", ["commuting-hyperbolic", "commuting-elliptic",
+                                     "generic-elliptic"])
+def test_classify_products(mul_calls, capsys, fixture):
+    assert cli.main(["classify", "--fixture", fixture]) == 0
+    capsys.readouterr()
+    assert len(mul_calls) <= CLASSIFY_MUL
 
 
 # An HH+ pair of criterion 4's draw on which a block-length ladder over

@@ -13,8 +13,10 @@ length of two expansions, lyapunov at a dyadic angle whose orbits reach
 the one-piece last level, scan and refine as both
 CSV and JSON, scan with exponents whose orbits walk the induction deeper
 than the decision, a scan of chart boundaries only, exponents of letters
-that contract e_1, classify and renorm on an HH+ and an HH- pair, one
---config command, and usage and runtime errors.
+that contract e_1, classify and renorm on an HH+ and an HH- pair,
+classify and renorm on scaled letters (entries inside the 2^500 limit
+whose products pass the float range), one --config command, and usage
+and runtime errors.
 stdout must be byte-identical; stderr is not compared, but each command
 whose stderr holds a Python traceback is reported with its side, and so
 is each command that exits 0 with a JSON document on stdout (--format
@@ -55,6 +57,15 @@ HH_PAIRS = ("2,0,0,0.5,2,1,1,1",
             "1.4190675485932571,0.0,0.0,0.7046880897187136,"
             "0.2730856374184304,0.6535355505571933,-0.6535355505571931,"
             "2.097844799066104")
+# Letters inside the CLI's 2^500 limit whose products are stored scaled:
+# upper-triangular letters with entries 1e+-100, whose tr AB squared and
+# Fricke residual pass the float range, and diag(3e150, 1/3e150) with a
+# quarter turn, whose square's small entry underflows.
+SCALED_COMMANDS = (
+    ("classify", "--rep", "1e100,0,0,1e-100,1e100,1,0,1e-100"),
+    ("renorm", "--rep", "3e150,0,0,3.3333333333333335e-151,0,-1,1,0",
+     "--alpha", "0.3"),
+)
 TRACEBACK = b"Traceback (most recent call last)"
 # The commands whose stdout is always one JSON document.
 JSON_COMMANDS = ("classify", "renorm", "lyapunov", "mcg")
@@ -105,6 +116,7 @@ def matrix() -> list[tuple[str, ...]]:
         cmds.append(("classify", "--rep", rep))
         cmds.append(("renorm", "--rep", rep, "--alpha", GOLDEN))
     cmds += [
+        *SCALED_COMMANDS,
         # theta 0, pi/4 and pi/2 are chart boundaries: degenerate points.
         ("scan", "--fixture", "generic-elliptic", "--theta", "0:1.5707963267948966",
          "--grid", "3", "--format", "json"),
