@@ -11,25 +11,29 @@ They come exactly from iet.run_steps: a float alpha means its binary value,
 which is rational, so every float angle ends in FiniteOrder once the step
 budget outlasts its expansion (53 digits for the golden float).  One table
 of the induction (_Induction) is walked once per (pair, alpha), as far as
-its readers ask: the decision, mcg_trajectory and the orbit products.
+its readers ask: the decision, mcg_trajectory, orbits and the bound.
 
 Orbit products.  After the first k runs, the first return of the rotation
 to the induced interval I_k is again a rotation, and its two letters are
 the return words that the runs move the pair to (Rauzy 1979; Zorich 1996).
-So direct_exponent and boundedness_implies_zero walk an n-step orbit
-through every level whose return times fit in n: down, each level's entry
-into I_{k+1}; then up, each level's part of the next longer letter that
-still fits.  Each is at most one power of a letter and one letter of the
-other kind, and each power is taken as its squares, so an orbit takes
-O(sum of log a_k) factors over those levels, whatever n and however close
-alpha is to a rational.  Each call views the table in its own exact unit
+So direct_exponent walks an n-step orbit through every level whose return
+times fit in n: down, each level's entry into I_{k+1}; then up, each
+level's part of the next longer letter that still fits.  Each is at most
+one power of a letter and one letter of the other kind, and each power is
+taken as its squares, so an orbit takes O(sum of log a_k) factors over
+those levels, whatever n and however close alpha is to a rational.  Each call views the table in its own exact unit
 (_orbit_levels): the pieces of each I_k and the orbit points as integers.
 The factors are the table's own letters and squares, and _orbit_product
 multiplies them into rho_n(x), whose norm gives chi.
+
+The bound.  At level k every orbit is a chain of whole return words A_k and
+B_k between two partial ones, so by submultiplicativity (Furstenberg and
+Kesten 1960) chi <= U_k, as exponent_upper_bound states.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Iterable
@@ -58,8 +62,6 @@ from .iet import (
 from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, mul
 
 DEFAULT_SAMPLES = 8
-AUDIT_START = 0.2137  # boundedness_implies_zero's orbit start
-_IDENTITY = (1.0, 0.0, 0.0, 1.0, 0.0)  # _orbit_product's start: entries, log
 
 
 @dataclass(frozen=True)
@@ -401,16 +403,17 @@ def _exact_points(alpha: float, xs: Iterable[float]) -> tuple[int, list[int]]:
     return unit, [num * (unit // q) for num, q in ratios]
 
 
-def _orbit_product(levels: list[_OrbitLevel], y: int, n: int,
-                   prod: tuple[float, ...] = _IDENTITY
-                   ) -> tuple[float, tuple[float, ...], int]:
-    """log ||rho_n(y) prod||, rho_n(y) prod and the point the orbit reaches;
-    y and the levels as in _orbit_levels.  A product is four entries, scaled
-    to a largest |entry| of 1 after each factor (of entries at most 2^500),
-    and the log of the scale.  The 2-norm is taken in closed form."""
-    factors, y = _orbit_factors(levels, y, n)
-    p0, p1, p2, p3, log = prod
-    for m in factors:
+def _log_norm(a: float, b: float, c: float, d: float, log: float) -> float:
+    """log ||e^log [[a, b], [c, d]]||, the 2-norm taken in closed form."""
+    return log + math.log((math.hypot(a + d, b - c) + math.hypot(a - d, b + c)) / 2.0)
+
+
+def _orbit_product(levels: list[_OrbitLevel], y: int, n: int) -> float:
+    """log ||rho_n(y)||; y and the levels as in _orbit_levels.  The product
+    is four entries, scaled to a largest |entry| of 1 after each factor (of
+    entries at most 2^500), and the log of the scale."""
+    p0, p1, p2, p3, log = 1.0, 0.0, 0.0, 1.0, 0.0
+    for m in _orbit_factors(levels, y, n)[0]:
         a, b, c, d = m.a, m.b, m.c, m.d
         q0 = a * p0 + b * p2
         q1 = a * p1 + b * p3
@@ -419,8 +422,7 @@ def _orbit_product(levels: list[_OrbitLevel], y: int, n: int,
         top = max(abs(q0), abs(q1), abs(q2), abs(q3))
         p0, p1, p2, p3 = q0 / top, q1 / top, q2 / top, q3 / top
         log += m.log_scale + math.log(top)
-    norm = (math.hypot(p0 + p3, p1 - p2) + math.hypot(p0 - p3, p1 + p2)) / 2.0
-    return log + math.log(norm), (p0, p1, p2, p3, log), y
+    return _log_norm(p0, p1, p2, p3, log)
 
 
 def direct_exponent(p: CocyclePair, t: Rotation2IET, n_iters: int,
@@ -450,7 +452,7 @@ def _exponent(table: _Induction, n_iters: int, n_samples: int = DEFAULT_SAMPLES,
     rng = random.Random(seed)
     unit, starts = _exact_points(table.alpha, [rng.random() for _ in range(n_samples)])
     levels = _orbit_levels(table, n_iters, unit)
-    per = [_orbit_product(levels, y, n_iters)[0] / n_iters for y in starts]
+    per = [_orbit_product(levels, y, n_iters) / n_iters for y in starts]
     mean = math.fsum(per) / n_samples
     var = math.fsum((x - mean) ** 2 for x in per) / max(n_samples - 1, 1)
     stderr = math.sqrt(var / n_samples)
@@ -600,36 +602,30 @@ def exponent_lower_bound(trace: RenormTrace, alpha: float) -> float:
     return math.log(v.certificate.expansion_factor) / (qs[m + 1] + qs[m])
 
 
-# ---------------------------------------------------------------------------
-# Bounded renormalization implies zero exponent (observable check)
+def _rate(m: Matrix2, length: int) -> float:
+    """log ||m|| / length, exact: a return time can pass the float range."""
+    log = _log_norm(m.a, m.b, m.c, m.d, m.log_scale)
+    return float(Fraction(log) / length) if math.isfinite(log) else log
 
 
-def boundedness_implies_zero(p: CocyclePair, t: Rotation2IET,
-                             trace: RenormTrace, n_check: int) -> float:
-    """Direct norm-growth audit for a CertifiedBounded run: the maximum over
-    the checkpoints n_check, n_check/2, n_check/4, ... (down to 1000) of
-    log||product_n|| / n, on the orbit from AUDIT_START.  Bounded
-    renormalization predicts decay to 0.  The products come from
-    _orbit_product on one level table, each stretch between checkpoints
-    walked on from the exact point and the product the last one reached.
-    """
-    if trace.verdict.kind != Kind.CERTIFIED_BOUNDED:
-        raise ValueError("requires a CertifiedBounded renormalization trace")
-    if n_check < 1:
-        raise ValueError("n_check must be >= 1")
-    checkpoints = []
-    n = n_check
-    while n >= min(1000, n_check):
-        checkpoints.append(n)
-        n //= 2
-    table = _Induction(p, float(t.alpha))
-    unit, (y,) = _exact_points(table.alpha, [AUDIT_START])
-    levels = _orbit_levels(table, n_check, unit)
-    prod = _IDENTITY
-    done = 0
-    worst = -math.inf
-    for k in reversed(checkpoints):
-        log_norm, prod, y = _orbit_product(levels, y, k - done, prod)
-        done = k
-        worst = max(worst, log_norm / k)
-    return worst
+def exponent_upper_bound(p: CocyclePair, alpha: float | Fraction) -> float:
+    """An upper bound on chi for every pair: the least U_k = max(log ||A_k||
+    / |A_k|, log ||B_k|| / |B_k|) over the levels k to the end of alpha's
+    expansion, where a Bottom run of r makes the return time |B| += r |A|
+    and a Top run |A| += r |B|.  The norms are the float letters', so the
+    bound holds up to their rounding; below 0 it is rounding, as a
+    unimodular letter has norm at least 1."""
+    table = _Induction(p, alpha)
+    len_a = len_b = 1
+    best = math.inf
+    for k in itertools.count():
+        a, b = table.pair(k)
+        best = min(best, max(_rate(a, len_a), _rate(b, len_b)))
+        run = table.run(k)
+        if run is None:
+            return max(best, 0.0)
+        winner, r = run
+        if winner is Winner.BOTTOM:
+            len_b += r * len_a
+        else:
+            len_a += r * len_b

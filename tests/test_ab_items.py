@@ -3,6 +3,7 @@ calls and timings (no subprocess, no checkout copied)."""
 
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,20 @@ def test_round_sums_least_and_median():
     # least round sum need not be a sum of the per-item minima.
     assert ab_items.round_sums(times) == {"base": (3.0, 9.0), "head": (3.5, 4.0)}
     assert ab_items.summarize(times)["head"] == 2.5
+
+
+def test_balance_cancels_the_import_order():
+    # The copy imported first runs 10% faster: head/base reads 1.1 with
+    # base imported first and 1/1.1 with head first, and the geometric
+    # mean of the two orders reads the sides as equal.
+    base_first = {"base": 2.0, "head": 2.2, "ratio": 1.1}
+    head_first = {"base": 2.2, "head": 2.0, "ratio": 1.0 / 1.1}
+    res = ab_items.balance([base_first, head_first])
+    assert res["ratio"] == pytest.approx(1.0)
+    assert res["base"] == res["head"] == pytest.approx(math.sqrt(4.4))
+    # A head 5% slower in both orders stays 5% slower.
+    res = ab_items.balance([{"base": 2.0, "head": 2.31, "ratio": 1.155},
+                            {"base": 2.2, "head": 2.1, "ratio": 2.1 / 2.2}])
+    assert res["ratio"] == pytest.approx(1.05)
+    assert res["head"] / res["base"] == pytest.approx(res["ratio"])
+

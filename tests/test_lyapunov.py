@@ -26,11 +26,12 @@ from rvcocycle.lyapunov import (
     _Induction,
     _orbit_factors,
     _orbit_levels,
+    _orbit_product,
     StepRecord,
     bounded_prefix,
-    boundedness_implies_zero,
     direct_exponent,
     exponent_lower_bound,
+    exponent_upper_bound,
     renorm_decision,
 )
 from rvcocycle.mat2 import Matrix2, NonUnimodularError, diagonal, mul, rotation
@@ -112,32 +113,43 @@ def mp_pairs(p, runs, dps):
     return out
 
 
-def mp_audit(p, alpha, n_check, x0, dps):
-    """reference_audit in dps-digit mpmath, on the exact points of the
+def mp_log_norm(p, alpha, n, x0, dps):
+    """log ||rho_n(x0)|| in dps-digit mpmath, on the exact points of the
     orbit of x0: one product per step, the 2-norm from the Frobenius norm
     and the determinant."""
-    checkpoints = set()
-    n = n_check
-    while n >= min(1000, n_check):
-        checkpoints.add(n)
-        n //= 2
     step, x = Fraction(alpha), Fraction(x0)
-    worst = -math.inf
     with mpmath.workdps(dps):
         a, b = ([mpmath.mpf(e) for e in m.entries()] for m in (p.A, p.B))
         prod = [mpmath.mpf(1), 0, 0, mpmath.mpf(1)]
-        for k in range(1, n_check + 1):
+        for _ in range(n):
             m = a if x < 1 - step else b
             p0, p1, p2, p3 = prod
             prod = [m[0] * p0 + m[1] * p2, m[0] * p1 + m[1] * p3,
                     m[2] * p0 + m[3] * p2, m[2] * p1 + m[3] * p3]
             x = (x + step) % 1
-            if k in checkpoints:
-                f = sum(e * e for e in prod)
-                det = prod[0] * prod[3] - prod[1] * prod[2]
-                norm = mpmath.sqrt((f + mpmath.sqrt(f * f - 4 * det**2)) / 2)
-                worst = max(worst, float(mpmath.log(norm) / k))
-    return worst
+        f = sum(e * e for e in prod)
+        det = prod[0] * prod[3] - prod[1] * prod[2]
+        return float(mpmath.log(mpmath.sqrt((f + mpmath.sqrt(f * f - 4 * det**2)) / 2)))
+
+
+def mp_period_exponent(p, alpha, dps):
+    """log rho(W) / q for the rational alpha = a / q, with W the period
+    product rho_q(0) formed one step at a time in dps-digit mpmath: the
+    exponent of the periodic cocycle, the same from every start."""
+    q, x = alpha.denominator, Fraction(0)
+    with mpmath.workdps(dps):
+        a, b = ([mpmath.mpf(e) for e in m.entries()] for m in (p.A, p.B))
+        w = [mpmath.mpf(1), 0, 0, mpmath.mpf(1)]
+        for _ in range(q):
+            m = a if x < 1 - alpha else b
+            p0, p1, p2, p3 = w
+            w = [m[0] * p0 + m[1] * p2, m[0] * p1 + m[1] * p3,
+                 m[2] * p0 + m[3] * p2, m[2] * p1 + m[3] * p3]
+            x = (x + alpha) % 1
+        tr, det = w[0] + w[3], w[0] * w[3] - w[1] * w[2]
+        disc = tr * tr - 4 * det
+        rho = (abs(tr) + mpmath.sqrt(disc)) / 2 if disc > 0 else mpmath.sqrt(det)
+        return float(mpmath.log(rho) / q)
 
 
 def mp_maps_arc_inside(m, lo, hi, dps):
@@ -181,34 +193,6 @@ def reference_exponent(p, alpha, n_iters, n_samples, seed):
     per = (logsum + np.log(np.linalg.norm(prod, 2, axis=(1, 2)))) / n_iters
     stderr = per.std(ddof=1) / math.sqrt(n_samples) if n_samples > 1 else 0.0
     return max(float(per.mean()), 0.0), float(stderr)
-
-
-def reference_audit(p, alpha, n_check, x0=0.2137):
-    """The per-step boundedness audit: the full orbit product from x0, the
-    largest log||product_n|| / n over the checkpoints."""
-    checkpoints = set()
-    n = n_check
-    while n >= min(1000, n_check):
-        checkpoints.add(n)
-        n //= 2
-    split = 1.0 - alpha
-    a = np.array([[p.A.a, p.A.b], [p.A.c, p.A.d]])
-    b = np.array([[p.B.a, p.B.b], [p.B.c, p.B.d]])
-    prod = np.eye(2)
-    log_scale = 0.0
-    x = x0 % 1.0
-    worst = -math.inf
-    for k in range(1, n_check + 1):
-        prod = (a if x <= split else b) @ prod
-        x = (x + alpha) % 1.0
-        nrm = np.linalg.norm(prod, 2)
-        if nrm > 1e100 or nrm < 1e-100:
-            log_scale += math.log(nrm)
-            prod /= nrm
-            nrm = 1.0
-        if k in checkpoints:
-            worst = max(worst, (log_scale + math.log(nrm)) / k)
-    return worst
 
 
 def level_table(p, alpha, n, xs=()):
@@ -357,18 +341,20 @@ class TestInducedWalk:
                 assert abs(est.chi - chi) <= 1e-9, (alpha, n_iters)
                 assert abs(est.stderr - stderr) <= 1e-9, (alpha, n_iters)
 
-    def test_audit_matches_per_step_reference(self):
-        # The audit reads only the verdict kind, so criterion 6's growing
-        # pairs can be audited under a bounded trace.
-        trace = renorm_decision(commuting_elliptic(), GOLDEN,
-                                DecisionBudget(max_accel_steps=40))
-        assert trace.verdict.kind == "CertifiedBounded"
-        p, alpha = criterion6_draws(1)[0]
-        for n_check in (5000, 20000, 65537):
-            assert len(level_table(p, alpha, n_check // 2)[0]) > 2
-            got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,
-                                           n_check)
-            assert abs(got - reference_audit(p, alpha, n_check)) <= 1e-9
+    def test_orbit_product_matches_mpmath(self):
+        # Criterion 6's draw 11 (alpha = 0.8138261609728749), against the
+        # orbit product taken one step at a time in 50 digits on exact
+        # orbit points.  The walk's rate is 2.1e-15 off at 20000 steps, as
+        # it was when it multiplied its factors with mul: the float letters
+        # of the level table carry that error, and the product of the same
+        # factors in 50 digits is within 6e-17 of the walk's.
+        p, alpha = criterion6_draws(11)[-1]
+        assert alpha == 0.8138261609728749
+        n = 20000
+        levels, _, (y,) = level_table(p, alpha, n, [0.2137])
+        got = _orbit_product(levels, y, n) / n
+        want = mp_log_norm(p, alpha, n, 0.2137, 50) / n
+        assert abs(got - want) <= 1e-14
 
     @pytest.mark.parametrize("alpha", [0.375, 0.3125, 0.5004, 0.4996])
     def test_short_expansions_and_near_half(self, alpha):
@@ -578,6 +564,11 @@ class TestRenormDecision:
         v = renorm_decision(commuting_elliptic(), self.DEEP_FIBONACCI,
                             DecisionBudget(max_accel_steps=1000)).verdict
         assert (v.kind, v.at_step) == ("CertifiedBounded", 1000)
+
+    def test_deep_fibonacci_upper_bound(self):
+        # The bound reads only norms, which no band of a trace stops: all
+        # 1200 levels are formed, and every letter is a rotation.
+        assert exponent_upper_bound(commuting_elliptic(), self.DEEP_FIBONACCI) <= 1e-15
 
     def test_degenerate_input_raises(self):
         p = CocyclePair(Matrix2(1.0, 1.0, 0.0, 1.0), rotation(1.0))
@@ -790,53 +781,66 @@ class TestDerivedQuantities:
         trace = renorm_decision(commuting_elliptic(), GOLDEN)
         assert exponent_lower_bound(trace, GOLDEN) == 0.0
 
-    def test_boundedness_audit(self):
+    def test_upper_bound_of_rotations_is_zero(self):
+        # Every letter of commuting rotations is a rotation, of norm 1, and
+        # every letter of diag(2), diag(2) is diag(2^|A_k|): the bound is
+        # exact on both.  The golden float has 53 exact digits (52 runs),
+        # and the bound walks to the end of them.  At 0.7 and 1e-20 the
+        # least U_k of the rotations rounds below 0 (-1.6e-25 and -5.6e-31),
+        # and reads 0, as a unimodular letter has norm at least 1.
         p = commuting_elliptic()
-        t = Rotation2IET(GOLDEN)
-        # The golden float has 53 exact digits (52 runs), so the default
-        # 60-step budget reaches the end of its expansion.
         v = renorm_decision(p, GOLDEN).verdict
         assert (v.kind, v.at_step, v.spectrum_member) == ("FiniteOrder", 52, True)
-        trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
-        assert trace.verdict.kind == "CertifiedBounded"
-        rate = boundedness_implies_zero(p, t, trace, 20000)
-        assert rate < 5e-3
+        for alpha in (GOLDEN, 0.7, 1e-20):
+            assert exponent_upper_bound(p, alpha) == 0.0, alpha
+        u = exponent_upper_bound(commuting_hyperbolic(), GOLDEN)
+        assert u == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_boundedness_audit_matches_per_step_reference(self):
-        p = commuting_elliptic()
-        trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
-        assert trace.verdict.kind == "CertifiedBounded"
-        for alpha in (GOLDEN, math.pi - 3.0):
-            for n_check in (999, 1000, 20000):
-                got = boundedness_implies_zero(p, Rotation2IET(alpha), trace,
-                                               n_check)
-                want = reference_audit(p, alpha, n_check)
-                assert abs(got - want) <= 1e-9, (alpha, n_check)
-        # The audit reads only the verdict kind, so a growing product can
-        # be compared too.
-        g = generic_elliptic()
-        for n_check in (999, 1000, 20000):
-            got = boundedness_implies_zero(g, Rotation2IET(GOLDEN), trace,
-                                           n_check)
-            assert abs(got - reference_audit(g, GOLDEN, n_check)) <= 1e-9
+    def test_upper_bound_past_the_float_range(self):
+        # The float 1e-300 is a / q with q = 2^1049: its last return
+        # times pass the float range, and so do the logs of the norms of
+        # diag(2)'s last letters.  Each U_k is still read, exactly where it
+        # is finite.
+        assert exponent_upper_bound(commuting_elliptic(), 1e-300) == 0.0
+        u = exponent_upper_bound(commuting_hyperbolic(), 1e-300)
+        assert u == pytest.approx(math.log(2.0), abs=1e-12)
 
-    def test_boundedness_audit_matches_mpmath(self):
-        # Criterion 6's draw 11 (alpha = 0.8138261609728749), against the
-        # orbit product taken one step at a time in 50 digits on exact
-        # orbit points.  The audit is 2.2e-15 off at 20000 steps, as it was
-        # when it multiplied its factors with mul: the float letters of the
-        # level table carry that error, and the product of the same factors
-        # in 50 digits is within 2e-17 of the audit.
-        trace = renorm_decision(commuting_elliptic(), GOLDEN,
-                                DecisionBudget(max_accel_steps=40))
-        p, alpha = criterion6_draws(11)[-1]
-        assert alpha == 0.8138261609728749
-        got = boundedness_implies_zero(p, Rotation2IET(alpha), trace, 20000)
-        want = mp_audit(p, alpha, 20000, 0.2137, 50)
-        assert abs(got - want) <= 1e-14
+    def test_upper_bound_of_bounded_pairs(self):
+        # Non-commuting elliptic pairs (A a rotation, B a rotation
+        # conjugated by a diagonal matrix, so c > 2) that decide
+        # CertifiedBounded at 25 steps: U is at most 1.1e-11 on these 20,
+        # where level 0 alone reads log ||B|| > 0.
+        rng = random.Random(0)
+        bounds = []
+        while len(bounds) < 20:
+            t1, t2, s = rng.uniform(0.2, 2.9), rng.uniform(0.2, 2.9), rng.uniform(1.1, 3.0)
+            m = diagonal(s)
+            p = CocyclePair(rotation(t1), mul(mul(m, rotation(t2)), m.inv()))
+            alpha = rng.uniform(0.05, 0.95)
+            assert trace_coords(p).c > 2.0
+            v = renorm_decision(p, alpha, DecisionBudget(max_accel_steps=25)).verdict
+            if v.kind == "CertifiedBounded":
+                bounds.append(exponent_upper_bound(p, alpha))
+        assert max(bounds) <= 1e-6, max(bounds)
 
-    def test_boundedness_audit_requires_bounded(self):
-        trace = renorm_decision(commuting_hyperbolic(), GOLDEN)
-        with pytest.raises(ValueError):
-            boundedness_implies_zero(commuting_hyperbolic(),
-                                     Rotation2IET(GOLDEN), trace, 1000)
+    def test_upper_bound_above_period_exponent(self):
+        # At alpha = a / q every orbit repeats the period product W, so chi
+        # is log rho(W) / q; the bound of the last level alone is at least
+        # that, as (log ||B_K|| + log ||A_K||) / q >= log rho(B_K A_K) / q.
+        # For diag(1/2), diag(1/16), log ||A_k|| / |A_k| is ln 2 plus ln 8
+        # times the share of B in the word A_k, and chi is ln 2 + alpha ln 8;
+        # a word of the last level holds a convergent of a / q, off by less
+        # than 1 / q, so the bound is within ln 8 / q of chi.  Return times
+        # moved on the wrong letter read up to 119 ln 8 / q above it.
+        diag = CocyclePair(diagonal(0.5), diagonal(0.0625))
+        rng = random.Random(1)
+        for _ in range(40):
+            p = CocyclePair(random_unimodular(rng), random_unimodular(rng))
+            q = rng.randint(2, 300)
+            a = rng.choice([a for a in range(1, q) if math.gcd(a, q) == 1])
+            alpha = Fraction(a, q)
+            want = mp_period_exponent(p, alpha, 60)
+            assert exponent_upper_bound(p, alpha) >= want - 1e-12, alpha
+            chi = math.log(2.0) + a / q * math.log(8.0)
+            u = exponent_upper_bound(diag, alpha)
+            assert chi - 1e-12 <= u <= chi + math.log(8.0) / q + 1e-12, alpha

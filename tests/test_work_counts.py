@@ -15,8 +15,9 @@ and one Euclid walk of alpha for a trajectory and its denominators.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
-products of its levels.  Its orbit products, and the boundedness audit's,
-are four floats multiplied in place, with no mul per factor.  The cone
+products of its levels.  Its orbit products are four floats multiplied in
+place, with no mul per factor.  The exponent's upper bound reads the norms
+of the table's letters and forms no product of its own.  The cone
 certificate is a formula on the two letters and forms no product at all."""
 
 import math
@@ -34,8 +35,8 @@ from rvcocycle.lyapunov import (
     _Induction,
     _orbit_factors,
     _orbit_levels,
-    boundedness_implies_zero,
     direct_exponent,
+    exponent_upper_bound,
     renorm_decision,
 )
 from rvcocycle.mat2 import Matrix2, diagonal, rotation
@@ -88,6 +89,10 @@ WALK_CASES = [(alpha, n) for alpha in (0.1, 0.3, 0.7, GOLDEN, 1.0 / (1e6 + 2.5))
                                                          (0.375, 10**10)]
 ORBIT_FACTORS = 64  # at most 39 taken
 TABLE_MUL = 64  # at most 48 taken (the golden float at 1e10)
+# The 52 runs of the golden float: one product for each of the 43 runs of
+# 1, and for each of the 9 longer ones (2 to 10) its power, taken as
+# squares, and one product more.
+UPPER_BOUND_MUL = 75
 
 
 def count_calls(monkeypatch, original):
@@ -262,19 +267,21 @@ def test_orbit_walk_factors(mul_calls, alpha, n):
         assert len(_orbit_factors(levels, y, n)[0]) <= ORBIT_FACTORS
 
 
-def test_boundedness_audit_products(mul_calls):
-    # The audit multiplies its factors in place, so its only products are
-    # the level table's letters and squares: 20, where a mul per factor
-    # took 79.
-    p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
+def test_upper_bound_products(mul_calls):
+    # The bound forms the table's letters through the last level of the
+    # golden float, and nothing else: the products of _Induction.pair there.
     m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
-    audited = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
-    trace = renorm_decision(p, GOLDEN, DecisionBudget(max_accel_steps=40))
-    assert trace.verdict.kind == "CertifiedBounded"
+    p = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
     mul_calls.clear()
-    rate = boundedness_implies_zero(audited, Rotation2IET(GOLDEN), trace, 20000)
-    assert math.isfinite(rate)
-    assert len(mul_calls) <= TABLE_MUL
+    assert math.isfinite(exponent_upper_bound(p, GOLDEN))
+    assert len(mul_calls) == UPPER_BOUND_MUL
+    table = _Induction(p, GOLDEN)
+    last = 0
+    while table.run(last) is not None:
+        last += 1
+    mul_calls.clear()
+    table.pair(last)
+    assert len(mul_calls) == UPPER_BOUND_MUL
 
 
 def test_slope_with_exponent_products(mul_calls):
@@ -297,6 +304,7 @@ def _walks():
         "renorm_decision": lambda: renorm_decision(pair, GOLDEN, budget),
         "mcg_trajectory": lambda: mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget),
         "direct_exponent": lambda: direct_exponent(pair, Rotation2IET(0.3), 10**5),
+        "exponent_upper_bound": lambda: exponent_upper_bound(pair, 0.3),
         "evaluate_slope": lambda: evaluate_slope(rep, REFINE_THETA, budget,
                                                  chi_iters=2000),
     }

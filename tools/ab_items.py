@@ -5,7 +5,10 @@ in one process, in alternating rounds.
 
 BASE and HEAD are the roots of two source checkouts.  Each side's
 src/rvcocycle is copied to a temporary directory under its own package
-name (rvcocycle_base, rvcocycle_head), so both import in one process.  The
+name (rvcocycle_base0, rvcocycle_head0), so both import in one process.
+A copy imported first can run faster than one imported second, so the
+whole measurement is made twice: once importing BASE first, and once from
+fresh copies (rvcocycle_head1, rvcocycle_base1) importing HEAD first.  The
 items are built as perfbench/workloads.py builds them, from HEAD's copy of
 it, of which only the pure helpers and constants are used (near_rational,
 float_runs, unimodular, the draw seeds and budgets); the item order is
@@ -13,11 +16,13 @@ unshuffled.  Each side runs every item once untimed, and the outputs are
 compared by repr: every float in a repr round-trips, so equal reprs mean
 equal bits.  Then each round times every item once per side, BASE first
 in even rounds and HEAD first in odd ones, with a garbage collection before
-each side's pass.  The summary is each side's sum over the items of the
-item's least time, and their ratio head / base; beside it, each side's
-least and median round sum, the sum of its item times in one round.  A
-benchmark harness that needs rounds of some least length reads the raw
-round sums, not the per-item minima.
+each side's pass.  For each import order the summary is each side's sum
+over the items of the item's least time, and their ratio head / base;
+beside it, each side's least and median round sum, the sum of its item
+times in one round.  A benchmark harness that needs rounds of some least
+length reads the raw round sums, not the per-item minima.  The balanced
+summary is the geometric mean of the two orders' sums and ratios, which
+cancels a factor that favours whichever copy was imported first.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ import time
 from pathlib import Path
 
 SIDES = ("base", "head")
+ORDERS = (SIDES, SIDES[::-1])  # the import order of each measurement
 WORKLOADS = ("dichotomy", "refine", "bounded")
 
 
-def load_package(checkout: Path, side: str, where: Path) -> str:
-    """Copy checkout's src/rvcocycle to where as rvcocycle_<side> and return
+def load_package(checkout: Path, tag: str, where: Path) -> str:
+    """Copy checkout's src/rvcocycle to where as rvcocycle_<tag> and return
     that package name; where must be on sys.path."""
-    name = f"rvcocycle_{side}"
+    name = f"rvcocycle_{tag}"
     shutil.copytree(checkout / "src" / "rvcocycle", where / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     return name
@@ -144,6 +150,13 @@ def summarize(times: dict[str, list[list[float]]]) -> dict:
     return {**sums, "ratio": sums["head"] / sums["base"]}
 
 
+def balance(summaries: list[dict]) -> dict:
+    """The geometric mean over summaries (one per import order) of each
+    side's sum and of the ratio head / base."""
+    return {key: math.prod(s[key] for s in summaries) ** (1.0 / len(summaries))
+            for key in (*SIDES, "ratio")}
+
+
 def round_sums(times: dict[str, list[list[float]]]) -> dict[str, tuple[float, float]]:
     """{side: (least, median)} of the side's round sums, each the sum of
     its item times in one round."""
@@ -161,24 +174,36 @@ def main(argv=None) -> int:
     checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
     sys.path.insert(0, str(checkouts["head"] / "perfbench"))
     wl = importlib.import_module("workloads")
+    passes, differ = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         where = Path(tmp)
         sys.path.insert(0, tmp)
-        calls = {side: items(wl, load_package(checkouts[side], side, where),
-                             args.workload, where / f"refine-{side}.json")
-                 for side in SIDES}
-        outs = {side: [repr(call()) for call in calls[side]] for side in SIDES}
-        differ = sum(b != h for b, h in zip(*outs.values()))
-        times = time_rounds(calls, args.rounds)
-    res, rounds = summarize(times), round_sums(times)
+        for i, order in enumerate(ORDERS):
+            names = {side: load_package(checkouts[side], f"{side}{i}", where)
+                     for side in order}
+            calls = {side: items(wl, names[side], args.workload,
+                                 where / f"refine-{names[side]}.json")
+                     for side in order}
+            calls = {side: calls[side] for side in SIDES}
+            outs = {side: [repr(call()) for call in calls[side]] for side in SIDES}
+            differ += sum(b != h for b, h in zip(*outs.values()))
+            passes.append(time_rounds(calls, args.rounds))
     n = len(calls["head"])
-    print(f"{args.workload}: {n} items, {args.rounds} rounds, "
-          f"{differ} of {n} outputs differ")
-    print(f"sum of per-item minima: base {res['base']:.6f} s, "
+    print(f"{args.workload}: {n} items, {args.rounds} rounds per import order, "
+          f"{differ} of {n * len(ORDERS)} outputs differ")
+    summaries = []
+    for order, times in zip(ORDERS, passes):
+        res, rounds = summarize(times), round_sums(times)
+        summaries.append(res)
+        print(f"{' first, '.join(order)} second: sum of per-item minima: "
+              f"base {res['base']:.6f} s, head {res['head']:.6f} s, "
+              f"head/base {res['ratio']:.4f}")
+        for side in SIDES:
+            least, median = rounds[side]
+            print(f"  round sum, {side}: least {least:.6f} s, median {median:.6f} s")
+    res = balance(summaries)
+    print(f"balanced: sum of per-item minima: base {res['base']:.6f} s, "
           f"head {res['head']:.6f} s, head/base {res['ratio']:.4f}")
-    for side in SIDES:
-        least, median = rounds[side]
-        print(f"round sum, {side}: least {least:.6f} s, median {median:.6f} s")
     return 1 if differ else 0
 
 
