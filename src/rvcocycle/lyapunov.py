@@ -91,7 +91,8 @@ class StepRecord:
     """One step of a renormalization run.  coords are the moved pair's x, y,
     z from one product AB, with c the input pair's commutator trace, which
     the tau moves keep; residual is the drift of (x, y, z) off c's level
-    set.  Slotted and not frozen, as Matrix2: the walk builds one per step."""
+    set; they are the table's coordinates of the step's level.  Slotted and
+    not frozen, as Matrix2: a recorded walk builds one per step."""
 
     index: int
     digit: int
@@ -189,9 +190,12 @@ class _Induction:
     B_k) that the first k runs move p to, as mul returns it: the letters of
     cocycle.tau_power, bit for bit.  squares[k] holds the powers 2^e of the
     letter of run k (A_k for Bottom, B_k for Top) that an orbit walk asked
-    for.  A reader with a digit cap checks a run before it asks for the
-    level past it.  An input letter that mul would scale is scaled once, or
-    its square could overflow.
+    for.  coords[k] holds the trace coordinates of level k, letter_coords of
+    its letters with c the input pair's tr [A, B], which every tau move
+    keeps: formed once, by whichever reader asks first (the decision, or
+    mcg_trajectory past the decision's last level).  A reader with a digit
+    cap checks a run before it asks for the level past it.  An input letter
+    that mul would scale is scaled once, or its square could overflow.
     """
 
     def __init__(self, p: CocyclePair, alpha: float | Fraction):
@@ -201,6 +205,7 @@ class _Induction:
         self.letters = [tuple(m if m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
                               <= NORM2_LIMIT else _unit_letter(m) for m in (p.A, p.B))]
         self.squares: dict[int, list[Matrix2]] = {}
+        self.coords: list[TraceCoords] = []
 
     def run(self, k: int) -> tuple[Winner, int] | None:
         """Run k, reading the runs before it first; None where the expansion
@@ -231,6 +236,17 @@ class _Induction:
                          else reduce(mul, _bits(self.powers(j, power, run), run)))
             letters.append((a, mul(b, power)) if bottom else (mul(power, a), b))
         return letters[k]
+
+    def trace_coords(self, k: int) -> TraceCoords:
+        """coords[k], forming the levels through k and their coordinates
+        first; level 0 reads tr [A, B] off its letters.  Runs 0 to k - 1
+        must have been read."""
+        coords = self.coords
+        while len(coords) <= k:
+            j = len(coords)
+            a, b = self.pair(j)
+            coords.append(letter_coords(a, b, coords[0].c if j else None))
+        return coords[k]
 
     def powers(self, k: int, letter: Matrix2, cap: int) -> list[Matrix2]:
         """squares[k], [letter, letter^2, ...] for the letter of run k (or
@@ -493,15 +509,19 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     return _decide(_Induction(p, alpha), budget)
 
 
-def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
+def _decide(table: _Induction, budget: DecisionBudget | None, *,
+            record: bool = True) -> RenormTrace:
     """renorm_decision on the induction table of (alpha, p), which
     spectrum.evaluate_slope and mcg_trajectory read too.  Step k + 1 reads
-    run k and then the letters of level k + 1, no further than the decision
-    needs; a run past max_digit leaves it Undecided before its level is
-    formed.  Runs and levels that a reader formed first (mcg_trajectory
-    forms its n_steps) are read off the table's lists.  A step builds a
-    CocyclePair only where a reader needs one: two letters that are both
-    hyperbolic or in the band, and the certificate."""
+    run k and then the letters and trace coordinates of level k + 1, no
+    further than the decision needs; a run past max_digit leaves it
+    Undecided before its level is formed.  Runs, levels and coordinates
+    that a reader formed first (mcg_trajectory forms its n_steps runs and
+    levels) are read off the table's lists.  A step builds a CocyclePair
+    only where a reader needs one: two letters that are both hyperbolic or
+    in the band, and the certificate.  With record False the trace holds no
+    steps, and no StepRecord is built: mcg_trajectory reads the verdict
+    and the table's coordinates alone."""
     if budget is None:
         budget = DecisionBudget()
     a, b = table.pair(0)
@@ -509,7 +529,7 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     ptype, ca, cb = _classify_letters(cur)
     if ptype.is_degenerate:
         raise DegeneratePairError(ptype.reason)
-    coords = letter_coords(a, b)
+    coords = table.trace_coords(0)
     kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
@@ -520,56 +540,63 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
         return RenormTrace(tuple(steps), verdict, bound)
 
     if ptype.code == "HH+":
-        steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
-                                coords=coords, in_k_escort=_k_escort(coords)))
+        if record:
+            steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
+                                    coords=coords, in_k_escort=_k_escort(coords)))
         return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=0,
                             certificate=cone_certificate(cur, (ca, cb))))
 
-    runs, letters, record = table.runs, table.letters, steps.append
+    runs, letters, levels = table.runs, table.letters, table.coords
     max_digit = budget.max_digit
     max_norm = 0.0
     elliptic, hyperbolic = 2.0 - EPS_TRACE, 2.0 + EPS_TRACE
     for k in range(budget.max_accel_steps):
         run = runs[k] if k < len(runs) else table.run(k)
         if run is None:
-            # The kept letter's trace, read off the last step's coordinates.
-            if steps:
-                kept = coords.x if steps[-1].winner is Winner.BOTTOM else coords.y
+            # The kept letter's trace, read off the last step's coordinates:
+            # A after a Bottom run, B after a Top run.  alpha = 1/2 ends
+            # before the first step: period 2, whose return product BA has
+            # tr AB.
+            if k:
+                kept = coords.x if runs[k - 1][0] is Winner.BOTTOM else coords.y
             else:
-                # alpha = 1/2: period 2, whose return product BA has tr AB.
                 kept = coords.z
-            return done(Verdict(Kind.FINITE_ORDER, at_step=len(steps),
+            return done(Verdict(Kind.FINITE_ORDER, at_step=k,
                                 spectrum_member=abs(kept) <= 2.0))
         winner, run_len = run
         if run_len > max_digit:
             return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
-        a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
-        coords = letter_coords(a, b, kappa)
+        if k + 1 < len(levels):
+            coords = levels[k + 1]
+        else:
+            a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
+            coords = letter_coords(a, b, kappa)
+            levels.append(coords)
         # A pair with an elliptic letter is typed by |x| and |y| at
         # cocycle._letter_kind's thresholds; the rest by _classify_letters.
         # An EE pair has two elliptic letters, so it is in K itself.
         x, y = abs(coords.x), abs(coords.y)
         if x < elliptic and y < elliptic:
-            code, escort = "EE", True
+            code = "EE"
+        elif x < elliptic and y > hyperbolic:
+            code = "EH"
+        elif y < elliptic and x > hyperbolic:
+            code = "HE"
         else:
-            if x < elliptic and y > hyperbolic:
-                code = "EH"
-            elif y < elliptic and x > hyperbolic:
-                code = "HE"
-            else:
-                cur = CocyclePair(a, b)
-                ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
-                if ptype.is_degenerate:
-                    raise DegeneratePairError(ptype.reason)
-                code = ptype.code
-            escort = _k_escort(coords)
-        record(StepRecord(k + 1, run_len, winner, code, coords, escort))
+            cur = CocyclePair(*letters[k + 1])
+            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+            if ptype.is_degenerate:
+                raise DegeneratePairError(ptype.reason)
+            code = ptype.code
+        if record:
+            steps.append(StepRecord(k + 1, run_len, winner, code, coords,
+                                    code == "EE" or _k_escort(coords)))
         if code == "HH+":
             return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k + 1,
                                 certificate=cone_certificate(cur, (ca, cb))))
         max_norm = max(max_norm, x, y, abs(coords.z))
     if max_norm <= bound:
-        return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=len(steps),
+        return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=budget.max_accel_steps,
                             max_trace_norm=max_norm))
     return done(Verdict(Kind.UNDECIDED, budget_note=Reason.TRACE_BOUND))
 

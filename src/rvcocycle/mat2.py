@@ -64,9 +64,12 @@ class Matrix2:
                  log_scale: float = 0.0):
         det = a * d - b * c
         if not abs(det - 1.0) <= DET_TOL:  # true for an inf or nan entry
-            scale = max(abs(a), abs(b), abs(c), abs(d))
-            if not math.isfinite(scale):
+            # Each entry on its own: max() drops a NaN that is not first,
+            # and the sum of finite entries near 1e308 overflows.
+            isfinite = math.isfinite
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
                 raise NonUnimodularError("matrix entries are not finite")
+            scale = max(abs(a), abs(b), abs(c), abs(d))
             # For entries of magnitude s the float determinant of a truly
             # unimodular matrix carries cancellation noise of order
             # s^2 * eps (and its computation overflows near s ~ 1e154):
@@ -112,21 +115,54 @@ class Matrix2:
 
         For n >= 1 this takes n.bit_length() - 1 squarings and
         n.bit_count() - 1 products (power(1) is self, with no product);
-        power(0) is the identity.
+        power(0) is the identity.  The products are mul's, in the same
+        order.  While they stay unscaled they are taken on four local
+        floats, and a product that fails mul's unscaled tests (norm squared
+        at most 2^1000, det within DET_TOL of 1) is built as mul builds it
+        (_checked); from the first scaled one on, the rest are mul's
+        (_mul_power).
         """
         if n < 0:
             return self.inv().power(-n)
         if n == 0:
             return identity()
-        result = None
-        base = self
+        if n == 1:
+            return self
+        if self.log_scale:
+            return _mul_power(None, self, n)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        ra = rb = rc = rd = None
         while True:
             if n & 1:
-                result = base if result is None else mul(result, base)
+                if ra is None:
+                    ra, rb, rc, rd = a, b, c, d
+                else:
+                    p = ra * a + rb * c
+                    q = ra * b + rb * d
+                    r = rc * a + rd * c
+                    s = rc * b + rd * d
+                    if not (p * p + q * q + r * r + s * s <= NORM2_LIMIT
+                            and abs(p * s - q * r - 1.0) <= DET_TOL):
+                        m = _checked(p, q, r, s)
+                        if m.log_scale:
+                            return _mul_power(m, _unchecked(a, b, c, d), n - 1)
+                        p, q, r, s = m.a, m.b, m.c, m.d
+                    ra, rb, rc, rd = p, q, r, s
             n >>= 1
             if not n:
-                return result
-            base = mul(base, base)
+                return _unchecked(ra, rb, rc, rd)
+            p = a * a + b * c
+            q = a * b + b * d
+            r = c * a + d * c
+            s = c * b + d * d
+            if not (p * p + q * q + r * r + s * s <= NORM2_LIMIT
+                    and abs(p * s - q * r - 1.0) <= DET_TOL):
+                m = _checked(p, q, r, s)
+                if m.log_scale:
+                    return _mul_power(None if ra is None else
+                                      _unchecked(ra, rb, rc, rd), m, n)
+                p, q, r, s = m.a, m.b, m.c, m.d
+            a, b, c, d = p, q, r, s
 
     def entries(self) -> tuple[float, float, float, float]:
         """The entries, without the factor e^log_scale."""
@@ -139,6 +175,38 @@ def identity() -> Matrix2:
 
 # A Matrix2 with no __init__ call, for mul to fill in.
 _new_matrix = object.__new__
+
+
+def _unchecked(a: float, b: float, c: float, d: float) -> Matrix2:
+    """The unscaled Matrix2 of these entries, stored as they are, as mul
+    stores a product that passes its unscaled tests."""
+    m = _new_matrix(Matrix2)
+    m.a = a
+    m.b = b
+    m.c = c
+    m.d = d
+    m.log_scale = 0.0
+    return m
+
+
+def _checked(a: float, b: float, c: float, d: float) -> Matrix2:
+    """The product of two unscaled matrices, of entries a, b, c, d, as mul
+    builds it when they fail its unscaled tests."""
+    if not a * a + b * b + c * c + d * d <= NORM2_LIMIT:
+        return _scaled(a, b, c, d, 0.0)
+    return Matrix2(a, b, c, d)
+
+
+def _mul_power(result: Matrix2 | None, base: Matrix2, n: int) -> Matrix2:
+    """result base^n (base^n for None, n >= 1) by square-and-multiply
+    through mul, as Matrix2.power takes it past its first scaled product."""
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
 
 
 def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:

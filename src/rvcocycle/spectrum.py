@@ -231,9 +231,11 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     log |tr AB| of the moved pair, the table's letters of the level the run
     reaches.  A run moves one letter and keeps the other, so it takes one
     log |tr| of a letter, for the moved one (two at the first run);
-    log |tr AB| comes from the decision's step records where it has them.
-    The integer work (word, matrices, norms, denominators) and the growth
-    log are two loops.
+    log |tr AB| is read off the table's trace coordinates of the level,
+    which the decision formed as far as it went, and which are formed here
+    past that.  The decision records no steps: its verdict is all the
+    witness reads.  The integer work (word, matrices, norms, denominators)
+    and the growth log are two loops.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -248,7 +250,7 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
             raise DegeneratePairError(ptype.reason)
         raise BudgetExceededError("run length exceeds the digit cap")
     table.pair(len(runs))
-    decision = _decide(table, budget)
+    decision = _decide(table, budget, record=False)
 
     # phi = ((a, b), (c, d)); its entries stay nonnegative, so its l1 norm
     # is their sum.  Its entries are continuants of the digits a_1, a_2, ...
@@ -283,25 +285,23 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
             qs[-1] += qs[-2]
 
     # The growth log.  A run moves one letter and keeps the other, so it
-    # takes the log |tr| of the moved letter (of both at the first run).
-    # log |tr AB| of the runs the decision took comes from their step
-    # records, whose trace coordinates read tr AB; the runs past the
-    # decision's last form AB here.
-    z_logs = [s.coords.log_abs_z for s in decision.steps if s.winner is not None]
-    for letter_a, letter_b in table.letters[len(z_logs) + 1:len(runs) + 1]:
-        z_logs.append(mul(letter_a, letter_b).log_abs_trace())
+    # takes the log |tr| of the moved letter (of both at the first run), and
+    # log |tr AB| off the table's trace coordinates of the level it reaches:
+    # the decision's, and past its last level, formed here.
+    coords = table.coords
+    table.trace_coords(len(runs))
     growth: list[float] = []
     if runs:
         letter_a, letter_b = table.letters[1]
         log_a, log_b = letter_a.log_abs_trace(), letter_b.log_abs_trace()
-        growth.append(max(log_a, log_b, z_logs[0]))
-    for (winner, _), (letter_a, letter_b), z_log in zip(
-            runs[1:], table.letters[2:], z_logs[1:]):
+        growth.append(max(log_a, log_b, coords[1].log_abs_z))
+    for (winner, _), (letter_a, letter_b), level in zip(
+            runs[1:], table.letters[2:], coords[2:]):
         if winner is bottom_winner:
             log_b = letter_b.log_abs_trace()
         else:
             log_a = letter_a.log_abs_trace()
-        growth.append(max(log_a, log_b, z_log))
+        growth.append(max(log_a, log_b, level.log_abs_z))
 
     traj = MCGTrajectory(twist_word=tuple(word), matrices=tuple(mats),
                          norms_l1=tuple(norms),

@@ -63,3 +63,15 @@ def test_balance_cancels_the_import_order():
     assert res["ratio"] == pytest.approx(1.05)
     assert res["head"] / res["base"] == pytest.approx(res["ratio"])
 
+
+
+def test_half_ratios_split_the_rounds():
+    # Rounds 1-2 and 3-5: base minima 2 + 5 and 1 + 1, head 1 + 0.5 and
+    # 1 + 1.  An odd round count leaves the extra round in the second half.
+    times = {"base": [[3.0, 5.0], [2.0, 6.0], [1.0, 1.0], [4.0, 4.0], [2.0, 3.0]],
+             "head": [[1.0, 1.5], [2.0, 0.5], [1.0, 2.0], [3.0, 1.0], [1.0, 1.0]]}
+    first, second = ab_items.half_ratios(times)
+    assert first == 1.5 / 7.0
+    assert second == 2.0 / 2.0
+    # The whole call's ratio takes the least of all the rounds.
+    assert ab_items.summarize(times)["ratio"] == 1.5 / 2.0

@@ -709,6 +709,43 @@ class TestInductionTable:
         # only levels the decision had formed after the other 32.
         assert sum(depths) > 100 and len(depths) - sum(depths) > 10
 
+    @pytest.mark.parametrize("steps", [60, 8])
+    def test_unrecorded_decision_reads_the_recorded_verdict(self, steps):
+        # Without step records the decision reads at_step and the kept
+        # letter off the table; the verdict is the recorded decision's, and
+        # the table's coordinates are the recorded steps'.  The cases reach
+        # every kind: HH+ at step 0, the end of the expansion (alpha = 1/2
+        # before any step), a bounded run out of steps, and Undecided at a
+        # run past max_digit and at a trace past the bound.
+        budget = DecisionBudget(max_accel_steps=steps)
+        deep = Fraction(fibonacci(100), fibonacci(101))
+        cases = [(p, alpha, budget) for p, alpha in criterion6_draws(200) + [
+            (commuting_elliptic(), self.BOUNDED_ALPHA), (commuting_elliptic(), 0.5),
+            (commuting_elliptic(), 0.375), (commuting_elliptic(), deep),
+            (commuting_hyperbolic(), GOLDEN)]] + [
+            (commuting_elliptic(), self.BOUNDED_ALPHA,
+             DecisionBudget(max_accel_steps=steps, max_digit=3)),
+            (commuting_elliptic(), deep,
+             DecisionBudget(max_accel_steps=steps, trace_bound=1.0))]
+        kinds = set()
+        for p, alpha, budget in cases:
+            try:
+                want = renorm_decision(p, alpha, budget)
+            except DegeneratePairError:
+                continue
+            table = _Induction(p, alpha)
+            got = _decide(table, budget, record=False)
+            assert got.steps == ()
+            assert repr(got.verdict) == repr(want.verdict), alpha
+            assert got.trace_bound == want.trace_bound
+            recorded = [s.coords for s in want.steps if s.winner is not None]
+            assert repr(table.coords[1:len(recorded) + 1]) == repr(recorded)
+            # A second decision on the table reads the coordinates formed.
+            assert repr(_decide(table, budget)) == repr(want)
+            assert len(table.coords) == len(recorded) + 1
+            kinds.add(want.verdict.kind)
+        assert len(kinds) == 4
+
 
 class TestExactDigits:
     @pytest.mark.parametrize("draw, kind, at_step", [

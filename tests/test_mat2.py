@@ -38,10 +38,11 @@ def reference_power(m, n):
 
 def reference_validate(a, b, c, d, log_scale=0.0):
     """Matrix2's check as it was, without the det-first test: the entries
-    it keeps, or the NonUnimodularError it raises."""
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if not math.isfinite(scale):
+    it keeps, or the NonUnimodularError it raises.  Each entry is tested
+    for finiteness: the max of them drops a NaN that is not first."""
+    if not all(math.isfinite(x) for x in (a, b, c, d)):
         raise NonUnimodularError("matrix entries are not finite")
+    scale = max(abs(a), abs(b), abs(c), abs(d))
     noise = 16.0 * scale * scale * 2.220446049250313e-16
     if noise >= 0.5 or log_scale:
         return a, b, c, d
@@ -61,9 +62,9 @@ def reference_post_init(self):
     det = a * d - b * c
     if abs(det - 1.0) <= DET_TOL:  # false for an inf or nan entry
         return
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if not math.isfinite(scale):
+    if not all(math.isfinite(x) for x in (a, b, c, d)):
         raise NonUnimodularError("matrix entries are not finite")
+    scale = max(abs(a), abs(b), abs(c), abs(d))
     noise = 16.0 * scale * scale * 2.220446049250313e-16
     if noise >= 0.5 or self.log_scale:
         return
@@ -103,6 +104,35 @@ def constructor_args(draw):
         args[bad[0]] = bad[1]
     log_scale = draw(st.just(0.0) | st.floats(-700.0, 700.0))
     return (*args, log_scale)
+
+
+def mul_power(m, n):
+    """Square-and-multiply through mul alone, from the lowest set bit of
+    n >= 1: the products Matrix2.power takes, in its order."""
+    result, base = None, m
+    while True:
+        if n & 1:
+            result = base if result is None else mul(result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = mul(base, base)
+
+
+def bits(m):
+    return [x.hex() for x in (*m.entries(), m.log_scale)]
+
+
+# Bases for Matrix2.power against mul_power.  drifting has det 1 + 8e-10,
+# which the constructor keeps, so its square's det leaves DET_TOL; the
+# powers of hyperbolic pass 2^500 near n = 360 and are scaled from there;
+# scaled has log_scale ln 2 from the start.
+POWER_BASES = {
+    "rotation": rotation(1.0),
+    "drifting": Matrix2(*(x * (1.0 + 4e-10) for x in rotation(1.0).entries())),
+    "hyperbolic": Matrix2(2.0, 1.0, 1.0, 1.0),
+    "scaled": Matrix2(1.0, 0.5, 0.5, 0.5, math.log(2.0)),
+}
 
 
 def normalized(m):
@@ -150,6 +180,14 @@ class TestConstruction:
     def test_rejects_singular(self):
         with pytest.raises(NonUnimodularError):
             Matrix2(1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("entries", [(1.0, math.nan, 0.0, 1.0),
+                                         (1.0, 0.0, 0.0, math.nan),
+                                         (math.nan, 0.0, 0.0, 1.0)])
+    def test_rejects_nan_entry(self, entries):
+        # max() of the entries keeps a NaN only when it comes first.
+        with pytest.raises(NonUnimodularError, match="not finite"):
+            Matrix2(*entries)
 
     def test_renormalizes_scaled_input(self):
         m = Matrix2(4.0, 0.0, 0.0, 1.0)
@@ -246,18 +284,43 @@ class TestAlgebra:
             assert abs(x - y) <= 1e-12
         assert abs(log_pw - log_ref) <= 1e-12 * max(1.0, abs(log_ref))
 
+    @pytest.mark.parametrize("name", POWER_BASES)
+    def test_power_matches_mul_bit_for_bit(self, name):
+        m = POWER_BASES[name]
+        for n in range(2, 3001):
+            assert bits(m.power(n)) == bits(mul_power(m, n)), n
+
+    def test_power_bases_cover_each_hand_over(self):
+        # The drifting square fails mul's det test, and the constructor
+        # brings its det back to 1; hyperbolic powers turn scaled.
+        assert abs(POWER_BASES["drifting"].det - 1.0) > 5e-10
+        assert abs(POWER_BASES["drifting"].power(2).det - 1.0) < 1e-12
+        hyperbolic = POWER_BASES["hyperbolic"]
+        assert not hyperbolic.power(300).log_scale
+        assert hyperbolic.power(400).log_scale
+
     def test_power_product_count(self, monkeypatch):
+        # An unscaled power takes its products on floats, and hands each
+        # one that fails mul's unscaled tests to mat2._checked: with a
+        # negative norm limit every product fails them, so _checked counts
+        # the products.  A scaled power takes every product through mul.
         from rvcocycle import mat2
         calls = []
+        checked = mat2._checked
         monkeypatch.setattr(mat2, "mul", lambda a, b: calls.append(1) or mul(a, b))
+        monkeypatch.setattr(mat2, "_checked", lambda *e: calls.append(1) or checked(*e))
+        monkeypatch.setattr(mat2, "NORM2_LIMIT", -1.0)
         m = Matrix2(2.0, 1.0, 1.0, 1.0)
-        for n in (1, 2, 3, 7, 8, 13, 1000):
+        scaled = Matrix2(1.0, 0.5, 0.5, 0.5, math.log(2.0))
+        for base in (m, scaled):
+            for n in (1, 2, 3, 7, 8, 13, 1000):
+                calls.clear()
+                base.power(n)
+                assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
             calls.clear()
-            m.power(n)
-            assert len(calls) == (n.bit_length() - 1) + (bin(n).count("1") - 1), n
-        calls.clear()
-        assert m.power(1) is m and m.power(0).entries() == (1.0, 0.0, 0.0, 1.0)
-        assert not calls
+            assert base.power(1) is base
+            assert base.power(0).entries() == (1.0, 0.0, 0.0, 1.0)
+            assert not calls
 
     def test_negative_power(self):
         m = Matrix2(2.0, 1.0, 1.0, 1.0)

@@ -620,7 +620,7 @@ class TestTrajectoryGoldens:
         assert kinds == {("commuting-elliptic", "bounded"),
                          ("generic-elliptic", "hyperbolic")}
         # The decision of a hyperbolic case stops before the trajectory does,
-        # so its later growth entries form A B themselves.
+        # so the trajectory forms its later levels' trace coordinates itself.
         assert any(r["witness"][1] < len(r["word"]) for r in recorded
                    if r["witness"][0] == "hyperbolic")
         near = [r for i, r in enumerate(recorded) if i % 24 >= 8]

@@ -68,8 +68,8 @@ def cli_verdicts(monkeypatch):
     verdicts = []
     decide = lyapunov._decide
 
-    def recording(*args):
-        trace = decide(*args)
+    def recording(*args, **kwargs):
+        trace = decide(*args, **kwargs)
         verdicts.append(trace.verdict)
         return trace
 

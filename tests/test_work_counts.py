@@ -1,14 +1,17 @@
-"""Work-count guards: the 2x2 products and the log |tr| reads that one
-bounded twist trajectory takes, the products of one refine slope and of
-one classify command, and the isometry classifications of one absorbing
-decision, counted (not timed) and held at or below the counts of the
+"""Work-count guards: the 2x2 products, the log |tr| reads, the step
+records and the trace coordinates that one bounded twist trajectory takes,
+the products of one refine slope and of one classify command, and the
+isometry classifications of one absorbing decision, counted (not timed) and held at or below the counts of the
 single walk of the induction.  A change that brings back a second walk,
 the identity product in Matrix2.power, the fixed points of elliptic
 letters, a second product per step for tr [A, B], a product per step for
 a tr AB that mul would return unchanged, a log |tr| of a letter that a run
 kept, a second A B for the K membership that the trace coordinates already
-read, a second classification of an absorbing pair, or a classification
-of a pair with an elliptic letter, shows up here as a higher count.
+read, a second classification of an absorbing pair, a classification of
+a pair with an elliptic letter, a mul call for a power's product that
+mul would store unchanged, a step record that a bounded trajectory builds
+and throws away, or a level's trace coordinates formed twice, shows up
+here as a higher count.
 The induction is walked once per (pair, alpha): one run_steps call for a
 decision, a trajectory, an exponent, and a scan point that takes both,
 and one Euclid walk of alpha for a trajectory and its denominators.
@@ -26,7 +29,7 @@ import sys
 import numpy as np
 import pytest
 
-from rvcocycle import cli, cocycle, iet, mat2
+from rvcocycle import cli, cocycle, iet, lyapunov, mat2
 from rvcocycle.cocycle import CocyclePair, cone_certificate
 from rvcocycle.iet import Rotation2IET, Winner
 from rvcocycle.lyapunov import (
@@ -52,8 +55,11 @@ from rvcocycle.spectrum import (
 # again for each run's growth log took 183, B A for each step's tr [A, B]
 # took 151, and A B for each step's tr A B took 119: a step forms A B only
 # where mul would rescale it, 6 products whose det lands past DET_TOL.
+# Matrix2.power takes its unscaled products on floats, not through mul:
+# what is left is one product per level, B A at level 0 and those 6; 92
+# with mul per power product.
 BOUNDED_ALPHA = 0.30769497215185276
-BOUNDED_MUL = 92
+BOUNDED_MUL = 39
 PAST_DET_TOL = 6
 # The decision of commuting rotations classifies its letters once, for the
 # input pair: every later pair has an elliptic letter, which _decide types
@@ -91,7 +97,8 @@ ORBIT_FACTORS = 64  # at most 39 taken
 TABLE_MUL = 64  # at most 48 taken (the golden float at 1e10)
 # The 52 runs of the golden float: one product for each of the 43 runs of
 # 1, and for each of the 9 longer ones (2 to 10) its power, taken as
-# squares, and one product more.
+# squares, and one product more.  Those powers are of scaled letters, so
+# Matrix2.power takes them through mul.
 UPPER_BOUND_MUL = 75
 
 
@@ -169,6 +176,34 @@ def test_bounded_trajectory_trace_logs(monkeypatch):
     traj, _ = mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget)
     assert steps == len(traj.twist_word)
     assert len(calls) <= len(traj.twist_word) + 1 + PAST_DET_TOL
+
+
+@pytest.mark.parametrize("steps", [60, 10], ids=["whole", "short-decision"])
+def test_bounded_trajectory_records_no_steps(monkeypatch, steps):
+    # The trajectory reads the decision's verdict and the table's trace
+    # coordinates, one per level: the decision's, and past its last level
+    # (a 10-step budget) the trajectory's own, with the input pair's
+    # tr [A, B] and no B A product per level.  Step records built and
+    # thrown away cost one object per level.
+    records = count_calls(monkeypatch, lyapunov.StepRecord)
+    coords = count_calls(monkeypatch, cocycle.TraceCoords)
+    products = count_calls(monkeypatch, mat2.mul)
+    rep = Representation(rotation(1.0), rotation(math.sqrt(2.0)))
+    traj, _ = mcg_trajectory(rep, BOUNDED_ALPHA, 40,
+                             DecisionBudget(max_accel_steps=steps))
+    assert len(traj.twist_word) == 32
+    assert len(records) == 0
+    assert len(coords) == len(traj.twist_word) + 1
+    assert len(products) <= BOUNDED_MUL
+
+
+def test_decision_records_each_step(monkeypatch):
+    records = count_calls(monkeypatch, lyapunov.StepRecord)
+    coords = count_calls(monkeypatch, cocycle.TraceCoords)
+    p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
+    trace = renorm_decision(p, BOUNDED_ALPHA, DecisionBudget(max_accel_steps=60))
+    assert len(trace.steps) == len(records) == 32
+    assert len(coords) == 32 + 1
 
 
 def test_trajectory_walks_euclid_once(monkeypatch):

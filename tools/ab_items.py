@@ -18,7 +18,9 @@ equal bits.  Then each round times every item once per side, BASE first
 in even rounds and HEAD first in odd ones, with a garbage collection before
 each side's pass.  For each import order the summary is each side's sum
 over the items of the item's least time, and their ratio head / base;
-beside it, each side's least and median round sum, the sum of its item
+beside it, the same ratio over the first and over the second half of the
+rounds, whose spread shows how far the ratio moves within one call, and
+each side's least and median round sum, the sum of its item
 times in one round.  A benchmark harness that needs rounds of some least
 length reads the raw round sums, not the per-item minima.  The balanced
 summary is the geometric mean of the two orders' sums and ratios, which
@@ -157,6 +159,15 @@ def balance(summaries: list[dict]) -> dict:
             for key in (*SIDES, "ratio")}
 
 
+def half_ratios(times: dict[str, list[list[float]]]) -> tuple[float, float]:
+    """summarize's ratio head / base over the first half of the rounds and
+    over the second half (the odd round in the second); their spread shows
+    how far one call's ratio moves on its own.  Needs two rounds."""
+    half = len(times["base"]) // 2
+    return tuple(summarize({side: rows[part] for side, rows in times.items()})["ratio"]
+                 for part in (slice(None, half), slice(half, None)))
+
+
 def round_sums(times: dict[str, list[list[float]]]) -> dict[str, tuple[float, float]]:
     """{side: (least, median)} of the side's round sums, each the sum of
     its item times in one round."""
@@ -198,6 +209,10 @@ def main(argv=None) -> int:
         print(f"{' first, '.join(order)} second: sum of per-item minima: "
               f"base {res['base']:.6f} s, head {res['head']:.6f} s, "
               f"head/base {res['ratio']:.4f}")
+        if args.rounds >= 2:
+            first, second = half_ratios(times)
+            print(f"  head/base over the first and the second half of the rounds: "
+                  f"{first:.4f}, {second:.4f}")
         for side in SIDES:
             least, median = rounds[side]
             print(f"  round sum, {side}: least {least:.6f} s, median {median:.6f} s")
