@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .mat2 import (
-    DET_TOL,
     EPS_TRACE,
     LOG_FLOAT_MAX,
     NORM2_LIMIT,
@@ -222,8 +221,8 @@ def letter_coords(a: Matrix2, b: Matrix2, c: float | None = None) -> TraceCoords
     and no CocyclePair.  An unscaled trace is read as a + d, without the
     trace property's call.  AB is formed as an object only where mul would
     change its entries: for two unscaled letters whose product passes mul's
-    norm test and has det within DET_TOL of 1, mul returns the entries as
-    they are, so z and its log are read off them, the same bits."""
+    norm test, mul returns the entries as they are, so z and its log are
+    read off them, the same bits."""
     x = a.trace if a.log_scale else a.a + a.d
     y = b.trace if b.log_scale else b.a + b.d
     fits = False
@@ -234,8 +233,7 @@ def letter_coords(a: Matrix2, b: Matrix2, c: float | None = None) -> TraceCoords
         q = a1 * b2 + b1 * d2
         r = c1 * a2 + d1 * c2
         s = c1 * b2 + d1 * d2
-        fits = (p * p + q * q + r * r + s * s <= NORM2_LIMIT
-                and abs(p * s - q * r - 1.0) <= DET_TOL)
+        fits = p * p + q * q + r * r + s * s <= NORM2_LIMIT
     if fits:
         log_scale = 0.0
         z = p + s
@@ -247,9 +245,8 @@ def letter_coords(a: Matrix2, b: Matrix2, c: float | None = None) -> TraceCoords
         log_abs_z = ab.log_abs_trace()
     if c is None:
         ba = mul(b, a)
-        # tr [A, B] = tr(AB adj(BA)), written out: the product itself would
-        # go through the Matrix2 check, and cancellation can leave its float
-        # determinant <= 0.
+        # tr [A, B] = tr(AB adj(BA)), written out: the trace needs neither
+        # adj(BA) nor the commutator as a Matrix2.
         c = times_exp(p * ba.d + s * ba.a - q * ba.c - r * ba.b,
                       log_scale + ba.log_scale)
     residual = abs(x * x + y * y + z * z - x * y * z - (c + 2.0))

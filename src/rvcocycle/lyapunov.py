@@ -187,15 +187,18 @@ class _Induction:
     """The accelerated Rauzy induction of (alpha, p), walked once into a
     table that grows as far as its readers ask.  Level k holds runs[k], the
     run (winner, length) into level k + 1, and letters[k], the pair (A_k,
-    B_k) that the first k runs move p to, as mul returns it: the letters of
-    cocycle.tau_power, bit for bit.  squares[k] holds the powers 2^e of the
-    letter of run k (A_k for Bottom, B_k for Top) that an orbit walk asked
-    for.  coords[k] holds the trace coordinates of level k, letter_coords of
-    its letters with c the input pair's tr [A, B], which every tau move
-    keeps: formed once, by whichever reader asks first (the decision, or
-    mcg_trajectory past the decision's last level).  A reader with a digit
-    cap checks a run before it asks for the level past it.  An input letter
-    that mul would scale is scaled once, or its square could overflow.
+    B_k) that the first k runs move p to.  A run moves one letter: mul's
+    product, put through the Matrix2 constructor, so that its det rule is
+    applied once per level and det drift does not compound from level to
+    level.  Level 0 is p as given, except that an input letter that mul
+    would scale is scaled once, or its square could overflow.  squares[k]
+    holds the powers 2^e of the letter of run k (A_k for Bottom, B_k for
+    Top) that an orbit walk asked for.  coords[k] holds the trace
+    coordinates of level k, letter_coords of its letters with c the input
+    pair's tr [A, B], which every tau move keeps: formed once, by whichever
+    reader asks first (the decision, or mcg_trajectory past the decision's
+    last level).  A reader with a digit cap checks a run before it asks for
+    the level past it.
     """
 
     def __init__(self, p: CocyclePair, alpha: float | Fraction):
@@ -234,7 +237,9 @@ class _Induction:
             if run > 1:
                 power = (power.power(run) if j not in self.squares
                          else reduce(mul, _bits(self.powers(j, power, run), run)))
-            letters.append((a, mul(b, power)) if bottom else (mul(power, a), b))
+            moved = mul(b, power) if bottom else mul(power, a)
+            moved = Matrix2(moved.a, moved.b, moved.c, moved.d, moved.log_scale)
+            letters.append((a, moved) if bottom else (moved, b))
         return letters[k]
 
     def trace_coords(self, k: int) -> TraceCoords:

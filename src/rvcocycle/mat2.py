@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-DET_TOL = 1e-9
 EPS_TRACE = 1e-9
 TWO_PI = 2.0 * math.pi
 # mul keeps a product unscaled while its entries stay at most 2^500 (tested
@@ -28,7 +27,7 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class NonUnimodularError(ValueError):
-    """Raised when a matrix has determinant <= 0 or too far from 1."""
+    """Raised when a matrix has entries that are not finite or det <= 0."""
 
 
 @dataclass(slots=True, init=False)
@@ -41,17 +40,18 @@ class Matrix2:
     scaled matrix have determinant e^(-2 log_scale), and everything that
     reads them (trace, classification, fixed points) is projective.
 
-    The constructor rescales by 1/sqrt(det) when det > 0 (this keeps long
-    products from drifting off the unimodular surface) and rejects det <= 0.
+    The constructor holds the one determinant rule: it rejects entries
+    that are not finite, and unscaled entries with det <= 0, and divides by
+    sqrt(det) where |det - 1| passes the rounding noise 16 s^2 eps of a
+    largest entry s.  Scaled entries, and entries whose det is all noise,
+    are stored as given.  Products do not apply the rule (the induction
+    table applies it once per level).
     Matrices are values that nothing mutates after construction.  The class
     is slotted and not frozen: a frozen constructor sets each field through
     object.__setattr__, a large share of the cost of a product.  The check
-    lives in the hand-written __init__ (the dataclass writes none), which
-    tests det first and sets each field once: det within DET_TOL of 1, where
-    the rest would change nothing, costs one comparison.  mul makes that
-    test itself and builds such a product with no __init__ frame at all.
-    There is no __post_init__, which would cost every product a second call
-    frame.
+    lives in the hand-written __init__ (the dataclass writes none), and
+    mul builds its products with no __init__ frame at all.  There is no
+    __post_init__, which would cost every product a second call frame.
     """
 
     a: float
@@ -62,13 +62,12 @@ class Matrix2:
 
     def __init__(self, a: float, b: float, c: float, d: float,
                  log_scale: float = 0.0):
-        det = a * d - b * c
-        if not abs(det - 1.0) <= DET_TOL:  # true for an inf or nan entry
-            # Each entry on its own: max() drops a NaN that is not first,
-            # and the sum of finite entries near 1e308 overflows.
-            isfinite = math.isfinite
-            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-                raise NonUnimodularError("matrix entries are not finite")
+        # Each entry on its own: max() drops a NaN that is not first, and
+        # the sum of finite entries near 1e308 overflows.
+        isfinite = math.isfinite
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            raise NonUnimodularError("matrix entries are not finite")
+        if not log_scale:
             scale = max(abs(a), abs(b), abs(c), abs(d))
             # For entries of magnitude s the float determinant of a truly
             # unimodular matrix carries cancellation noise of order
@@ -76,7 +75,8 @@ class Matrix2:
             # validate and renormalize only when the computed value is
             # trustworthy.
             noise = 16.0 * scale * scale * 2.220446049250313e-16
-            if noise < 0.5 and not log_scale:
+            if noise < 0.5:
+                det = a * d - b * c
                 if det <= 0.0:
                     raise NonUnimodularError(f"determinant {det} is not positive")
                 if abs(det - 1.0) > noise:
@@ -117,10 +117,9 @@ class Matrix2:
         n.bit_count() - 1 products (power(1) is self, with no product);
         power(0) is the identity.  The products are mul's, in the same
         order.  While they stay unscaled they are taken on four local
-        floats, and a product that fails mul's unscaled tests (norm squared
-        at most 2^1000, det within DET_TOL of 1) is built as mul builds it
-        (_checked); from the first scaled one on, the rest are mul's
-        (_mul_power).
+        floats, and a product that fails mul's norm test (norm squared at
+        most 2^1000) is built as mul builds it (_scaled); from the first
+        scaled one on, the rest are mul's (_mul_power).
         """
         if n < 0:
             return self.inv().power(-n)
@@ -141,9 +140,8 @@ class Matrix2:
                     q = ra * b + rb * d
                     r = rc * a + rd * c
                     s = rc * b + rd * d
-                    if not (p * p + q * q + r * r + s * s <= NORM2_LIMIT
-                            and abs(p * s - q * r - 1.0) <= DET_TOL):
-                        m = _checked(p, q, r, s)
+                    if not p * p + q * q + r * r + s * s <= NORM2_LIMIT:
+                        m = _scaled(p, q, r, s, 0.0)
                         if m.log_scale:
                             return _mul_power(m, _unchecked(a, b, c, d), n - 1)
                         p, q, r, s = m.a, m.b, m.c, m.d
@@ -155,9 +153,8 @@ class Matrix2:
             q = a * b + b * d
             r = c * a + d * c
             s = c * b + d * d
-            if not (p * p + q * q + r * r + s * s <= NORM2_LIMIT
-                    and abs(p * s - q * r - 1.0) <= DET_TOL):
-                m = _checked(p, q, r, s)
+            if not p * p + q * q + r * r + s * s <= NORM2_LIMIT:
+                m = _scaled(p, q, r, s, 0.0)
                 if m.log_scale:
                     return _mul_power(None if ra is None else
                                       _unchecked(ra, rb, rc, rd), m, n)
@@ -179,7 +176,7 @@ _new_matrix = object.__new__
 
 def _unchecked(a: float, b: float, c: float, d: float) -> Matrix2:
     """The unscaled Matrix2 of these entries, stored as they are, as mul
-    stores a product that passes its unscaled tests."""
+    stores a product that passes its norm test."""
     m = _new_matrix(Matrix2)
     m.a = a
     m.b = b
@@ -187,14 +184,6 @@ def _unchecked(a: float, b: float, c: float, d: float) -> Matrix2:
     m.d = d
     m.log_scale = 0.0
     return m
-
-
-def _checked(a: float, b: float, c: float, d: float) -> Matrix2:
-    """The product of two unscaled matrices, of entries a, b, c, d, as mul
-    builds it when they fail its unscaled tests."""
-    if not a * a + b * b + c * c + d * d <= NORM2_LIMIT:
-        return _scaled(a, b, c, d, 0.0)
-    return Matrix2(a, b, c, d)
 
 
 def _mul_power(result: Matrix2 | None, base: Matrix2, n: int) -> Matrix2:
@@ -212,9 +201,7 @@ def _mul_power(result: Matrix2 | None, base: Matrix2, n: int) -> Matrix2:
 def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
     """m1 m2, unscaled while its entries stay within 2^500 (a squared
     Frobenius norm of at most 2^1000), else scaled by _scaled.  An unscaled
-    product whose det is within DET_TOL of 1, which the constructor would
-    store as it is, is built without the constructor's call; any other goes
-    through its check."""
+    product is stored as it is, with no det test and no constructor call."""
     a1, b1, c1, d1 = m1.a, m1.b, m1.c, m1.d
     a2, b2, c2, d2 = m2.a, m2.b, m2.c, m2.d
     a = a1 * a2 + b1 * c2
@@ -224,15 +211,13 @@ def mul(m1: Matrix2, m2: Matrix2) -> Matrix2:
     log_scale = m1.log_scale + m2.log_scale
     if log_scale or not a * a + b * b + c * c + d * d <= NORM2_LIMIT:
         return _scaled(a, b, c, d, log_scale)
-    if abs(a * d - b * c - 1.0) <= DET_TOL:
-        m = _new_matrix(Matrix2)
-        m.a = a
-        m.b = b
-        m.c = c
-        m.d = d
-        m.log_scale = 0.0
-        return m
-    return Matrix2(a, b, c, d)
+    m = _new_matrix(Matrix2)
+    m.a = a
+    m.b = b
+    m.c = c
+    m.d = d
+    m.log_scale = 0.0
+    return m
 
 
 def _scaled(a: float, b: float, c: float, d: float, log_scale: float) -> Matrix2:

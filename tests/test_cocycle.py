@@ -20,9 +20,8 @@ from rvcocycle.cocycle import (
     trace_coords,
 )
 from rvcocycle.hypgeom import hh_minus_canonical_pair, rotation_about
-from rvcocycle.lyapunov import exponent_lower_bound, renorm_decision
+from rvcocycle.lyapunov import _Induction, exponent_lower_bound, renorm_decision
 from rvcocycle.mat2 import (
-    DET_TOL,
     TWO_PI,
     Matrix2,
     NonUnimodularError,
@@ -224,13 +223,13 @@ def off_unimodular(t, k, off):
 
 @st.composite
 def letters(draw):
-    """off_unimodular letters with det within DET_TOL of 1, so a product's
-    det lands on either side of it; entries up to 2^260, so a product's
-    entries reach past 2^500; some scaled, their entries over the largest
-    one and its log in log_scale."""
+    """off_unimodular letters with det up to 1e-9 from 1, which the
+    constructor keeps at entries past its noise limit; entries up to 2^260,
+    so a product's entries reach past 2^500; some scaled, their entries
+    over the largest one and its log in log_scale."""
     m = off_unimodular(draw(st.floats(0.0, TWO_PI)),
                        draw(st.floats(0.0, 3.0) | st.floats(240.0, 260.0)),
-                       draw(st.floats(-DET_TOL, DET_TOL)))
+                       draw(st.floats(-1e-9, 1e-9)))
     if draw(st.booleans()):
         top = max(abs(e) for e in m.entries())
         m = Matrix2(m.a / top, m.b / top, m.c / top, m.d / top, math.log(top))
@@ -261,15 +260,6 @@ class TestLetterCoords:
     def test_matches_mul(self, a, b):
         self.check_against_mul(a, b)
 
-    def test_det_just_past_tolerance(self):
-        # det (1 + 0.9e-9)^2 is past DET_TOL: mul's constructor rescales the
-        # product, so its trace is not the raw a + d.
-        a = off_unimodular(1.0, 0.5, 0.9 * DET_TOL)
-        b = off_unimodular(2.0, 1.5, 0.9 * DET_TOL)
-        ab = self.check_against_mul(a, b)
-        raw = (a.a * b.a + a.b * b.c) + (a.c * b.b + a.d * b.d)
-        assert ab.trace != raw
-
     def test_entries_near_the_scaling_limit(self):
         # Products just inside and just past 2^500.
         for k in (249.0, 249.9, 250.0, 250.1, 251.0):
@@ -277,17 +267,24 @@ class TestLetterCoords:
             self.check_against_mul(a, b)
 
     def test_bad_products_raise(self):
-        # A NaN product (inf - inf) and one with det -1, from letters the
-        # constructor keeps unchecked (entries past its noise limit).
-        nan_pair = (Matrix2(1e300, 1e300, 0.0, 1e-300),
-                    Matrix2(1e300, 0.0, -1e300, 1e-300))
-        negative = (Matrix2(1e8, 0.0, 0.0, -1e-8), Matrix2(1e-8, 0.0, 0.0, 1e8))
-        for a, b in (nan_pair, negative):
+        # From letters the constructor keeps unchecked (entries past its
+        # noise limit): a NaN product (inf - inf) raises in mul and
+        # letter_coords.  A product with det -1, which mul stores as it is,
+        # raises where the induction makes it a level letter: alpha = 0.4
+        # starts with a Bottom run of 1, and B A is diag(1, -1).
+        a, b = (Matrix2(1e300, 1e300, 0.0, 1e-300),
+                Matrix2(1e300, 0.0, -1e300, 1e-300))
+        with pytest.raises(NonUnimodularError):
+            mul(a, b)
+        for c in (None, 2.5):
             with pytest.raises(NonUnimodularError):
-                mul(a, b)
-            for c in (None, 2.5):
-                with pytest.raises(NonUnimodularError):
-                    letter_coords(a, b, c)
+                letter_coords(a, b, c)
+        negative = CocyclePair(Matrix2(1e8, 0.0, 0.0, -1e-8),
+                               Matrix2(1e-8, 0.0, 0.0, 1e8))
+        table = _Induction(negative, 0.4)
+        table.run(0)
+        with pytest.raises(NonUnimodularError, match="determinant"):
+            table.pair(1)
 
 
 class TestMembership:

@@ -547,8 +547,10 @@ class TestRenormDecision:
         assert v.spectrum_member in (True, False)
 
     # F_1200 / F_1201, a Fibonacci ratio: its expansion is 1200 runs of 1.
-    # The letters of two commuting rotations stay rotations, and the moved B
-    # of step 552 has |tr| within EPS_TRACE of 2.
+    # The letters of two commuting rotations stay rotations as long as each
+    # level's moved letter goes through the constructor's det rule: det
+    # drift compounded over the levels moves a rotation's trace by up to
+    # about 1e-9, and took the moved B of step 552 into the parabolic band.
     DEEP_FIBONACCI = Fraction(fibonacci(1200), fibonacci(1201))
 
     def test_deep_fibonacci_run_is_bounded(self):
@@ -556,14 +558,19 @@ class TestRenormDecision:
                             DecisionBudget(max_accel_steps=551)).verdict
         assert (v.kind, v.at_step) == ("CertifiedBounded", 551)
 
-    @pytest.mark.xfail(strict=True, raises=DegeneratePairError,
-                       reason="a float trace of a rotation reaches the "
-                              "parabolic band at step 552 (ROADMAP item 4: "
-                              "interval arithmetic at adaptive precision)")
     def test_deeper_fibonacci_run_is_bounded(self):
         v = renorm_decision(commuting_elliptic(), self.DEEP_FIBONACCI,
                             DecisionBudget(max_accel_steps=1000)).verdict
         assert (v.kind, v.at_step) == ("CertifiedBounded", 1000)
+
+    @pytest.mark.parametrize("n, at_step", [(1200, 1198), (3000, 2998)])
+    def test_whole_fibonacci_run_is_finite_order(self, n, at_step):
+        # With steps to spare the decision reaches the end of the expansion
+        # of F_n / F_(n+1): a member of the spectrum of finite order.
+        alpha = Fraction(fibonacci(n), fibonacci(n + 1))
+        v = renorm_decision(commuting_elliptic(), alpha,
+                            DecisionBudget(max_accel_steps=n + 5)).verdict
+        assert (v.kind, v.at_step, v.spectrum_member) == ("FiniteOrder", at_step, True)
 
     def test_deep_fibonacci_upper_bound(self):
         # The bound reads only norms, which no band of a trace stops: all

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rvcocycle.mat2 import (
-    DET_TOL,
     BoundaryPoint,
     Matrix2,
     NonUnimodularError,
+    _unchecked,
     arcs_link,
     classify,
     diagonal,
@@ -37,9 +37,10 @@ def reference_power(m, n):
 
 
 def reference_validate(a, b, c, d, log_scale=0.0):
-    """Matrix2's check as it was, without the det-first test: the entries
-    it keeps, or the NonUnimodularError it raises.  Each entry is tested
-    for finiteness: the max of them drops a NaN that is not first."""
+    """Matrix2's determinant rule: the entries it keeps, or the
+    NonUnimodularError it raises.  Each entry is tested for finiteness: the
+    max of them drops a NaN that is not first.  Any |det - 1| past the
+    rounding noise is divided out, however small."""
     if not all(math.isfinite(x) for x in (a, b, c, d)):
         raise NonUnimodularError("matrix entries are not finite")
     scale = max(abs(a), abs(b), abs(c), abs(d))
@@ -49,30 +50,18 @@ def reference_validate(a, b, c, d, log_scale=0.0):
     det = a * d - b * c
     if det <= 0.0:
         raise NonUnimodularError(f"determinant {det} is not positive")
-    if abs(det - 1.0) > DET_TOL and abs(det - 1.0) > noise:
+    if abs(det - 1.0) > noise:
         s = 1.0 / math.sqrt(det)
         return a * s, b * s, c * s, d * s
     return a, b, c, d
 
 
 def reference_post_init(self):
-    """Matrix2.__post_init__ as it was, run after the dataclass __init__
-    had set every field: the check that Matrix2.__init__ now makes inline."""
-    a, b, c, d = self.a, self.b, self.c, self.d
-    det = a * d - b * c
-    if abs(det - 1.0) <= DET_TOL:  # false for an inf or nan entry
-        return
-    if not all(math.isfinite(x) for x in (a, b, c, d)):
-        raise NonUnimodularError("matrix entries are not finite")
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    noise = 16.0 * scale * scale * 2.220446049250313e-16
-    if noise >= 0.5 or self.log_scale:
-        return
-    if det <= 0.0:
-        raise NonUnimodularError(f"determinant {det} is not positive")
-    if abs(det - 1.0) > noise:
-        s = 1.0 / math.sqrt(det)
-        self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
+    """reference_validate as a __post_init__, run after the dataclass
+    __init__ has set every field: the rule that Matrix2.__init__ makes
+    inline."""
+    self.a, self.b, self.c, self.d = reference_validate(
+        self.a, self.b, self.c, self.d, self.log_scale)
 
 
 @dataclass(slots=True)
@@ -88,14 +77,14 @@ class ReferenceMatrix2:
 
 @st.composite
 def constructor_args(draw):
-    """Entries with det within DET_TOL of 1, off by 1e-8 to 1e-1, or <= 0;
+    """Entries with det within 1e-9 of 1, off by 1e-8 to 1e-1, or <= 0;
     at sizes on both sides of 1.19e7, past which the determinant's noise is
     >= 0.5; with an inf or nan entry; and with a nonzero log_scale."""
     size = draw(st.sampled_from([1.0, 1e3, 2e6, 1.2e7, 1e40, 1e160]))
     a = draw(st.floats(1.0, 10.0)) * size * draw(st.sampled_from([1.0, -1.0]))
     b = draw(st.floats(-10.0, 10.0)) * size
     c = draw(st.floats(-10.0, 10.0))
-    off = draw(st.floats(-DET_TOL, DET_TOL) | st.floats(1e-8, 1e-1)
+    off = draw(st.floats(-1e-9, 1e-9) | st.floats(1e-8, 1e-1)
                | st.floats(-1e-1, -1e-8) | st.floats(-3.0, -1.0))
     args = [a, b, c, (1.0 + off + b * c) / a]
     bad = draw(st.none() | st.tuples(st.integers(0, 3),
@@ -124,12 +113,12 @@ def bits(m):
 
 
 # Bases for Matrix2.power against mul_power.  drifting has det 1 + 8e-10,
-# which the constructor keeps, so its square's det leaves DET_TOL; the
-# powers of hyperbolic pass 2^500 near n = 360 and are scaled from there;
-# scaled has log_scale ln 2 from the start.
+# stored as it is, as mul stores a product that has drifted; the powers of
+# hyperbolic pass 2^500 near n = 360 and are scaled from there; scaled has
+# log_scale ln 2 from the start.
 POWER_BASES = {
     "rotation": rotation(1.0),
-    "drifting": Matrix2(*(x * (1.0 + 4e-10) for x in rotation(1.0).entries())),
+    "drifting": _unchecked(*(x * (1.0 + 4e-10) for x in rotation(1.0).entries())),
     "hyperbolic": Matrix2(2.0, 1.0, 1.0, 1.0),
     "scaled": Matrix2(1.0, 0.5, 0.5, 0.5, math.log(2.0)),
 }
@@ -153,19 +142,19 @@ def unimodular():
 
 
 def reference_mul(m1, m2):
-    """mul as it was for two unscaled letters whose product stays within
-    2^500: the product through the constructor."""
-    return Matrix2(m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
-                   m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+    """mul for two unscaled letters whose product stays within 2^500: the
+    product's entries and log scale 0, as they are."""
+    return (m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+            m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d, 0.0)
 
 
 @st.composite
 def near_unimodular(draw):
-    """Entries with det within DET_TOL of 1, which the constructor keeps, so
-    that a product's det lands on either side of DET_TOL."""
+    """Letters with det up to 1e-9 from 1, stored as they are, as mul
+    stores products that have drifted."""
     a = draw(st.floats(0.1, 5.0)) * draw(st.sampled_from([1.0, -1.0]))
     b, c = draw(entries()), draw(entries())
-    return Matrix2(a, b, c, (1.0 + draw(st.floats(-DET_TOL, DET_TOL)) + b * c) / a)
+    return _unchecked(a, b, c, (1.0 + draw(st.floats(-1e-9, 1e-9)) + b * c) / a)
 
 
 class TestConstruction:
@@ -245,10 +234,10 @@ class TestAlgebra:
 
     @settings(max_examples=500)
     @given(near_unimodular(), near_unimodular())
-    def test_product_matches_constructor(self, m1, m2):
+    def test_product_keeps_its_entries(self, m1, m2):
         got, want = mul(m1, m2), reference_mul(m1, m2)
         assert [x.hex() for x in (*got.entries(), got.log_scale)] == \
-            [x.hex() for x in (*want.entries(), want.log_scale)]
+            [x.hex() for x in want]
 
     @given(unimodular())
     def test_inverse(self, m):
@@ -291,24 +280,22 @@ class TestAlgebra:
             assert bits(m.power(n)) == bits(mul_power(m, n)), n
 
     def test_power_bases_cover_each_hand_over(self):
-        # The drifting square fails mul's det test, and the constructor
-        # brings its det back to 1; hyperbolic powers turn scaled.
-        assert abs(POWER_BASES["drifting"].det - 1.0) > 5e-10
-        assert abs(POWER_BASES["drifting"].power(2).det - 1.0) < 1e-12
+        # Hyperbolic powers turn scaled.
         hyperbolic = POWER_BASES["hyperbolic"]
         assert not hyperbolic.power(300).log_scale
         assert hyperbolic.power(400).log_scale
 
     def test_power_product_count(self, monkeypatch):
         # An unscaled power takes its products on floats, and hands each
-        # one that fails mul's unscaled tests to mat2._checked: with a
-        # negative norm limit every product fails them, so _checked counts
-        # the products.  A scaled power takes every product through mul.
+        # one that fails mul's norm test to mat2._scaled: with a negative
+        # norm limit every product fails it, so _scaled counts the
+        # products.  A scaled power takes every product through mul, which
+        # hands each to _scaled.
         from rvcocycle import mat2
         calls = []
-        checked = mat2._checked
-        monkeypatch.setattr(mat2, "mul", lambda a, b: calls.append(1) or mul(a, b))
-        monkeypatch.setattr(mat2, "_checked", lambda *e: calls.append(1) or checked(*e))
+        scaled_product = mat2._scaled
+        monkeypatch.setattr(mat2, "_scaled",
+                            lambda *e: calls.append(1) or scaled_product(*e))
         monkeypatch.setattr(mat2, "NORM2_LIMIT", -1.0)
         m = Matrix2(2.0, 1.0, 1.0, 1.0)
         scaled = Matrix2(1.0, 0.5, 0.5, 0.5, math.log(2.0))

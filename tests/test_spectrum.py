@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from rvcocycle import lyapunov, spectrum
@@ -51,6 +53,13 @@ def commuting_elliptic():
 
 def diag_rep():
     return Representation(diagonal(2.0), diagonal(2.0))
+
+
+def parabolic_after_two():
+    """R(1) and P R(-2), P = ((1, 1), (0, 1)): an EE pair that a first
+    Bottom run of 2 moves to (R(1), P), up to rounding, a degenerate pair."""
+    return Representation(rotation(1.0),
+                          mul(Matrix2(1.0, 1.0, 0.0, 1.0), rotation(-2.0)))
 
 
 def exact_run_count(alpha: float) -> int:
@@ -469,10 +478,12 @@ class TestMCGWalksOnce:
     it must match the two-walk reference in every outcome."""
 
     REPS = {"commuting-elliptic": commuting_elliptic,
-            "generic-elliptic": generic_elliptic, "diagonal": diag_rep}
-    # The commuting-elliptic pair meets a degenerate pair at run 21 of the
-    # first angle.  The second has the same first 22 digits (so the same
-    # pairs up to run 22), then a run of 5000.
+            "generic-elliptic": generic_elliptic, "diagonal": diag_rep,
+            "parabolic-after-two": parabolic_after_two}
+    # The first angle starts with a Bottom run of 2, which moves
+    # parabolic-after-two to a degenerate pair, and has runs of 2174 and 380
+    # after it.  The second has the same first 22 digits (so the same pairs
+    # up to run 22), then a run of 5000.
     ALPHAS = (0.25002873398134745,
               from_digits([3, 1, 2174, 2, 1, 2, 380, 1, 1, 1, 2, 1, 1, 11, 11,
                            1, 4, 1, 1, 3, 6, 5, 5000, 2, 3]),
@@ -632,6 +643,35 @@ class TestTrajectoryGoldens:
         got, traj = trajectory_record(want["fixture"], float.fromhex(want["alpha"]))
         assert got == want
         assert list(traj.norms_l1) == [sum(map(sum, m)) for m in want["matrices"]]
+
+    def test_commuting_elliptic_growth_is_near_exact(self, recorded):
+        # A word in the commuting rotations R(1) and R(sqrt 2) with m and n
+        # of them is R(m + n sqrt 2), so each growth log of these records is
+        # exactly the largest log |2 cos| of A_k, B_k and A_k B_k, taken here
+        # in 60-digit mpmath at the levels whose words have fewer than 1e6
+        # letters (198 values).  The median error was 3.2e-13 while each
+        # product was rescaled whenever its det passed 1e-9 of 1, and is
+        # 8.4e-14 with the det rule applied once per level.
+        errors = []
+        with mpmath.workdps(60):
+            sqrt2 = mpmath.sqrt(2)
+            for r in recorded:
+                if r["fixture"] != "commuting-elliptic":
+                    continue
+                got, _ = trajectory_record(r["fixture"], float.fromhex(r["alpha"]))
+                (ma, na), (mb, nb) = (1, 0), (0, 1)
+                for (gen, run), growth in zip(got["word"], got["growth"]):
+                    if gen == "a":
+                        mb, nb = mb + run * ma, nb + run * na
+                    else:
+                        ma, na = ma + run * mb, na + run * nb
+                    if ma + na + mb + nb >= 10**6:
+                        break
+                    exact = max(mpmath.log(abs(2 * mpmath.cos(m + n * sqrt2)))
+                                for m, n in ((ma, na), (mb, nb), (ma + mb, na + nb)))
+                    errors.append(abs(float.fromhex(growth) - float(exact)))
+        assert len(errors) > 150
+        assert statistics.median(errors) < 1.5e-13
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """What the benchmark reads of rvcocycle.  Its tracer wraps functions by
 module and name (perfbench/tracing.py, SPANNED and COUNTED), and each must
 exist, so that a rename fails here rather than in a traced benchmark run;
-its workloads and checks read the verdict vocabulary as text."""
+its workloads and checks read the verdict vocabulary as text, and each
+workload's item list must run and pass the workload's own check."""
 
 import contextlib
 import dataclasses
@@ -10,6 +11,7 @@ import importlib.util
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,22 @@ from rvcocycle.lyapunov import DecisionBudget, Kind, Reason, renorm_decision
 from rvcocycle.mat2 import diagonal
 from test_acceptance import random_pair
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracing", _PATH)
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, imported as it is, with perfbench/ on the path
+    for its own imports."""
+    if str(_PERFBENCH) not in sys.path:
+        sys.path.append(str(_PERFBENCH))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = perfbench_module("tracing")
 
 
 @pytest.mark.parametrize("module, name", tracing.SPANNED + tracing.COUNTED,
@@ -114,3 +128,27 @@ def test_a_verdict_rebuilds_with_a_plain_kind():
     flipped = dataclasses.replace(v, kind="CertifiedBounded", certificate=None,
                                   max_trace_norm=1.0)
     assert flipped.kind == Kind.CERTIFIED_BOUNDED and flipped.code == "bounded"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["dichotomy", "refine", "bounded"])
+def test_workload_round_passes_its_check(workloads, name, tmp_path, monkeypatch):
+    # One round of the workload's items, then its own check, as a benchmark
+    # run takes them (without the timing): a renamed field or an exception
+    # the program raises fails here.
+    monkeypatch.setattr(workloads, "OUT_DIR", tmp_path)
+    workloads.import_program()
+    wl = workloads.WORKLOADS[name](1)
+    outs = [wl.run(item) for item in wl.items]
+    wl.check(outs, first_round=True)
+    wl.check_certificates()
+    outcomes = [wl.outcome(out) for out in outs]
+    if name == "bounded":
+        # Commuting rotations meet no degenerate pair: every item ends in
+        # a bounded witness.
+        assert "degenerate" not in outcomes
+        assert sum(type(out[1]).__name__ == "BoundedWitness" for out in outs) == 300

@@ -54,13 +54,12 @@ from rvcocycle.spectrum import (
 # them long.  Two walks with the old power took 396 products, forming A B
 # again for each run's growth log took 183, B A for each step's tr [A, B]
 # took 151, and A B for each step's tr A B took 119: a step forms A B only
-# where mul would rescale it, 6 products whose det lands past DET_TOL.
+# where mul would scale it, which no product of rotations needs.
 # Matrix2.power takes its unscaled products on floats, not through mul:
-# what is left is one product per level, B A at level 0 and those 6; 92
-# with mul per power product.
+# what is left is one product per level and B A at level 0; 92 with mul
+# per power product, 39 while mul tested each product's det.
 BOUNDED_ALPHA = 0.30769497215185276
-BOUNDED_MUL = 39
-PAST_DET_TOL = 6
+BOUNDED_MUL = 33
 # The decision of commuting rotations classifies its letters once, for the
 # input pair: every later pair has an elliptic letter, which _decide types
 # by |tr A| and |tr B| alone.  One classification per step took 33 at
@@ -162,8 +161,9 @@ def test_bounded_trajectory_trace_logs(monkeypatch):
     # growth log reads log |tr| of both letters once, then of the moved one.
     # The decision's trace coordinates read log |tr AB| of each step's pair,
     # which the growth log reuses, off the entries of A B except where mul
-    # rescales it.  Reading both letters of every run took 2 x 32 + 1 + 32,
-    # and an AB product per step 32 + 1 + 33.
+    # scales it, which no product of rotations needs.  Reading both letters
+    # of every run took 2 x 32 + 1 + 32, and an AB product per step
+    # 32 + 1 + 33.
     log_abs_trace = Matrix2.log_abs_trace
     calls = []
     monkeypatch.setattr(Matrix2, "log_abs_trace",
@@ -175,7 +175,7 @@ def test_bounded_trajectory_trace_logs(monkeypatch):
     calls.clear()
     traj, _ = mcg_trajectory(rep, BOUNDED_ALPHA, 40, budget)
     assert steps == len(traj.twist_word)
-    assert len(calls) <= len(traj.twist_word) + 1 + PAST_DET_TOL
+    assert len(calls) == len(traj.twist_word) + 1
 
 
 @pytest.mark.parametrize("steps", [60, 10], ids=["whole", "short-decision"])
