@@ -59,7 +59,7 @@ from .iet import (
     continued_fraction,
     run_steps,
 )
-from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, mul
+from .mat2 import EPS_TRACE, NORM2_LIMIT, Matrix2, NonUnimodularError, mul
 
 DEFAULT_SAMPLES = 8
 
@@ -88,11 +88,11 @@ class DecisionBudget:
 
 @dataclass(slots=True)
 class StepRecord:
-    """One step of a renormalization run.  coords are the moved pair's x, y,
-    z from one product AB, with c the input pair's commutator trace, which
-    the tau moves keep; residual is the drift of (x, y, z) off c's level
-    set; they are the table's coordinates of the step's level.  Slotted and
-    not frozen, as Matrix2: a recorded walk builds one per step."""
+    """One step of a renormalization run, built off the table by
+    RenormTrace.steps.  coords are the moved pair's x, y, z from one product
+    AB, with c the input pair's commutator trace, which the tau moves keep;
+    residual is the drift of (x, y, z) off c's level set.  Slotted and not
+    frozen, as Matrix2: reading a trace's steps builds one per step."""
 
     index: int
     digit: int
@@ -132,6 +132,12 @@ class Reason(_Text):
 
     MAX_DIGIT = "run length exceeded max_digit"
     TRACE_BOUND = "trace bound exceeded without reaching HH+"
+    PRECISION = "float precision lost forming a level"
+
+
+class PrecisionError(NonUnimodularError):
+    """A moved letter of a level k >= 1 that fails the det rule or the float
+    range: every tau move keeps det 1, so float precision was lost."""
 
 
 _CODES = {Kind.UNIFORMLY_HYPERBOLIC: "hyperbolic", Kind.CERTIFIED_BOUNDED: "bounded",
@@ -164,11 +170,27 @@ class Verdict:
         return _CODES[self.kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RenormTrace:
-    steps: tuple[StepRecord, ...] = field(default_factory=tuple)
-    verdict: Verdict = None
-    trace_bound: float | None = None  # the bound the decision applied
+    """A decision as a view of its induction table: the verdict, the bound
+    it applied, and the levels that are its steps (level 0 alone for HH+ at
+    step 0, else 1 to the last typed), whose records steps builds on request."""
+
+    table: _Induction
+    verdict: Verdict
+    trace_bound: float
+    levels: range
+
+    @property
+    def steps(self) -> tuple[StepRecord, ...]:
+        t = self.table  # runs[k - 1] is (winner, digit) of the run into level k
+        return tuple(StepRecord(k, *(t.runs[k - 1][::-1] if k else (0, None)),
+                                t.types[k], t.coords[k], _k_escort(t.coords[k]))
+                     for k in self.levels)
+
+    def __repr__(self) -> str:
+        return (f"RenormTrace(steps={self.steps!r}, verdict={self.verdict!r}, "
+                f"trace_bound={self.trace_bound!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +219,11 @@ class _Induction:
     coordinates of level k, letter_coords of its letters with c the input
     pair's tr [A, B], which every tau move keeps: formed once, by whichever
     reader asks first (the decision, or mcg_trajectory past the decision's
-    last level).  A reader with a digit cap checks a run before it asks for
-    the level past it.
+    last level).  types[k] holds the type code of level k, keyed as squares
+    are, so a second decision rewrites its entry, the same code, and adds
+    none.  A reader with a digit cap checks a run before it asks for the
+    level past it.  A moved letter that fails the constructor or the float
+    range raises PrecisionError.
     """
 
     def __init__(self, p: CocyclePair, alpha: float | Fraction):
@@ -209,6 +234,7 @@ class _Induction:
                               <= NORM2_LIMIT else _unit_letter(m) for m in (p.A, p.B))]
         self.squares: dict[int, list[Matrix2]] = {}
         self.coords: list[TraceCoords] = []
+        self.types: dict[int, str] = {}
 
     def run(self, k: int) -> tuple[Winner, int] | None:
         """Run k, reading the runs before it first; None where the expansion
@@ -234,11 +260,14 @@ class _Induction:
             winner, run = self.runs[j]
             bottom = winner is bottom_winner
             power = a if bottom else b
-            if run > 1:
-                power = (power.power(run) if j not in self.squares
-                         else reduce(mul, _bits(self.powers(j, power, run), run)))
-            moved = mul(b, power) if bottom else mul(power, a)
-            moved = Matrix2(moved.a, moved.b, moved.c, moved.d, moved.log_scale)
+            try:
+                if run > 1:
+                    power = (power.power(run) if j not in self.squares
+                             else reduce(mul, _bits(self.powers(j, power, run), run)))
+                moved = mul(b, power) if bottom else mul(power, a)
+                moved = Matrix2(moved.a, moved.b, moved.c, moved.d, moved.log_scale)
+            except NonUnimodularError as exc:
+                raise PrecisionError(f"precision lost at level {j + 1}: {exc}") from exc
             letters.append((a, moved) if bottom else (moved, b))
         return letters[k]
 
@@ -514,48 +543,54 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
     return _decide(_Induction(p, alpha), budget)
 
 
-def _decide(table: _Induction, budget: DecisionBudget | None, *,
-            record: bool = True) -> RenormTrace:
+def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     """renorm_decision on the induction table of (alpha, p), which
-    spectrum.evaluate_slope and mcg_trajectory read too.  Step k + 1 reads
-    run k and then the letters and trace coordinates of level k + 1, no
-    further than the decision needs; a run past max_digit leaves it
-    Undecided before its level is formed.  Runs, levels and coordinates
-    that a reader formed first (mcg_trajectory forms its n_steps runs and
-    levels) are read off the table's lists.  A step builds a CocyclePair
-    only where a reader needs one: two letters that are both hyperbolic or
-    in the band, and the certificate.  With record False the trace holds no
-    steps, and no StepRecord is built: mcg_trajectory reads the verdict
-    and the table's coordinates alone."""
+    mcg_trajectory reads too.  Each level, 0 included, is typed and its code
+    stored on the table once; step k + 1 reads run k and then the letters
+    and coordinates of level k + 1, no further than the decision needs.  A
+    run past max_digit leaves it Undecided before its level is formed, and
+    so does a level that loses float precision.  Runs, levels and
+    coordinates that a reader formed first are read off the table.  A step
+    builds a CocyclePair only for two letters that are both hyperbolic or
+    in the band, and for the certificate; no step builds a StepRecord."""
     if budget is None:
         budget = DecisionBudget()
-    a, b = table.pair(0)
-    cur = CocyclePair(a, b)
-    ptype, ca, cb = _classify_letters(cur)
-    if ptype.is_degenerate:
-        raise DegeneratePairError(ptype.reason)
     coords = table.trace_coords(0)
     kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
         bound = trace_bound(kappa) + 4.0
-    steps: list[StepRecord] = []
 
-    def done(verdict: Verdict) -> RenormTrace:
-        return RenormTrace(tuple(steps), verdict, bound)
+    def done(verdict: Verdict, last: int, first: int = 1) -> RenormTrace:
+        return RenormTrace(table, verdict, bound, range(first, last + 1))
 
-    if ptype.code == "HH+":
-        if record:
-            steps.append(StepRecord(index=0, digit=0, winner=None, pair_type="HH+",
-                                    coords=coords, in_k_escort=_k_escort(coords)))
-        return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=0,
-                            certificate=cone_certificate(cur, (ca, cb))))
-
-    runs, letters, levels = table.runs, table.letters, table.coords
-    max_digit = budget.max_digit
+    runs, letters, levels, types = table.runs, table.letters, table.coords, table.types
+    max_steps, max_digit = budget.max_accel_steps, budget.max_digit
     max_norm = 0.0
+    x, y = abs(coords.x), abs(coords.y)
     elliptic, hyperbolic = 2.0 - EPS_TRACE, 2.0 + EPS_TRACE
-    for k in range(budget.max_accel_steps):
+    for k in range(max_steps + 1):
+        # A pair with an elliptic letter is typed by |x| and |y| at
+        # cocycle._letter_kind's thresholds; the rest by _classify_letters.
+        if x < elliptic and y < elliptic:
+            code = "EE"
+        elif x < elliptic and y > hyperbolic:
+            code = "EH"
+        elif y < elliptic and x > hyperbolic:
+            code = "HE"
+        else:
+            cur = CocyclePair(*letters[k])
+            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
+            if ptype.is_degenerate:
+                raise DegeneratePairError(ptype.reason)
+            code = ptype.code
+        types[k] = code
+        if code == "HH+":
+            return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k,
+                                certificate=cone_certificate(cur, (ca, cb))),
+                        k, min(k, 1))
+        if k == max_steps:
+            break
         run = runs[k] if k < len(runs) else table.run(k)
         if run is None:
             # The kept letter's trace, read off the last step's coordinates:
@@ -567,51 +602,33 @@ def _decide(table: _Induction, budget: DecisionBudget | None, *,
             else:
                 kept = coords.z
             return done(Verdict(Kind.FINITE_ORDER, at_step=k,
-                                spectrum_member=abs(kept) <= 2.0))
-        winner, run_len = run
-        if run_len > max_digit:
-            return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT))
+                                spectrum_member=abs(kept) <= 2.0), k)
+        if run[1] > max_digit:
+            return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT), k)
         if k + 1 < len(levels):
             coords = levels[k + 1]
         else:
-            a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
-            coords = letter_coords(a, b, kappa)
+            try:
+                a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
+                coords = letter_coords(a, b, kappa)
+            except NonUnimodularError:
+                return done(Verdict(Kind.UNDECIDED, budget_note=Reason.PRECISION), k)
             levels.append(coords)
-        # A pair with an elliptic letter is typed by |x| and |y| at
-        # cocycle._letter_kind's thresholds; the rest by _classify_letters.
-        # An EE pair has two elliptic letters, so it is in K itself.
         x, y = abs(coords.x), abs(coords.y)
-        if x < elliptic and y < elliptic:
-            code = "EE"
-        elif x < elliptic and y > hyperbolic:
-            code = "EH"
-        elif y < elliptic and x > hyperbolic:
-            code = "HE"
-        else:
-            cur = CocyclePair(*letters[k + 1])
-            ptype, ca, cb = _classify_letters(cur, (coords.x, coords.y))
-            if ptype.is_degenerate:
-                raise DegeneratePairError(ptype.reason)
-            code = ptype.code
-        if record:
-            steps.append(StepRecord(k + 1, run_len, winner, code, coords,
-                                    code == "EE" or _k_escort(coords)))
-        if code == "HH+":
-            return done(Verdict(Kind.UNIFORMLY_HYPERBOLIC, at_step=k + 1,
-                                certificate=cone_certificate(cur, (ca, cb))))
         max_norm = max(max_norm, x, y, abs(coords.z))
     if max_norm <= bound:
-        return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=budget.max_accel_steps,
-                            max_trace_norm=max_norm))
-    return done(Verdict(Kind.UNDECIDED, budget_note=Reason.TRACE_BOUND))
+        return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=max_steps,
+                            max_trace_norm=max_norm), max_steps)
+    return done(Verdict(Kind.UNDECIDED, budget_note=Reason.TRACE_BOUND), max_steps)
 
 
 def bounded_prefix(trace: RenormTrace, bound: float) -> int:
-    """Number of leading recorded steps whose trace coordinates all stay
-    within the bound; measures how long the run tracked a bounded orbit."""
+    """Number of leading steps whose trace coordinates all stay within the
+    bound; measures how long the run tracked a bounded orbit."""
     n = 0
-    for s in trace.steps:
-        if max(abs(s.coords.x), abs(s.coords.y), abs(s.coords.z)) > bound:
+    for k in trace.levels:
+        tc = trace.table.coords[k]
+        if max(abs(tc.x), abs(tc.y), abs(tc.z)) > bound:
             break
         n += 1
     return n

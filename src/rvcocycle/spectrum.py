@@ -35,6 +35,7 @@ from .lyapunov import (
     _Induction,
     bounded_prefix,
     is_candidate,
+    renorm_decision,
 )
 
 CHART_TOL = 1e-12
@@ -97,22 +98,21 @@ def evaluate_slope(rep: Representation, theta: float,
                    budget: DecisionBudget | None = None,
                    chi_iters: int = 0) -> ScanPoint:
     """One scan point: chart, renormalization verdict, optional direct
-    exponent estimate, both read off one table of the induction.  Chart
-    boundaries and degenerate pairs yield a 'degenerate' point instead of
-    raising."""
+    exponent estimate, both read off one table of the induction, the
+    decision's.  Chart boundaries and degenerate pairs yield a 'degenerate'
+    point instead of raising."""
     alpha = math.nan  # until the chart gives it
     try:
         alpha, pair = chart_for(rep, theta)
-        table = _Induction(pair, alpha)
-        trace = _decide(table, budget)
+        trace = renorm_decision(pair, alpha, budget)
     except (ChartBoundaryError, DegeneratePairError):
         return ScanPoint(theta, alpha, "degenerate", math.nan, 0, math.nan)
     v = trace.verdict
     chi = math.nan
     if chi_iters > 0:
-        chi = _exponent(table, chi_iters).chi
+        chi = _exponent(trace.table, chi_iters).chi
     mu = v.certificate.expansion_factor if v.certificate is not None else math.nan
-    steps = v.at_step if v.at_step is not None else len(trace.steps)
+    steps = v.at_step if v.at_step is not None else len(trace.levels)
     return ScanPoint(theta=theta, alpha=alpha, verdict=v.code, chi=chi,
                      steps=steps, mu_lower=mu,
                      bounded_steps=bounded_prefix(trace, trace.trace_bound))
@@ -233,9 +233,10 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
     log |tr| of a letter, for the moved one (two at the first run);
     log |tr AB| is read off the table's trace coordinates of the level,
     which the decision formed as far as it went, and which are formed here
-    past that.  The decision records no steps: its verdict is all the
-    witness reads.  The integer work (word, matrices, norms, denominators)
-    and the growth log are two loops.
+    past that.  The decision runs on this table, whose runs the digit cap
+    checked first, and the witness reads its verdict alone.  The integer
+    work (word, matrices, norms, denominators) and the growth log are two
+    loops.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -250,7 +251,7 @@ def mcg_trajectory(rep: Representation, alpha: float, n_steps: int,
             raise DegeneratePairError(ptype.reason)
         raise BudgetExceededError("run length exceeds the digit cap")
     table.pair(len(runs))
-    decision = _decide(table, budget, record=False)
+    decision = _decide(table, budget)
 
     # phi = ((a, b), (c, d)); its entries stay nonnegative, so its l1 norm
     # is their sum.  Its entries are continuants of the digits a_1, a_2, ...

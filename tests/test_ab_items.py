@@ -1,9 +1,11 @@
 """The timing rounds and the aggregation of tools/ab_items.py, on made-up
 calls and timings (no subprocess, no checkout copied)."""
 
+import importlib
 import importlib.util
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,7 +66,6 @@ def test_balance_cancels_the_import_order():
     assert res["head"] / res["base"] == pytest.approx(res["ratio"])
 
 
-
 def test_half_ratios_split_the_rounds():
     # Rounds 1-2 and 3-5: base minima 2 + 5 and 1 + 1, head 1 + 0.5 and
     # 1 + 1.  An odd round count leaves the extra round in the second half.
@@ -75,3 +76,36 @@ def test_half_ratios_split_the_rounds():
     assert second == 2.0 / 2.0
     # The whole call's ratio takes the least of all the rounds.
     assert ab_items.summarize(times)["ratio"] == 1.5 / 2.0
+
+
+def test_work_counts_of_a_toy_package(tmp_path, monkeypatch):
+    # total runs 3 lines and calls square twice, 1 line each; the direct
+    # square call 1 line more.  The test's lambdas and a module whose name
+    # only starts with the package's are not counted, and the pass puts
+    # back the tracer it found.
+    (tmp_path / "toypkg").mkdir()
+    (tmp_path / "toypkg" / "__init__.py").write_text("")
+    (tmp_path / "toypkg" / "walk.py").write_text(
+        "def square(x):\n"
+        "    return x * x\n"
+        "\n"
+        "\n"
+        "def total(xs):\n"
+        "    a = square(xs[0])\n"
+        "    b = square(xs[1])\n"
+        "    return a + b\n")
+    (tmp_path / "toypkg_other.py").write_text(
+        "def double(x):\n"
+        "    y = x + x\n"
+        "    return y\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    walk = importlib.import_module("toypkg.walk")
+    other = importlib.import_module("toypkg_other")
+    calls = [lambda: walk.total([2, 3]), lambda: walk.square(4),
+             lambda: other.double(5)]
+    before = sys.gettrace()
+    assert ab_items.work_counts(calls, "toypkg") == {"lines": 6, "calls": 4}
+    assert ab_items.work_counts(calls[2:], "toypkg") == {"lines": 0, "calls": 0}
+    assert ab_items.work_counts(calls[2:], "toypkg_other") == {"lines": 2, "calls": 1}
+    assert ab_items.work_counts(calls[:1], "toypkg") == {"lines": 5, "calls": 3}
+    assert sys.gettrace() is before

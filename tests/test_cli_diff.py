@@ -124,11 +124,23 @@ def test_matrix_holds_scaled_letters(capsys):
     # Letters inside the CLI's limit whose products are stored scaled: each
     # command ends without a traceback, and classify prints strict JSON
     # although its Fricke residual is past the float range.  The renorm
-    # command exits 1 on a product that underflows to zero (ROADMAP item 4).
+    # command loses its level 1 to a product past the float range, and is
+    # one of the precision commands below.
     classify, renorm = cli_diff.SCALED_COMMANDS
     for args in cli_diff.SCALED_COMMANDS:
         assert args in cli_diff.matrix()
     assert main(list(classify)) == 0
     out = capsys.readouterr().out
     assert cli_diff.non_strict_json({classify: (0, out, "")}, "head") == []
-    assert main(list(renorm)) in (0, 1)
+    assert renorm in cli_diff.PRECISION_COMMANDS
+
+
+def test_matrix_holds_precision_losses(capsys):
+    # A level that loses float precision ends the decision Undecided, with
+    # exit 0 and strict JSON, where it once exited 1 blaming the input.
+    for args in cli_diff.PRECISION_COMMANDS:
+        assert args in cli_diff.matrix()
+        assert main(list(args)) == 0
+        out = capsys.readouterr().out
+        assert cli_diff.non_strict_json({args: (0, out, "")}, "head") == []
+        assert json.loads(out)["verdict"] == "undecided"

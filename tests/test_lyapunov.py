@@ -21,6 +21,8 @@ from rvcocycle.hypgeom import hh_minus_canonical_pair
 from rvcocycle.iet import Rotation2IET, Winner, continued_fraction
 from rvcocycle.lyapunov import (
     DecisionBudget,
+    PrecisionError,
+    Reason,
     _decide,
     _exact_points,
     _Induction,
@@ -35,6 +37,7 @@ from rvcocycle.lyapunov import (
     renorm_decision,
 )
 from rvcocycle.mat2 import Matrix2, NonUnimodularError, diagonal, mul, rotation
+from reference_exact import level_types
 from reference_walk import renorm_runs, winner_move
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -717,11 +720,13 @@ class TestInductionTable:
         assert sum(depths) > 100 and len(depths) - sum(depths) > 10
 
     @pytest.mark.parametrize("steps", [60, 8])
-    def test_unrecorded_decision_reads_the_recorded_verdict(self, steps):
-        # Without step records the decision reads at_step and the kept
-        # letter off the table; the verdict is the recorded decision's, and
-        # the table's coordinates are the recorded steps'.  The cases reach
-        # every kind: HH+ at step 0, the end of the expansion (alpha = 1/2
+    def test_second_decision_reads_the_same_trace(self, steps):
+        # One decision path, whose trace is a view of the table: a second
+        # decision on the same table reads the runs, levels, coordinates
+        # and type codes the first formed, and prints the same trace.  The
+        # table holds one type code and one set of coordinates per level
+        # walked, level 0 included, stored once.  The cases reach every
+        # kind: HH+ at step 0, the end of the expansion (alpha = 1/2
         # before any step), a bounded run out of steps, and Undecided at a
         # run past max_digit and at a trace past the bound.
         budget = DecisionBudget(max_accel_steps=steps)
@@ -736,22 +741,45 @@ class TestInductionTable:
              DecisionBudget(max_accel_steps=steps, trace_bound=1.0))]
         kinds = set()
         for p, alpha, budget in cases:
+            table = _Induction(p, alpha)
             try:
-                want = renorm_decision(p, alpha, budget)
+                first = _decide(table, budget)
             except DegeneratePairError:
                 continue
-            table = _Induction(p, alpha)
-            got = _decide(table, budget, record=False)
-            assert got.steps == ()
-            assert repr(got.verdict) == repr(want.verdict), alpha
-            assert got.trace_bound == want.trace_bound
-            recorded = [s.coords for s in want.steps if s.winner is not None]
-            assert repr(table.coords[1:len(recorded) + 1]) == repr(recorded)
-            # A second decision on the table reads the coordinates formed.
-            assert repr(_decide(table, budget)) == repr(want)
-            assert len(table.coords) == len(recorded) + 1
-            kinds.add(want.verdict.kind)
+            want = repr(first)
+            walked = (first.levels[-1] if first.levels else 0) + 1
+            assert len(table.types) == len(table.coords) == walked, alpha
+            assert repr(_decide(table, budget)) == want
+            assert len(table.types) == len(table.coords) == walked
+            assert repr(renorm_decision(p, alpha, budget)) == want
+            assert [s.pair_type for s in first.steps] == \
+                [table.types[k] for k in first.levels]
+            kinds.add(first.verdict.kind)
         assert len(kinds) == 4
+
+    @pytest.mark.parametrize("p, alpha, budget, steps", [
+        # Run 5 is a Top run of 910,397,634: the power of the elliptic B_5
+        # decays to entries whose det underflows to 0.
+        (generic_elliptic(), 0.1952356944794555,
+         DecisionBudget(max_accel_steps=200, max_digit=10**12), 5),
+        # A = diag(3e150, 1/3e150): level 1's B A^2 is scaled, and keeps one
+        # entry, the other three underflowing, so level 2's B^2 A is zero.
+        (CocyclePair(Matrix2(3e150, 0.0, 0.0, 3.3333333333333335e-151),
+                     Matrix2(0.0, -1.0, 1.0, 0.0)), 0.3, None, 1),
+    ], ids=["det-underflow", "power-overflow"])
+    def test_precision_loss_is_undecided(self, p, alpha, budget, steps):
+        # Every tau move keeps det 1 exactly, so a level that fails the det
+        # rule or the float range lost precision: the table raises
+        # PrecisionError, a NonUnimodularError, and the decision reads it as
+        # Undecided with its steps up to the last level formed.
+        trace = renorm_decision(p, alpha, budget)
+        v = trace.verdict
+        assert (v.kind, v.budget_note) == ("Undecided", Reason.PRECISION)
+        assert trace.levels == range(1, steps + 1)
+        assert len(trace.steps) == len(trace.table.letters) - 1 == steps
+        with pytest.raises(PrecisionError, match=f"level {steps + 1}"):
+            trace.table.pair(steps + 1)
+        assert issubclass(PrecisionError, NonUnimodularError)
 
 
 class TestExactDigits:
@@ -792,6 +820,29 @@ class TestExactDigits:
                 c = v.certificate
                 assert mp_maps_arc_inside(a, c.arc_lo, c.arc_hi, 60)
                 assert mp_maps_arc_inside(b, c.arc_lo, c.arc_hi, 60)
+
+    def test_step_types_match_the_exact_referee(self):
+        # Every float input is a dyadic rational, so the letters of each
+        # level of words of at most 1000 letters are exact integer
+        # matrices, typed with ints.  Criterion 6's draws all have c > 2,
+        # where HH+ is |z| > |xy - z|.  No step of them is in the band; 636
+        # steps are compared (HH+ 150, HH- 1, EE 268, EH 113, HE 104), and
+        # 327 are of longer words.
+        compared = 0
+        for p, alpha in criterion6_draws(200):
+            assert trace_coords(p).c > 2.0
+            try:
+                trace = renorm_decision(p, alpha, DecisionBudget(max_accel_steps=60))
+            except DegeneratePairError:
+                continue
+            steps = trace.steps
+            exact = level_types(p, [(s.winner, s.digit) for s in steps
+                                    if s.winner is not None], 1000)
+            for s in steps:
+                if s.index < len(exact) and exact[s.index] is not None:
+                    assert s.pair_type == exact[s.index], (alpha, s.index)
+                    compared += 1
+        assert compared > 600
 
     def test_long_first_run_is_undecided_at_once(self):
         # The first run is a_1 - 1 = 10^6 + 1, past max_digit: integer

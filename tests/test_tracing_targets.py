@@ -53,7 +53,8 @@ def test_traced_function_exists(module, name):
 
 KINDS = ("UniformlyHyperbolic", "CertifiedBounded", "FiniteOrder", "Undecided")
 REASONS = ("run length exceeded max_digit",
-           "trace bound exceeded without reaching HH+")
+           "trace bound exceeded without reaching HH+",
+           "float precision lost forming a level")
 DECISIONS = json.loads((Path(__file__).resolve().parent / "data" /
                         "cli_decisions.json").read_text())
 

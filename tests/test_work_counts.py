@@ -9,8 +9,8 @@ a tr AB that mul would return unchanged, a log |tr| of a letter that a run
 kept, a second A B for the K membership that the trace coordinates already
 read, a second classification of an absorbing pair, a classification of
 a pair with an elliptic letter, a mul call for a power's product that
-mul would store unchanged, a step record that a bounded trajectory builds
-and throws away, or a level's trace coordinates formed twice, shows up
+mul would store unchanged, a step record built for a reader that does not
+read the steps, or a level's trace coordinates formed twice, shows up
 here as a higher count.
 The induction is walked once per (pair, alpha): one run_steps call for a
 decision, a trajectory, an exponent, and a scan point that takes both,
@@ -60,11 +60,11 @@ from rvcocycle.spectrum import (
 # per power product, 39 while mul tested each product's det.
 BOUNDED_ALPHA = 0.30769497215185276
 BOUNDED_MUL = 33
-# The decision of commuting rotations classifies its letters once, for the
-# input pair: every later pair has an elliptic letter, which _decide types
-# by |tr A| and |tr B| alone.  One classification per step took 33 at
-# BOUNDED_ALPHA.
-ELLIPTIC_CLASSIFY = 1
+# The decision of commuting rotations classifies no letters: every pair,
+# the input pair included, has an elliptic letter, which _decide types by
+# |tr A| and |tr B| alone.  One classification per step took 33 at
+# BOUNDED_ALPHA, and classifying the input pair by its fixed points 1.
+ELLIPTIC_CLASSIFY = 0
 # A slope of the refine benchmark's range, absorbed at step 3; 22, then 14
 # with B A per step.
 REFINE_THETA = 1.2
@@ -198,12 +198,25 @@ def test_bounded_trajectory_records_no_steps(monkeypatch, steps):
 
 
 def test_decision_records_each_step(monkeypatch):
+    # The decision builds no step record; reading its steps builds one per
+    # step, off the table, each time they are read.
     records = count_calls(monkeypatch, lyapunov.StepRecord)
     coords = count_calls(monkeypatch, cocycle.TraceCoords)
     p = CocyclePair(rotation(1.0), rotation(math.sqrt(2.0)))
     trace = renorm_decision(p, BOUNDED_ALPHA, DecisionBudget(max_accel_steps=60))
+    assert len(records) == 0
     assert len(trace.steps) == len(records) == 32
     assert len(coords) == 32 + 1
+
+
+@pytest.mark.parametrize("reader", ["renorm_decision", "evaluate_slope"])
+def test_readers_build_no_step_records(monkeypatch, reader):
+    # Only a reader of .steps pays for step records: the decision and a
+    # scan point with its exponent read the table, as the trajectory does
+    # (test_bounded_trajectory_records_no_steps).
+    records = count_calls(monkeypatch, lyapunov.StepRecord)
+    _walks()[reader]()
+    assert len(records) == 0
 
 
 def test_trajectory_walks_euclid_once(monkeypatch):

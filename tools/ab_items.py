@@ -25,6 +25,13 @@ times in one round.  A benchmark harness that needs rounds of some least
 length reads the raw round sums, not the per-item minima.  The balanced
 summary is the geometric mean of the two orders' sums and ratios, which
 cancels a factor that favours whichever copy was imported first.
+
+Below the timings' resolution of about 2%, each side also reports its work
+counts: the line events and the Python calls in its own package's frames
+over one untimed pass of the items, traced with sys.settrace.  They are
+the same on every run, whatever the machine's load, but count neither the
+arithmetic within a line nor C builtins, so they back "no more work", not
+a speed-up.
 """
 
 from __future__ import annotations
@@ -145,6 +152,35 @@ def time_rounds(calls: dict[str, list], rounds: int,
     return times
 
 
+def work_counts(calls: list, package: str) -> dict[str, int]:
+    """The line events and the Python calls (a generator's resume is one)
+    in the frames of package's modules, over one pass of calls traced with
+    sys.settrace; frames of other modules are not traced line by line."""
+    counts = {"lines": 0, "calls": 0}
+    inside = package + "."
+
+    def lines(frame, event, arg):
+        if event == "line":
+            counts["lines"] += 1
+        return lines
+
+    def calls_into(frame, event, arg):
+        name = frame.f_globals.get("__name__", "")
+        if name == package or name.startswith(inside):
+            counts["calls"] += 1
+            return lines
+        return None
+
+    before = sys.gettrace()
+    sys.settrace(calls_into)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.settrace(before)
+    return counts
+
+
 def summarize(times: dict[str, list[list[float]]]) -> dict:
     """Each side's sum over the items of the item's least time over the
     rounds, and the ratio head / base of those sums."""
@@ -198,10 +234,17 @@ def main(argv=None) -> int:
             calls = {side: calls[side] for side in SIDES}
             outs = {side: [repr(call()) for call in calls[side]] for side in SIDES}
             differ += sum(b != h for b, h in zip(*outs.values()))
+            if not i:
+                work = {side: work_counts(calls[side], names[side]) for side in SIDES}
             passes.append(time_rounds(calls, args.rounds))
     n = len(calls["head"])
     print(f"{args.workload}: {n} items, {args.rounds} rounds per import order, "
           f"{differ} of {n * len(ORDERS)} outputs differ")
+    for side in SIDES:
+        print(f"work, {side}: {work[side]['lines']} line events, "
+              f"{work[side]['calls']} calls in its package's frames")
+    print(f"work head/base: lines {work['head']['lines'] / work['base']['lines']:.4f}, "
+          f"calls {work['head']['calls'] / work['base']['calls']:.4f}")
     summaries = []
     for order, times in zip(ORDERS, passes):
         res, rounds = summarize(times), round_sums(times)

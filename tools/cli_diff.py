@@ -15,8 +15,9 @@ CSV and JSON, scan with exponents whose orbits walk the induction deeper
 than the decision, a scan of chart boundaries only, exponents of letters
 that contract e_1, classify and renorm on an HH+ and an HH- pair,
 classify and renorm on scaled letters (entries inside the 2^500 limit
-whose products pass the float range), one --config command, and usage
-and runtime errors.
+whose products pass the float range), two decisions that lose float
+precision forming a level, one --config command, and usage and runtime
+errors.
 stdout must be byte-identical; stderr is not compared, but each command
 whose stderr holds a Python traceback is reported with its side, and so
 is each command that exits 0 with a JSON document on stdout (--format
@@ -65,6 +66,15 @@ SCALED_COMMANDS = (
     ("classify", "--rep", "1e100,0,0,1e-100,1e100,1,0,1e-100"),
     ("renorm", "--rep", "3e150,0,0,3.3333333333333335e-151,0,-1,1,0",
      "--alpha", "0.3"),
+)
+# Decisions that lose float precision forming a level, and end Undecided:
+# the scaled renorm command above, whose level 1 is a power whose product
+# is not finite, and a Top run of 910,397,634 whose power of an elliptic
+# letter decays to entries whose det underflows to 0.
+PRECISION_COMMANDS = (
+    SCALED_COMMANDS[1],
+    ("renorm", "--fixture", "generic-elliptic", "--alpha", "0.1952356944794555",
+     "--max-digit", "1000000000000", "--max-steps", "200"),
 )
 TRACEBACK = b"Traceback (most recent call last)"
 # The commands whose stdout is always one JSON document.
@@ -117,6 +127,7 @@ def matrix() -> list[tuple[str, ...]]:
         cmds.append(("renorm", "--rep", rep, "--alpha", GOLDEN))
     cmds += [
         *SCALED_COMMANDS,
+        PRECISION_COMMANDS[1],
         # theta 0, pi/4 and pi/2 are chart boundaries: degenerate points.
         ("scan", "--fixture", "generic-elliptic", "--theta", "0:1.5707963267948966",
          "--grid", "3", "--format", "json"),
