@@ -21,9 +21,10 @@ times fit in n: down, each level's entry into I_{k+1}; then up, each
 level's part of the next longer letter that still fits.  Each is at most
 one power of a letter and one letter of the other kind, and each power is
 taken as its squares, so an orbit takes O(sum of log a_k) factors over
-those levels, whatever n and however close alpha is to a rational.  Each call views the table in its own exact unit
-(_orbit_levels): the pieces of each I_k and the orbit points as integers.
-The factors are the table's own letters and squares, and _orbit_product
+those levels, whatever n and however close alpha is to a rational.  Each
+call views the table in its own exact unit (_orbit_levels): the pieces of
+each I_k and the orbit points as integers.  The factors are the table's
+letters and the squares the walk forms of them, and _orbit_product
 multiplies them into rho_n(x), whose norm gives chi.
 
 The bound.  At level k every orbit is a chain of whole return words A_k and
@@ -40,7 +41,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 
 from .cocycle import (
     CocyclePair,
@@ -208,22 +208,20 @@ def _unit_letter(m: Matrix2) -> Matrix2:
 class _Induction:
     """The accelerated Rauzy induction of (alpha, p), walked once into a
     table that grows as far as its readers ask.  Level k holds runs[k], the
-    run (winner, length) into level k + 1, and letters[k], the pair (A_k,
-    B_k) that the first k runs move p to.  A run moves one letter: mul's
-    product, put through the Matrix2 constructor, so that its det rule is
-    applied once per level and det drift does not compound from level to
-    level.  Level 0 is p as given, except that an input letter that mul
-    would scale is scaled once, or its square could overflow.  squares[k]
-    holds the powers 2^e of the letter of run k (A_k for Bottom, B_k for
-    Top) that an orbit walk asked for.  coords[k] holds the trace
-    coordinates of level k, letter_coords of its letters with c the input
-    pair's tr [A, B], which every tau move keeps: formed once, by whichever
-    reader asks first (the decision, or mcg_trajectory past the decision's
-    last level).  types[k] holds the type code of level k, keyed as squares
-    are, so a second decision rewrites its entry, the same code, and adds
-    none.  A reader with a digit cap checks a run before it asks for the
-    level past it.  A moved letter that fails the constructor or the float
-    range raises PrecisionError.
+    run (winner, length) into level k + 1; letters[k], the pair (A_k, B_k)
+    that the first k runs move p to; coords[k], their trace coordinates;
+    and types[k], their type code.  A run moves one letter: mul's product,
+    put through the Matrix2 constructor, so that its det rule is applied
+    once per level and det drift does not compound from level to level.
+    Level 0 is p as given, except that an input letter that mul would
+    scale is scaled once, or its square could overflow.  coords[k] is
+    letter_coords of the letters with c the input pair's tr [A, B], which
+    every tau move keeps: formed once, by whichever reader asks first (the
+    decision, or mcg_trajectory past the decision's last level).  types is
+    keyed by level, so a second decision rewrites its entry, the same code,
+    and adds none.  A reader with a digit cap checks a run before it asks
+    for the level past it.  A moved letter that fails the constructor or
+    the float range raises PrecisionError.
     """
 
     def __init__(self, p: CocyclePair, alpha: float | Fraction):
@@ -232,7 +230,6 @@ class _Induction:
         self.runs: list[tuple[Winner, int]] = []
         self.letters = [tuple(m if m.a * m.a + m.b * m.b + m.c * m.c + m.d * m.d
                               <= NORM2_LIMIT else _unit_letter(m) for m in (p.A, p.B))]
-        self.squares: dict[int, list[Matrix2]] = {}
         self.coords: list[TraceCoords] = []
         self.types: dict[int, str] = {}
 
@@ -249,10 +246,8 @@ class _Induction:
 
     def pair(self, k: int) -> tuple[Matrix2, Matrix2]:
         """(A_k, B_k), forming the levels before it first: a Bottom run of r
-        moves B to B A^r, a Top run A to B^r A.  The power is the product of
-        the squares at the set bits of r in ascending order: those an orbit
-        walk formed, or else those Matrix2.power forms the same way.  Runs
-        0 to k - 1 must have been read."""
+        moves B to B A^r, a Top run A to B^r A, with the power Matrix2.power
+        forms.  Runs 0 to k - 1 must have been read."""
         letters, bottom_winner = self.letters, Winner.BOTTOM
         while len(letters) <= k:
             j = len(letters) - 1
@@ -262,8 +257,7 @@ class _Induction:
             power = a if bottom else b
             try:
                 if run > 1:
-                    power = (power.power(run) if j not in self.squares
-                             else reduce(mul, _bits(self.powers(j, power, run), run)))
+                    power = power.power(run)
                 moved = mul(b, power) if bottom else mul(power, a)
                 moved = Matrix2(moved.a, moved.b, moved.c, moved.d, moved.log_scale)
             except NonUnimodularError as exc:
@@ -272,24 +266,25 @@ class _Induction:
         return letters[k]
 
     def trace_coords(self, k: int) -> TraceCoords:
-        """coords[k], forming the levels through k and their coordinates
-        first; level 0 reads tr [A, B] off its letters.  Runs 0 to k - 1
-        must have been read."""
+        """coords[k], forming the coordinates through level k first, off
+        the letters of each level (formed by pair where no reader has);
+        level 0 reads tr [A, B] off its letters.  Runs 0 to k - 1 must have
+        been read."""
         coords = self.coords
         while len(coords) <= k:
             j = len(coords)
-            a, b = self.pair(j)
+            a, b = self.letters[j] if j < len(self.letters) else self.pair(j)
             coords.append(letter_coords(a, b, coords[0].c if j else None))
         return coords[k]
 
-    def powers(self, k: int, letter: Matrix2, cap: int) -> list[Matrix2]:
-        """squares[k], [letter, letter^2, ...] for the letter of run k (or
-        of the closing run and the last level where the expansion ends),
-        through the largest power 2^e <= cap and any asked for before."""
-        squares = self.squares.setdefault(k, [letter])
-        while 1 << len(squares) <= cap:
-            squares.append(mul(squares[-1], squares[-1]))
-        return squares
+
+def _squares(letter: Matrix2, cap: int) -> list[Matrix2]:
+    """[letter, letter^2, letter^4, ...] through the largest power 2^e <=
+    cap, each the square of the one before; none for cap 0."""
+    squares = [letter] if cap else []
+    while 1 << len(squares) <= cap:
+        squares.append(mul(squares[-1], squares[-1]))
+    return squares
 
 
 def _bits(powers: list[Matrix2], i: int) -> list[Matrix2]:
@@ -334,12 +329,12 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
 
     Each run (winner, r) of the table moves the pieces and the lengths: a
     Bottom run makes B A^r of B on the piece cut from A's, a Top run B^r A
-    of A.  The table forms a moved letter, and the squares of a run's
-    letter, only as far as they fit in n; the levels hold the table's own
-    matrices.  Where the expansion of alpha ends the two pieces
-    are equal and the return alternates A_k and B_k; one closing Top run of
-    1 makes the last level, with one piece whose letter B_k A_k returns
-    every point to itself, walked as one power.
+    of A.  The table forms a moved letter only as far as it fits in n, and
+    each level holds the table's letters and the squares of its run's
+    letter whose powers fit (_squares).  Where the expansion of alpha ends
+    the two pieces are equal and the return alternates A_k and B_k; one
+    closing Top run of 1 makes the last level, with one piece whose letter
+    B_k A_k returns every point to itself, walked as one power.
     """
     exact = Fraction(table.alpha)
     split = (exact.denominator - exact.numerator) * (unit // exact.denominator)
@@ -354,9 +349,7 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
         len_a, len_b = lv.lengths
         bottom = winner is Winner.BOTTOM
         cap = min(run, n // (len_a if bottom else len_b))
-        squares = table.powers(k, a if bottom else b, cap) if cap else []
-        lv.winner, lv.run = winner, run
-        lv.powers = squares[:cap.bit_length()]
+        lv.winner, lv.run, lv.powers = winner, run, _squares(a if bottom else b, cap)
         if bottom:
             cut, lengths = run * (lv.size - lv.split), (len_a, len_b + run * len_a)
             b = None if lengths[1] > n else table.pair(k + 1)[1]
@@ -367,9 +360,8 @@ def _orbit_levels(table: _Induction, n: int, unit: int) -> list[_OrbitLevel]:
                  else mul(b, a) if closing else table.pair(k + 1)[0])
             lv = _OrbitLevel(lv.split, lv.size - cut, lengths, (a, lv.letters[1]))
         levels.append(lv)
-    cap = n // lv.lengths[0]
-    if lv.split == lv.size and cap:
-        lv.powers = table.powers(len(levels) - 1, a, cap)[:cap.bit_length()]
+    if lv.split == lv.size:
+        lv.powers = _squares(a, n // lv.lengths[0])
     return levels
 
 
@@ -546,27 +538,26 @@ def renorm_decision(p: CocyclePair, alpha: float | Fraction,
 def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
     """renorm_decision on the induction table of (alpha, p), which
     mcg_trajectory reads too.  Each level, 0 included, is typed and its code
-    stored on the table once; step k + 1 reads run k and then the letters
-    and coordinates of level k + 1, no further than the decision needs.  A
-    run past max_digit leaves it Undecided before its level is formed, and
-    so does a level that loses float precision.  Runs, levels and
-    coordinates that a reader formed first are read off the table.  A step
-    builds a CocyclePair only for two letters that are both hyperbolic or
-    in the band, and for the certificate; no step builds a StepRecord."""
+    stored on the table once; step k + 1 reads run k and then the
+    coordinates of level k + 1, both through the table, no further than
+    the decision needs.  A run past max_digit leaves it Undecided before
+    its level is formed, and so does a level that loses float precision.
+    A run out of steps reads its largest trace off the coordinates of
+    levels 1 to max_steps.  A step builds a CocyclePair only for two
+    letters that are both hyperbolic or in the band, and for the
+    certificate; no step builds a StepRecord."""
     if budget is None:
         budget = DecisionBudget()
     coords = table.trace_coords(0)
-    kappa = coords.c  # every tau move keeps tr [A, B]
     bound = budget.trace_bound
     if bound is None:
-        bound = trace_bound(kappa) + 4.0
+        bound = trace_bound(coords.c) + 4.0
 
     def done(verdict: Verdict, last: int, first: int = 1) -> RenormTrace:
         return RenormTrace(table, verdict, bound, range(first, last + 1))
 
-    runs, letters, levels, types = table.runs, table.letters, table.coords, table.types
+    letters, types = table.letters, table.types
     max_steps, max_digit = budget.max_accel_steps, budget.max_digit
-    max_norm = 0.0
     x, y = abs(coords.x), abs(coords.y)
     elliptic, hyperbolic = 2.0 - EPS_TRACE, 2.0 + EPS_TRACE
     for k in range(max_steps + 1):
@@ -591,31 +582,27 @@ def _decide(table: _Induction, budget: DecisionBudget | None) -> RenormTrace:
                         k, min(k, 1))
         if k == max_steps:
             break
-        run = runs[k] if k < len(runs) else table.run(k)
+        run = table.run(k)
         if run is None:
             # The kept letter's trace, read off the last step's coordinates:
             # A after a Bottom run, B after a Top run.  alpha = 1/2 ends
             # before the first step: period 2, whose return product BA has
             # tr AB.
             if k:
-                kept = coords.x if runs[k - 1][0] is Winner.BOTTOM else coords.y
+                kept = coords.x if table.runs[k - 1][0] is Winner.BOTTOM else coords.y
             else:
                 kept = coords.z
             return done(Verdict(Kind.FINITE_ORDER, at_step=k,
                                 spectrum_member=abs(kept) <= 2.0), k)
         if run[1] > max_digit:
             return done(Verdict(Kind.UNDECIDED, budget_note=Reason.MAX_DIGIT), k)
-        if k + 1 < len(levels):
-            coords = levels[k + 1]
-        else:
-            try:
-                a, b = letters[k + 1] if k + 1 < len(letters) else table.pair(k + 1)
-                coords = letter_coords(a, b, kappa)
-            except NonUnimodularError:
-                return done(Verdict(Kind.UNDECIDED, budget_note=Reason.PRECISION), k)
-            levels.append(coords)
+        try:
+            coords = table.trace_coords(k + 1)
+        except NonUnimodularError:
+            return done(Verdict(Kind.UNDECIDED, budget_note=Reason.PRECISION), k)
         x, y = abs(coords.x), abs(coords.y)
-        max_norm = max(max_norm, x, y, abs(coords.z))
+    max_norm = max(max(abs(tc.x), abs(tc.y), abs(tc.z))
+                   for tc in table.coords[1:max_steps + 1])
     if max_norm <= bound:
         return done(Verdict(Kind.CERTIFIED_BOUNDED, at_step=max_steps,
                             max_trace_norm=max_norm), max_steps)

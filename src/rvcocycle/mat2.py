@@ -62,26 +62,30 @@ class Matrix2:
 
     def __init__(self, a: float, b: float, c: float, d: float,
                  log_scale: float = 0.0):
-        # Each entry on its own: max() drops a NaN that is not first, and
-        # the sum of finite entries near 1e308 overflows.
-        isfinite = math.isfinite
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-            raise NonUnimodularError("matrix entries are not finite")
-        if not log_scale:
-            scale = max(abs(a), abs(b), abs(c), abs(d))
-            # For entries of magnitude s the float determinant of a truly
-            # unimodular matrix carries cancellation noise of order
-            # s^2 * eps (and its computation overflows near s ~ 1e154):
-            # validate and renormalize only when the computed value is
-            # trustworthy.
-            noise = 16.0 * scale * scale * 2.220446049250313e-16
-            if noise < 0.5:
-                det = a * d - b * c
-                if det <= 0.0:
-                    raise NonUnimodularError(f"determinant {det} is not positive")
-                if abs(det - 1.0) > noise:
-                    s = 1.0 / math.sqrt(det)
-                    a, b, c, d = a * s, b * s, c * s, d * s
+        # A det within 4 eps of 1 (a NaN det is not) needs four finite
+        # entries, and lies within the noise 16 s^2 eps >= 8 eps (s^2 >=
+        # det / 2) of the rule below, which would store them as given.
+        if log_scale or not abs(a * d - b * c - 1.0) <= 8.881784197001252e-16:
+            # Each entry on its own: max() drops a NaN that is not first,
+            # and the sum of finite entries near 1e308 overflows.
+            isfinite = math.isfinite
+            if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+                raise NonUnimodularError("matrix entries are not finite")
+            if not log_scale:
+                scale = max(abs(a), abs(b), abs(c), abs(d))
+                # For entries of magnitude s the float determinant of a
+                # truly unimodular matrix carries cancellation noise of
+                # order s^2 * eps (and its computation overflows near s ~
+                # 1e154): validate and renormalize only when the computed
+                # value is trustworthy.
+                noise = 16.0 * scale * scale * 2.220446049250313e-16
+                if noise < 0.5:
+                    det = a * d - b * c
+                    if det <= 0.0:
+                        raise NonUnimodularError(f"determinant {det} is not positive")
+                    if abs(det - 1.0) > noise:
+                        s = 1.0 / math.sqrt(det)
+                        a, b, c, d = a * s, b * s, c * s, d * s
         self.a = a
         self.b = b
         self.c = c

@@ -442,7 +442,7 @@ class TestInducedWalk:
                     assert min(off, 1.0 - off) <= 1e-9, (alpha, n, x0)
 
     def test_factor_contract(self):
-        # Every factor is a letter or a square of the level table itself,
+        # Every factor is a letter of the table or a square the walk formed,
         # with entries of at most 2^500 (mul's limit) and a finite log.  At
         # alpha = 0.3 the 1e7 steps took about 1.4e6 rows per start through
         # one induced level; the walk keeps O(levels).
@@ -455,9 +455,9 @@ class TestInducedWalk:
             unit, starts = _exact_points(alpha, x)
             levels = _orbit_levels(table, n, unit)
             own = {id(m) for pair in table.letters for m in pair}
-            own |= {id(m) for squares in table.squares.values() for m in squares}
+            own |= {id(m) for lv in levels for m in lv.powers}
             # A closing Top run's letter B_k A_k, formed where the
-            # expansion of alpha ends, is the one factor outside the table.
+            # expansion of alpha ends, is the one other factor.
             own.add(id(levels[-1].letters[0]))
             for y in starts:
                 for m in _orbit_factors(levels, y, n)[0]:
@@ -686,7 +686,8 @@ class TestInductionTable:
         # The decision and a 1e5-step orbit walk read one table, and the
         # orbit walk goes deeper than the decision stops on most draws.
         # Every letter the table forms is the pair moved by one tau_power
-        # per run, bit for bit, and every square the power of its letter.
+        # per run, bit for bit, and every square the walk forms the power
+        # of its letter.
         budget = DecisionBudget(max_accel_steps=60)
         cases = criterion6_draws(200) + [(commuting_elliptic(), self.BOUNDED_ALPHA)]
         letters = 0
@@ -699,7 +700,7 @@ class TestInductionTable:
                 pass
             decided = len(table.letters)
             unit, _ = _exact_points(alpha, ())
-            _orbit_levels(table, 100_000, unit)
+            levels = _orbit_levels(table, 100_000, unit)
             depths.append(len(table.letters) > decided)
             walk = itertools.islice(renorm_runs(p, alpha, math.inf),
                                     len(table.letters) - 1)
@@ -709,9 +710,9 @@ class TestInductionTable:
                     assert (*got.entries(), got.log_scale) == \
                         (*want.entries(), want.log_scale), (alpha, k)
                     letters += 1
-            for k, squares in table.squares.items():
-                for e, m in enumerate(squares):
-                    want = squares[0].power(2**e)
+            for k, lv in enumerate(levels):
+                for e, m in enumerate(lv.powers):
+                    want = lv.powers[0].power(2**e)
                     assert (*m.entries(), m.log_scale) == \
                         (*want.entries(), want.log_scale), (alpha, k, e)
         assert letters > 4000  # 4676

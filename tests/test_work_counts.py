@@ -18,10 +18,12 @@ and one Euclid walk of alpha for a trajectory and its denominators.
 The values the walk builds per product and per step are slotted: a
 __dict__ on them brings back the cost of building it.  direct_exponent's
 orbit walk is counted the same way: its factors per orbit and the
-products of its levels.  Its orbit products are four floats multiplied in
-place, with no mul per factor.  The exponent's upper bound reads the norms
-of the table's letters and forms no product of its own.  The cone
-certificate is a formula on the two letters and forms no product at all."""
+products of its levels, which are exactly its own squares, the table's
+letters as Matrix2.power forms them, and the closing letter.  Its orbit
+products are four floats multiplied in place, with no mul per factor.
+The exponent's upper bound reads the norms of the table's letters and
+forms no product of its own.  The cone certificate is a formula on the
+two letters and forms no product at all."""
 
 import math
 import sys
@@ -84,7 +86,7 @@ ABSORBING_CLASSIFY = 2
 # direct_exponent's walk through every level of the induction with return
 # times up to n: O(sum of log a_k) factors per orbit, where the one induced
 # level near sqrt(n) took about 290 letters per orbit at 1e4 steps and
-# 1.4e6 at alpha = 0.3 and 1e7.  The table squares a run's letter only up
+# 1.4e6 at alpha = 0.3 and 1e7.  The walk squares a run's letter only up
 # to the powers that fit in n: the float 0.1 and the float 0.3 each have a
 # digit near 9e14 (1.8e15 and 9.0e14), whose full power takes about 50
 # squarings.  3/8 ends its expansion, and its last level is one power.
@@ -93,7 +95,7 @@ WALK_CASES = [(alpha, n) for alpha in (0.1, 0.3, 0.7, GOLDEN, 1.0 / (1e6 + 2.5))
               for n in (10**3, 10**5, 10**8, 10**10)] + [(0.3, 10**7),
                                                          (0.375, 10**10)]
 ORBIT_FACTORS = 64  # at most 39 taken
-TABLE_MUL = 64  # at most 48 taken (the golden float at 1e10)
+TABLE_MUL = 64  # at most 53 taken (the golden float at 1e10)
 # The 52 runs of the golden float: one product for each of the 43 runs of
 # 1, and for each of the 9 longer ones (2 to 10) its power, taken as
 # squares, and one product more.  Those powers are of scaled letters, so
@@ -302,17 +304,39 @@ def test_orbit_walk_factors(mul_calls, alpha, n):
     table = _Induction(p, alpha)
     levels = _orbit_levels(table, n, unit)
     assert len(mul_calls) <= TABLE_MUL
-    for k, lv in enumerate(levels):
+    for lv in levels:
         # Squares of the run's letter (A at a last level) while they fit in
-        # the run and in n; a last level has no run to bound them.  The
-        # table, read by the orbit walk alone, forms no square past them.
+        # the run and in n; a last level has no run to bound them.
         fits = n // lv.lengths[lv.winner is Winner.TOP]
         formed = min(lv.run or fits, fits).bit_length()
         assert len(lv.powers) == formed
-        if k < len(table.runs):
-            assert len(table.squares.get(k, [])) == formed
     for y in starts:
         assert len(_orbit_factors(levels, y, n)[0]) <= ORBIT_FACTORS
+
+
+@pytest.mark.parametrize("alpha, n", WALK_CASES)
+def test_orbit_walk_forms_each_level_once(mul_calls, alpha, n):
+    # The walk's products are its own squarings of each run's letter, the
+    # table's moved letters, formed with Matrix2.power as on a table no walk
+    # touched, and the closing letter B_k A_k where the expansion ends.
+    # A table that formed its powers off the walk's squares instead would
+    # take 1 more at 0.7, 5 fewer at the golden float at 1e10 and 7 more
+    # at 1 / (1e6 + 2.5) from 1e8.
+    m = Matrix2(1.7, 0.9, 0.0, 1.0 / 1.7)
+    p = CocyclePair(rotation(1.0), m @ rotation(0.9) @ m.inv())
+    unit, _ = _exact_points(alpha, ())
+    mul_calls.clear()
+    table = _Induction(p, alpha)
+    levels = _orbit_levels(table, n, unit)
+    walked = len(mul_calls)
+    squarings = sum(len(lv.powers[1:]) for lv in levels)
+    last = levels[-1]
+    closing = last.split == last.size and last.letters[0] is not None
+    fresh = _Induction(p, alpha)
+    fresh.run(len(table.letters) - 1)
+    mul_calls.clear()
+    fresh.pair(len(table.letters) - 1)
+    assert walked == squarings + len(mul_calls) + closing
 
 
 def test_upper_bound_products(mul_calls):
